@@ -32,7 +32,6 @@ from .operator import (
     integration_by_parts_residual,
     nonlocal_normal_derivative,
     normalization_constant,
-    save_operator_csv,
 )
 from .evolution import (
     BackwardProblem,
@@ -90,7 +89,6 @@ __all__ = [
     "normalization_constant",
     "nonlocal_normal_derivative",
     "integration_by_parts_residual",
-    "save_operator_csv",
     "ForwardProblem",
     "BackwardProblem",
     "solve_forward",

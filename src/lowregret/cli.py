@@ -18,15 +18,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .evolution import BackwardProblem, ForwardProblem, solve_backward, solve_forward, superposition_residual
+from .evolution import superposition_residual
 from .functional import (
     RegretConfig,
     cost_decomposition_residual,
@@ -111,9 +112,9 @@ class ScenarioConfig:
 class RunReport:
     """Outcome of one scenario execution.
 
-    ``metrics`` is JSON-ready; ``arrays`` carries the numpy payloads that
-    back the CSV plot files and stays out of report.json.  ``timings`` is
-    written to its own file to keep reports deterministic.
+    ``metrics`` is JSON-ready; ``tables`` maps each CSV plot file's name to
+    its lines and stays out of report.json.  ``timings`` is written to its
+    own file to keep reports deterministic.
     """
 
     scenario: str
@@ -123,7 +124,14 @@ class RunReport:
     metrics: dict
     success: bool
     timings: dict
-    arrays: dict
+    tables: dict
+
+
+def _is_finite(number) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _field(raw: dict, key: str, expect, path: str, default=...):
@@ -135,6 +143,8 @@ def _field(raw: dict, key: str, expect, path: str, default=...):
     if expect is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}{key}", f"expected a number, got {value!r}")
+        if not _is_finite(value):
+            raise ConfigError(f"{path}{key}", f"must be a finite float, got {value!r}")
         return float(value)
     if expect is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -208,6 +218,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     for idx, g in enumerate(gammas_raw):
         if isinstance(g, bool) or not isinstance(g, (int, float)):
             raise ConfigError(f"gammas[{idx}]", f"expected a number, got {g!r}")
+        if not _is_finite(g):
+            raise ConfigError(f"gammas[{idx}]", f"must be a finite float, got {g!r}")
         if g <= 0:
             raise ConfigError(f"gammas[{idx}]", f"must be positive, got {g}")
         gammas.append(float(g))
@@ -235,6 +247,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"probe_presets[{idx}]", str(exc)) from None
 
     seed = _field(raw, "seed", int, "", default=0)
+    if seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {seed}")
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir", f"expected a string, got {out_dir!r}")
@@ -315,7 +329,17 @@ def _jsonify(value):
     return value
 
 
+def _format_row(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
+def _write_text(path, lines) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
+    """Returns (metrics, CSV tables by name, success); so do the other two."""
     grid, tgrid, cfg = _build_problem(sc, sc.gamma)
     say(f"solving at gamma={cfg.gamma:g} (n={grid.n}, M={tgrid.steps}, s={cfg.s:g})")
     bundle = solve_low_regret(cfg)
@@ -342,15 +366,22 @@ def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         "xi0_norm": norm_omega(xi0, grid),
         "worst_datum_norm": norm_omega(bundle.worst_initial_datum, grid),
     }
-    arrays = {
-        "grid": grid,
-        "tgrid": tgrid,
-        "control": bundle.control,
-        "worst_datum": bundle.worst_initial_datum,
-        "xi0": xi0,
-        "residuals": residuals,
+    slices = sorted({1, tgrid.steps // 2, tgrid.steps})
+    snapshots = ["x," + ",".join(f"control_t{tgrid.times[m]:g}" for m in slices)]
+    for i in range(grid.n):
+        snapshots.append(_format_row([grid.nodes[i]] + [bundle.control[m, i] for m in slices]))
+    worst = ["x,worst_initial_datum,uncertainty_trace"]
+    for i in range(grid.n):
+        worst.append(_format_row([grid.nodes[i], bundle.worst_initial_datum[i], xi0[i]]))
+    residual_lines = ["identity,residual"]
+    for name in sorted(residuals):
+        residual_lines.append(f"{name},{float(residuals[name])!r}")
+    tables = {
+        "control_snapshots": snapshots,
+        "worst_datum": worst,
+        "residuals": residual_lines,
     }
-    return metrics, arrays, bundle.converged
+    return metrics, tables, bundle.converged
 
 
 # scaled tolerances mirrored by the audit: identity name -> budget
@@ -380,11 +411,14 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
 
         a = _random_space_time(rng, grid, tgrid)
         b = _random_space_time(rng, grid, tgrid)
-        fa = solve_forward(ForwardProblem(ws.operator, tgrid, a, ws.zero_g), ws.factor)
-        bb = solve_backward(BackwardProblem(ws.operator, tgrid, b, ws.zero_g), ws.factor)
+        fa = ws.forward(a, ws.zero_g)
+        bb = ws.backward(b, ws.zero_g)
         lhs = inner_product_q(fa, b, grid, tgrid)
         rhs = inner_product_q(a, bb, grid, tgrid)
-        transpose = abs(lhs - rhs) / max(abs(lhs), abs(rhs), np.finfo(float).tiny)
+        # scaled by the norms, not by the pairing, which can nearly cancel
+        transpose = abs(lhs - rhs) / max(
+            norm_q(fa, grid, tgrid) * norm_q(b, grid, tgrid), np.finfo(float).tiny
+        )
 
         decomposition = cost_decomposition_residual(v, g, cfg) / max(
             1.0, abs(relaxed_cost(v, g, cfg))
@@ -397,9 +431,7 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         gap = fenchel_gap(v, g, cfg) / gap_scale
         gap_at_max = abs(fenchel_gap(v, xi0 / cfg.gamma, cfg)) / gap_scale
         superpos = superposition_residual(ws.operator, tgrid, cfg.f, v, g, ws.factor)
-        q_vg = solve_forward(
-            ForwardProblem(ws.operator, tgrid, cfg.f + v, g), ws.factor
-        )
+        q_vg = ws.forward(cfg.f + v, g)
         superpos = superpos / max(1.0, norm_q(q_vg, grid, tgrid))
         rows.append(
             {
@@ -420,8 +452,19 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
 
     success = all(entry["passed"] for entry in identities.values())
     metrics = {"identities": identities, "probes": sc.probes, "seed": sc.seed}
-    arrays = {"rows": rows, "identities": identities}
-    return metrics, arrays, success
+    summary = ["identity,residual,tolerance,passed"]
+    for name in sorted(identities):
+        entry = identities[name]
+        summary.append(
+            f"{name},{float(entry['residual'])!r},{float(entry['tolerance'])!r},"
+            f"{int(entry['passed'])}"
+        )
+    names = sorted(AUDIT_TOLERANCES)
+    per_probe = ["probe," + ",".join(names)]
+    for k, row in enumerate(rows):
+        per_probe.append(str(k) + "," + _format_row([row[n] for n in names]))
+    tables = {"residuals": summary, "probe_residuals": per_probe}
+    return metrics, tables, success
 
 
 def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
@@ -463,93 +506,36 @@ def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         "membership_bound": membership,
         "membership_probes": max(sc.probes, 1),
     }
-    arrays = {"grid": grid, "tgrid": tgrid, "report": report}
-    return metrics, arrays, all(report.converged)
-
-
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
-def _write_text(path, lines) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    decay = ["gamma,xi0_norm,control_norm,objective,cg_iterations"]
+    for k, g in enumerate(report.gammas):
+        decay.append(
+            _format_row([g, report.xi0_norms[k], report.control_norms[k], report.values[k]])
+            + f",{report.cg_iterations[k]}"
+        )
+    distance = ["gamma_next,distance"]
+    for k, d in enumerate(report.distances):
+        distance.append(_format_row([report.gammas[k + 1], d]))
+    snapshots = ["x," + ",".join(f"control_gamma{g:g}" for g in report.gammas)]
+    for i in range(grid.n):
+        snapshots.append(
+            _format_row([grid.nodes[i]] + [c[tgrid.steps, i] for c in report.controls])
+        )
+    tables = {
+        "xi0_vs_gamma": decay,
+        "control_distance": distance,
+        "control_snapshots": snapshots,
+    }
+    return metrics, tables, all(report.converged)
 
 
 def emit_plot_data(report: RunReport, out_dir) -> list[str]:
     """Write per-metric CSV files (column 1 abscissa) for one report."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-
-    def emit(name, lines):
+    for name, lines in report.tables.items():
         path = os.path.join(out_dir, f"{report.scenario}_{name}.csv")
         _write_text(path, lines)
         paths.append(path)
-
-    arrays = report.arrays
-    if report.scenario == "solve":
-        grid, tgrid = arrays["grid"], arrays["tgrid"]
-        control = arrays["control"]
-        slices = sorted({1, tgrid.steps // 2, tgrid.steps})
-        header = "x," + ",".join(f"control_t{tgrid.times[m]:g}" for m in slices)
-        lines = [header]
-        for i in range(grid.n):
-            lines.append(_format_row([grid.nodes[i]] + [control[m, i] for m in slices]))
-        emit("control_snapshots", lines)
-
-        lines = ["x,worst_initial_datum,uncertainty_trace"]
-        for i in range(grid.n):
-            lines.append(
-                _format_row([grid.nodes[i], arrays["worst_datum"][i], arrays["xi0"][i]])
-            )
-        emit("worst_datum", lines)
-
-        lines = ["identity,residual"]
-        for name in sorted(arrays["residuals"]):
-            lines.append(f"{name},{float(arrays['residuals'][name])!r}")
-        emit("residuals", lines)
-
-    elif report.scenario == "audit":
-        lines = ["identity,residual,tolerance,passed"]
-        for name in sorted(arrays["identities"]):
-            entry = arrays["identities"][name]
-            lines.append(
-                f"{name},{float(entry['residual'])!r},{float(entry['tolerance'])!r},"
-                f"{int(entry['passed'])}"
-            )
-        emit("residuals", lines)
-
-        names = sorted(AUDIT_TOLERANCES)
-        lines = ["probe," + ",".join(names)]
-        for k, row in enumerate(arrays["rows"]):
-            lines.append(str(k) + "," + _format_row([row[n] for n in names]))
-        emit("probe_residuals", lines)
-
-    elif report.scenario == "sweep":
-        grid = arrays["grid"]
-        rep = arrays["report"]
-        lines = ["gamma,xi0_norm,control_norm,objective,cg_iterations"]
-        for k, g in enumerate(rep.gammas):
-            lines.append(
-                _format_row([g, rep.xi0_norms[k], rep.control_norms[k], rep.values[k]])
-                + f",{rep.cg_iterations[k]}"
-            )
-        emit("xi0_vs_gamma", lines)
-
-        lines = ["gamma_next,distance"]
-        for k, d in enumerate(rep.distances):
-            lines.append(_format_row([rep.gammas[k + 1], d]))
-        emit("control_distance", lines)
-
-        m_final = arrays["tgrid"].steps
-        header = "x," + ",".join(f"control_gamma{g:g}" for g in rep.gammas)
-        lines = [header]
-        for i in range(grid.n):
-            lines.append(
-                _format_row([grid.nodes[i]] + [c[m_final, i] for c in rep.controls])
-            )
-        emit("control_snapshots", lines)
-
     return paths
 
 
@@ -586,7 +572,7 @@ def execute_scenario(sc: ScenarioConfig, quiet: bool = True) -> RunReport:
         json.dumps(echo, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     started = time.perf_counter()
-    metrics, arrays, success = _EXECUTORS[sc.scenario](sc, say)
+    metrics, tables, success = _EXECUTORS[sc.scenario](sc, say)
     elapsed = time.perf_counter() - started
     return RunReport(
         scenario=sc.scenario,
@@ -596,7 +582,7 @@ def execute_scenario(sc: ScenarioConfig, quiet: bool = True) -> RunReport:
         metrics=_jsonify(metrics),
         success=success,
         timings={"scenario_seconds": elapsed},
-        arrays=arrays,
+        tables=tables,
     )
 
 
@@ -625,10 +611,10 @@ def run_scenario(
     if scenario is not None:
         updates["scenario"] = scenario
     if seed is not None:
+        if seed < 0:
+            raise ConfigError("--seed", f"must be >= 0, got {seed}")
         updates["seed"] = seed
     if updates:
-        from dataclasses import replace
-
         sc = replace(sc, **updates)
     report = execute_scenario(sc, quiet=quiet)
     target = resolve_out_dir(out_dir, sc)

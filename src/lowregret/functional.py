@@ -21,8 +21,8 @@ of one another.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,8 +51,9 @@ class RegretConfig:
     ``gamma`` is the relaxation weight on the unknown initial datum and
     ``control_weight`` the quadratic penalty on the control itself.  ``f``
     and ``z_d`` are space-time fields (background source and tracking
-    target).  Instances hash by identity; derived quantities (assembled
-    operator, factorization, background state) are cached per instance.
+    target).  Derived quantities (assembled operator, factorization,
+    background state) are built on first use and kept on the instance;
+    ``with_gamma`` shares them with the same problem at another gamma.
     """
 
     s: float
@@ -79,6 +80,20 @@ class RegretConfig:
         _check_space_time(self.f, self.grid, self.tgrid)
         _check_space_time(self.z_d, self.grid, self.tgrid)
 
+    @cached_property
+    def _workspace(self) -> "_Workspace":
+        return _Workspace(self)
+
+    def with_gamma(self, gamma: float) -> "RegretConfig":
+        """The same problem at relaxation weight ``gamma``.
+
+        gamma enters no derived quantity, so the returned config shares this
+        one's workspace (built here if it does not exist yet).
+        """
+        other = replace(self, gamma=gamma)
+        object.__setattr__(other, "_workspace", workspace(self))
+        return other
+
 
 @dataclass(frozen=True, eq=False)
 class UncertaintyAdjoint:
@@ -93,41 +108,33 @@ class UncertaintyAdjoint:
 
 
 class _Workspace:
-    """Per-config cache: operator, step factorization, background state."""
+    """Derived state of one problem: operator, step factorization, background
+    state.  Holds no reference to the config that owns it."""
 
     def __init__(self, cfg: RegretConfig):
+        self.tgrid = cfg.tgrid
         self.operator: FracOperator = assemble_operator(cfg.grid, cfg.s)
         self.factor = step_factor(self.operator, cfg.tgrid)
         self.zero_g = np.zeros(cfg.grid.n)
         self.zero_field = np.zeros_like(np.asarray(cfg.f, dtype=float))
-        self.q_background = solve_forward(
-            ForwardProblem(self.operator, cfg.tgrid, cfg.f, self.zero_g), self.factor
-        )
+        self.q_background = self.forward(cfg.f, self.zero_g)
         diff = self.q_background - cfg.z_d
         self.relaxed_cost_00 = inner_product_q(diff, diff, cfg.grid, cfg.tgrid)
 
-    def forward(self, cfg: RegretConfig, source, initial) -> np.ndarray:
+    def forward(self, source, initial) -> np.ndarray:
         return solve_forward(
-            ForwardProblem(self.operator, cfg.tgrid, source, initial), self.factor
+            ForwardProblem(self.operator, self.tgrid, source, initial), self.factor
         )
 
-    def backward(self, cfg: RegretConfig, source, terminal) -> np.ndarray:
+    def backward(self, source, terminal) -> np.ndarray:
         return solve_backward(
-            BackwardProblem(self.operator, cfg.tgrid, source, terminal), self.factor
+            BackwardProblem(self.operator, self.tgrid, source, terminal), self.factor
         )
-
-
-_WORKSPACES: "weakref.WeakKeyDictionary[RegretConfig, _Workspace]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def workspace(cfg: RegretConfig) -> _Workspace:
-    ws = _WORKSPACES.get(cfg)
-    if ws is None:
-        ws = _Workspace(cfg)
-        _WORKSPACES[cfg] = ws
-    return ws
+    """The config's derived state, built on the first call."""
+    return cfg._workspace
 
 
 def cost(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
@@ -135,7 +142,7 @@ def cost(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
     v = _check_space_time(v, cfg.grid, cfg.tgrid)
     g = _check_spatial(g, cfg.grid)
     ws = workspace(cfg)
-    q = ws.forward(cfg, cfg.f + v, g)
+    q = ws.forward(cfg.f + v, g)
     diff = q - cfg.z_d
     return inner_product_q(diff, diff, cfg.grid, cfg.tgrid) + cfg.control_weight * inner_product_q(v, v, cfg.grid, cfg.tgrid)
 
@@ -155,8 +162,8 @@ def solve_uncertainty_adjoint(v: np.ndarray, cfg: RegretConfig) -> UncertaintyAd
     """
     v = _check_space_time(v, cfg.grid, cfg.tgrid)
     ws = workspace(cfg)
-    perturbation = ws.forward(cfg, v, ws.zero_g)
-    traj = ws.backward(cfg, perturbation, ws.zero_g)
+    perturbation = ws.forward(v, ws.zero_g)
+    traj = ws.backward(perturbation, ws.zero_g)
     return UncertaintyAdjoint(traj, traj[0].copy())
 
 
@@ -168,7 +175,7 @@ def reduced_cost(v: np.ndarray, cfg: RegretConfig) -> float:
     """
     v = _check_space_time(v, cfg.grid, cfg.tgrid)
     ws = workspace(cfg)
-    q = ws.forward(cfg, cfg.f + v, ws.zero_g)
+    q = ws.forward(cfg.f + v, ws.zero_g)
     diff = q - cfg.z_d
     base = inner_product_q(diff, diff, cfg.grid, cfg.tgrid) + cfg.control_weight * inner_product_q(v, v, cfg.grid, cfg.tgrid)
     xi0 = solve_uncertainty_adjoint(v, cfg).initial_value
@@ -189,8 +196,8 @@ def cost_decomposition_residual(v: np.ndarray, g: np.ndarray, cfg: RegretConfig)
     g = _check_spatial(g, cfg.grid)
     ws = workspace(cfg)
     lhs = relaxed_cost(v, g, cfg) - relaxed_cost(0 * v, g, cfg)
-    q_v0 = ws.forward(cfg, cfg.f + v, ws.zero_g)
-    q_0g = ws.forward(cfg, cfg.f, g)
+    q_v0 = ws.forward(cfg.f + v, ws.zero_g)
+    q_0g = ws.forward(cfg.f, g)
     cross = inner_product_q(
         q_0g - ws.q_background, q_v0 - ws.q_background, cfg.grid, cfg.tgrid
     )
@@ -204,8 +211,8 @@ def duality_residual(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
     g = _check_spatial(g, cfg.grid)
     ws = workspace(cfg)
     lhs = inner_product_omega(g, solve_uncertainty_adjoint(v, cfg).initial_value, cfg.grid)
-    q_v0 = ws.forward(cfg, cfg.f + v, ws.zero_g)
-    q_0g = ws.forward(cfg, cfg.f, g)
+    q_v0 = ws.forward(cfg.f + v, ws.zero_g)
+    q_0g = ws.forward(cfg.f, g)
     rhs = inner_product_q(
         q_v0 - ws.q_background, q_0g - ws.q_background, cfg.grid, cfg.tgrid
     )

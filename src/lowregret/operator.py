@@ -100,20 +100,14 @@ def nonlocal_normal_derivative(op: FracOperator, w: np.ndarray, p: float) -> flo
     return -op.c_ns * grid.h * float(np.dot(w, kern))
 
 
-def integration_by_parts_residual(
-    op: FracOperator,
-    w: np.ndarray,
-    v: np.ndarray,
-    exterior_points: tuple[tuple[float, float], ...] = (),
-) -> float:
-    """|E(w, v) - <v, A w> - sum_k weight_k * v(p_k) * N_s w(p_k)|.
+def integration_by_parts_residual(op: FracOperator, w: np.ndarray, v: np.ndarray) -> float:
+    """|E(w, v) - <v, A w>|.
 
     E is the symmetric double-form quadrature of the nonlocal energy:
     the midpoint double sum over node pairs, the exterior-tail pairing, and
     the singular-diagonal Taylor correction (which pairs first derivatives).
-    Interior fields have zero exterior trace, so any supplied exterior
-    (point, weight) pairs contribute nothing; the hook exists to mirror the
-    full identity, whose exterior term survives only for nonzero exterior data.
+    The full identity also has an exterior term, which vanishes here because
+    fields extended by zero have zero exterior data.
     """
     grid = op.grid
     w = _check_spatial(w, grid)
@@ -141,15 +135,4 @@ def integration_by_parts_residual(
     energy += 0.5 * c * band * h * float(np.sum(slope_w * slope_v))
 
     pairing = h * float(np.dot(v, op.apply(w)))
-
-    exterior = 0.0
-    for _p, _weight in exterior_points:
-        exterior += _weight * 0.0  # zero exterior trace of interior fields
-
-    return abs(energy - pairing - exterior)
-
-
-def save_operator_csv(op: FracOperator, path) -> None:
-    """Dump the assembled matrix row-major with an ``n, s, h`` header line."""
-    header = f"n={op.grid.n}, s={op.s!r}, h={op.grid.h!r}"
-    np.savetxt(path, op.matrix, delimiter=",", header=header)
+    return abs(energy - pairing)

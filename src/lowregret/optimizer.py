@@ -25,17 +25,12 @@ bounded as gamma shrinks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import BackwardProblem, ForwardProblem, backward_defect, forward_defect
-from .functional import (
-    RegretConfig,
-    _WORKSPACES,
-    reduced_cost,
-    workspace,
-)
+from .functional import RegretConfig, reduced_cost, workspace
 from .grids import _check_space_time, inner_product_q, norm_omega, norm_q
 
 DEFAULT_SWEEP_GAMMAS = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
@@ -93,7 +88,7 @@ class GammaSweepReport:
 def normal_rhs(cfg: RegretConfig) -> np.ndarray:
     """Right-hand side b = -S*(q(0,0) - z_d), slice 0 pinned to zero."""
     ws = workspace(cfg)
-    rhs = -ws.backward(cfg, ws.q_background - cfg.z_d, ws.zero_g)
+    rhs = -ws.backward(ws.q_background - cfg.z_d, ws.zero_g)
     rhs[0] = 0.0
     return rhs
 
@@ -102,10 +97,10 @@ def apply_normal_operator(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
     """Apply H to a control field (slice 0 of the result is zero)."""
     v = _check_space_time(v, cfg.grid, cfg.tgrid)
     ws = workspace(cfg)
-    sv = ws.forward(cfg, v, ws.zero_g)
-    xi = ws.backward(cfg, sv, ws.zero_g)
-    propagated = ws.forward(cfg, ws.zero_field, xi[0])
-    out = ws.backward(cfg, sv + propagated / cfg.gamma, ws.zero_g)
+    sv = ws.forward(v, ws.zero_g)
+    xi = ws.backward(sv, ws.zero_g)
+    propagated = ws.forward(ws.zero_field, xi[0])
+    out = ws.backward(sv + propagated / cfg.gamma, ws.zero_g)
     out += cfg.control_weight * v
     out[0] = 0.0
     return out
@@ -115,11 +110,11 @@ def _first_order_system(v: np.ndarray, cfg: RegretConfig):
     """State, uncertainty adjoint, worst response and control adjoint at v."""
     ws = workspace(cfg)
     root_gamma = math.sqrt(cfg.gamma)
-    state = ws.forward(cfg, cfg.f + v, ws.zero_g)
-    perturbation = ws.forward(cfg, v, ws.zero_g)
-    xi = ws.backward(cfg, perturbation, ws.zero_g)
-    psi = ws.forward(cfg, ws.zero_field, -xi[0] / root_gamma)
-    phi = ws.backward(cfg, (state - cfg.z_d) - psi / root_gamma, ws.zero_g)
+    state = ws.forward(cfg.f + v, ws.zero_g)
+    perturbation = ws.forward(v, ws.zero_g)
+    xi = ws.backward(perturbation, ws.zero_g)
+    psi = ws.forward(ws.zero_field, -xi[0] / root_gamma)
+    phi = ws.backward((state - cfg.z_d) - psi / root_gamma, ws.zero_g)
     return state, xi, psi, phi
 
 
@@ -186,7 +181,7 @@ def solve_low_regret(
         value=reduced_cost(x, cfg),
         cg_iterations=iterations,
         cg_residual=residual,
-        converged=residual <= tol,
+        converged=bool(residual <= tol),
     )
 
 
@@ -239,18 +234,18 @@ def gamma_sweep(
     """Solve along a decreasing gamma sequence with warm starts.
 
     The problem data of ``cfg`` is reused at every gamma (its own gamma
-    value is ignored); assembled operator and background state are shared
-    across the sweep.  ``callback(gamma, bundle)`` runs after each solve.
+    value is ignored); each stage solves ``cfg.with_gamma(g)``, so assembled
+    operator and background state are shared across the sweep.
+    ``callback(gamma, bundle)`` runs after each solve.
     """
     gammas = tuple(float(g) for g in gammas)
     if len(gammas) < 2:
         raise ValueError("gamma sweep needs at least two gamma values")
-    if any(g <= 0 for g in gammas):
-        raise ValueError("gamma values must be positive")
+    if not all(math.isfinite(g) and g > 0 for g in gammas):
+        raise ValueError("gamma values must be positive and finite")
     if any(b >= a for a, b in zip(gammas, gammas[1:])):
         raise ValueError("gamma values must be strictly decreasing")
 
-    ws = workspace(cfg)
     controls: list[np.ndarray] = []
     xi0_norms: list[float] = []
     control_norms: list[float] = []
@@ -260,9 +255,7 @@ def gamma_sweep(
 
     warm = None
     for g in gammas:
-        cfg_g = replace(cfg, gamma=g)
-        _WORKSPACES[cfg_g] = ws
-        bundle = solve_low_regret(cfg_g, initial_control=warm)
+        bundle = solve_low_regret(cfg.with_gamma(g), initial_control=warm)
         warm = bundle.control
         controls.append(bundle.control)
         xi0_norms.append(norm_omega(bundle.uncertainty_adjoint[0], cfg.grid))

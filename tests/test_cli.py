@@ -120,6 +120,13 @@ class TestParseScenario:
             (lambda r: r.update(out_dir=17), "out_dir:"),
             (lambda r: r.update(cg_tol=0.0), "cg_tol:"),
             (lambda r: r.update(cg_max_iters=0), "cg_max_iters:"),
+            (lambda r: r.update(gammas=[1.0, float("nan")]), "gammas[1]: must be a finite float"),
+            (lambda r: r.update(gamma=float("inf")), "gamma: must be a finite float"),
+            (lambda r: r.update(gamma=10**400), "gamma: must be a finite float, got 1000"),
+            (lambda r: r.update(control_weight=float("inf")), "control_weight: must be a finite float"),
+            (lambda r: r.update(cg_tol=float("inf")), "cg_tol: must be a finite float"),
+            (lambda r: r["time"].update(horizon=float("inf")), "time.horizon: must be a finite float"),
+            (lambda r: r.update(seed=-1), "seed:"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutate, prefix):
@@ -240,6 +247,21 @@ class TestRunCommand:
         assert main(["run", path, "--quiet"]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, config_dict())
+        assert main(["audit", path, "--seed", "-1", "--quiet"]) == 2
+        assert "config error: --seed:" in capsys.readouterr().err
+
+    def test_solve_with_all_zero_data_writes_a_readable_report(self, tmp_path):
+        raw = config_dict()
+        del raw["source"], raw["target"]
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["success"] is True
+        assert report["metrics"]["objective"] == 0.0
+
 
 class TestAuditCommand:
     def test_audit_passes_and_writes_residual_tables(self, tmp_path):
@@ -265,6 +287,15 @@ class TestAuditCommand:
 
         probe_lines = (out / "audit_probe_residuals.csv").read_text().splitlines()
         assert len(probe_lines) == 1 + report["metrics"]["probes"]
+
+    def test_transpose_defect_is_scaled_by_norms(self, tmp_path):
+        # at seed 134 probe 19's pairing nearly cancels; dividing the defect
+        # by its value read 1.5e-12, above the 1e-12 budget
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "audit.json")
+        out = tmp_path / "out"
+        assert main(["audit", path, "--seed", "134", "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["metrics"]["identities"]["transpose"]["residual"] <= 1e-15
 
 
 class TestSweepCommand:

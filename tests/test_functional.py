@@ -1,6 +1,8 @@
 """Cost functionals, uncertainty adjoint, and the exact regret identities."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -50,6 +52,27 @@ class TestWorkspaceCache:
     def test_distinct_instances_get_distinct_workspaces(self):
         a, b = make_problem(), make_problem()
         assert workspace(a) is not workspace(b)
+
+    def test_with_gamma_shares_the_workspace_and_keeps_other_fields(self, small_cfg):
+        other = small_cfg.with_gamma(0.003)
+        assert other.gamma == 0.003
+        assert workspace(other) is workspace(small_cfg)
+        for f in dataclasses.fields(small_cfg):
+            if f.name != "gamma":
+                assert getattr(other, f.name) is getattr(small_cfg, f.name), f.name
+
+    def test_workspace_dies_with_its_last_config(self):
+        cfg = make_problem()
+        other = cfg.with_gamma(0.5)
+        probe = weakref.ref(workspace(cfg))
+        gc.disable()
+        try:
+            del cfg
+            assert probe() is not None
+            del other
+            assert probe() is None  # freed by reference counting: no cycle
+        finally:
+            gc.enable()
 
 
 class TestCost:

@@ -224,25 +224,3 @@ class TestIntegrationByParts:
         a = integration_by_parts_residual(op, w, v)
         b = integration_by_parts_residual(op, v, w)
         assert abs(a - b) <= 1e-12
-
-    def test_exterior_points_are_inert_for_interior_fields(self):
-        grid = build_grid(-1.0, 1.0, 30)
-        op = assemble_operator(grid, 0.5)
-        rng = np.random.default_rng(5)
-        w, v = rng.normal(size=30), rng.normal(size=30)
-        plain = integration_by_parts_residual(op, w, v)
-        with_pts = integration_by_parts_residual(op, w, v, exterior_points=((2.0, 0.7), (-3.0, 1.2)))
-        assert with_pts == plain
-
-
-def test_save_operator_csv_round_trip(tmp_path):
-    op = assemble_operator(build_grid(-1.0, 1.0, 12), 0.5)
-    path = tmp_path / "op.csv"
-    from lowregret.operator import save_operator_csv
-
-    save_operator_csv(op, path)
-    first = path.read_text().splitlines()[0]
-    assert first.startswith("# n=12, s=0.5, h=")
-    loaded = np.loadtxt(path, delimiter=",")
-    assert loaded.shape == (12, 12)
-    assert np.max(np.abs(loaded - op.matrix)) <= 1e-16 * np.max(np.abs(op.matrix))

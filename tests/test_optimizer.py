@@ -150,6 +150,10 @@ class TestGammaSweep:
             lr.gamma_sweep(small_cfg, gammas=(0.1, 0.1))
         with pytest.raises(ValueError):
             lr.gamma_sweep(small_cfg, gammas=(0.1, -0.01))
+        with pytest.raises(ValueError, match="finite"):
+            lr.gamma_sweep(small_cfg, gammas=(float("inf"), 0.1))
+        with pytest.raises(ValueError, match="finite"):
+            lr.gamma_sweep(small_cfg, gammas=(0.1, float("nan")))
 
     def test_report_shapes_and_monotone_trace_decay(self):
         cfg = make_problem(n=12, steps=8)
