@@ -53,6 +53,10 @@ from .presets import parse_profile, space_time_field, spatial_profile
 
 SCENARIOS = ("solve", "audit", "sweep")
 
+# Ceiling on domain.nodes: assembly holds several dense n x n float arrays,
+# 200 MB each at this size.
+MAX_NODES = 5000
+
 
 class ConfigError(Exception):
     """Configuration problem; the message starts with the offending field."""
@@ -189,6 +193,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError("domain.x_right", f"must exceed x_left={x_left}, got {x_right}")
     if nodes < 1:
         raise ConfigError("domain.nodes", f"must be >= 1, got {nodes}")
+    if nodes > MAX_NODES:
+        raise ConfigError("domain.nodes", f"must be <= {MAX_NODES}, got {nodes}")
 
     tdict = raw.get("time")
     if not isinstance(tdict, dict):
@@ -586,12 +592,16 @@ def execute_scenario(sc: ScenarioConfig, quiet: bool = True) -> RunReport:
     )
 
 
-def resolve_out_dir(flag_value, sc: ScenarioConfig) -> str:
+def _out_dir_and_origin(flag_value, sc: ScenarioConfig) -> tuple[str, str]:
     if flag_value:
-        return flag_value
+        return flag_value, "--out"
     if sc.out_dir:
-        return sc.out_dir
-    return os.path.join(os.environ.get("LOWREGRET_OUT", "."), sc.scenario)
+        return sc.out_dir, "out_dir"
+    return os.path.join(os.environ.get("LOWREGRET_OUT", "."), sc.scenario), "LOWREGRET_OUT"
+
+
+def resolve_out_dir(flag_value, sc: ScenarioConfig) -> str:
+    return _out_dir_and_origin(flag_value, sc)[0]
 
 
 def run_scenario(
@@ -604,7 +614,8 @@ def run_scenario(
     """Load a config, execute its scenario, and persist report plus plot data.
 
     ``scenario`` and ``seed`` override the config file; the effective values
-    are echoed in the report.  Raises ConfigError on invalid input.
+    are echoed in the report.  Raises ConfigError on invalid input, and on an
+    output directory that cannot be created, before any computation.
     """
     sc = load_scenario(config_path)
     updates = {}
@@ -616,8 +627,12 @@ def run_scenario(
         updates["seed"] = seed
     if updates:
         sc = replace(sc, **updates)
+    target, origin = _out_dir_and_origin(out_dir, sc)
+    try:
+        os.makedirs(target, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(origin, f"cannot create output directory {target!r}: {exc}") from None
     report = execute_scenario(sc, quiet=quiet)
-    target = resolve_out_dir(out_dir, sc)
     paths = write_report_files(report, target)
     paths += emit_plot_data(report, target)
     if not quiet:

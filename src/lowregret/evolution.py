@@ -10,6 +10,13 @@ recursion values on slices M..1 (the terminal datum seeds the ghost slot)
 and duplicates slice 1 into slice 0: that entry is the t=0 trace appearing
 in every duality identity.  This storage is a derived constraint — the
 adjoint tests pin it — not a stylistic choice.
+
+Each step is one LAPACK ``dpotrs`` solve with the shared Cholesky factor of
+``I + dt*A``.  Finiteness is checked once per value, not once per step:
+``step_factor`` checks the factor and returns it read-only, and each sweep
+checks the source slices it reads (1..M; slice 0 is never read) and its
+initial or terminal datum before the loop, then its trajectory after it, so
+an overflow at any step, the last included, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .grids import (
     SpatialGrid,
@@ -47,23 +55,45 @@ class BackwardProblem:
 
 
 def step_factor(op: FracOperator, tgrid: TimeGrid):
-    """Cholesky factorization of (I + dt*A), shared by every step and both
-    directions; callers doing many solves should build it once."""
+    """Cholesky factorization ``(c, lower)`` of (I + dt*A), shared by every
+    step and both directions; callers doing many solves should build it once.
+
+    ``c`` is checked to be finite here, once, and returned read-only.
+    """
     system = np.eye(op.grid.n) + tgrid.dt * op.matrix
-    return cho_factor(system)
+    c, lower = cho_factor(system)
+    _require_finite(c, "step factor")
+    c.flags.writeable = False
+    return c, lower
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+
+
+def _potrs_failed(info: int) -> ValueError:
+    return ValueError(f"illegal value in {-info}th argument of internal potrs")
 
 
 def solve_forward(p: ForwardProblem, factor=None) -> np.ndarray:
     grid, tgrid = p.operator.grid, p.tgrid
     src = _check_space_time(p.source, grid, tgrid)
     init = _check_spatial(p.initial, grid)
+    _require_finite(src[1:], "source slices 1..M")
+    _require_finite(init, "initial datum")
     if factor is None:
         factor = step_factor(p.operator, tgrid)
+    c, lower = factor
     dt, m_steps = tgrid.dt, tgrid.steps
     q = np.empty((m_steps + 1, grid.n))
     q[0] = init
     for m in range(m_steps):
-        q[m + 1] = cho_solve(factor, q[m] + dt * src[m + 1])
+        x, info = dpotrs(c, q[m] + dt * src[m + 1], lower=lower, overwrite_b=1)
+        if info:
+            raise _potrs_failed(info)
+        q[m + 1] = x
+    _require_finite(q[1:], "forward trajectory")
     return q
 
 
@@ -71,15 +101,21 @@ def solve_backward(p: BackwardProblem, factor=None) -> np.ndarray:
     grid, tgrid = p.operator.grid, p.tgrid
     src = _check_space_time(p.source, grid, tgrid)
     terminal = _check_spatial(p.terminal, grid)
+    _require_finite(src[1:], "source slices 1..M")
+    _require_finite(terminal, "terminal datum")
     if factor is None:
         factor = step_factor(p.operator, tgrid)
+    c, lower = factor
     dt, m_steps = tgrid.dt, tgrid.steps
     xi = np.empty((m_steps + 1, grid.n))
     carry = terminal
     for m in range(m_steps, 0, -1):
-        carry = cho_solve(factor, carry + dt * src[m])
+        carry, info = dpotrs(c, carry + dt * src[m], lower=lower, overwrite_b=1)
+        if info:
+            raise _potrs_failed(info)
         xi[m] = carry
     xi[0] = carry  # t=0 trace
+    _require_finite(xi[1:], "backward trajectory")
     return xi
 
 

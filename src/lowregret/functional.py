@@ -50,7 +50,7 @@ class RegretConfig:
 
     ``gamma`` is the relaxation weight on the unknown initial datum and
     ``control_weight`` the quadratic penalty on the control itself.  ``f``
-    and ``z_d`` are space-time fields (background source and tracking
+    and ``z_d`` are finite space-time fields (background source and tracking
     target).  Derived quantities (assembled operator, factorization,
     background state) are built on first use and kept on the instance;
     ``with_gamma`` shares them with the same problem at another gamma.
@@ -77,8 +77,10 @@ class RegretConfig:
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
         if self.cg_max_iters < 1:
             raise ValueError(f"cg_max_iters must be >= 1, got {self.cg_max_iters}")
-        _check_space_time(self.f, self.grid, self.tgrid)
-        _check_space_time(self.z_d, self.grid, self.tgrid)
+        for name in ("f", "z_d"):
+            value = _check_space_time(getattr(self, name), self.grid, self.tgrid)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
 
     @cached_property
     def _workspace(self) -> "_Workspace":

@@ -1,13 +1,17 @@
 """Scenario configs, profile presets, CLI subcommands, and report determinism."""
 
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from lowregret import build_grid, build_time_grid
+from lowregret import build_grid, build_time_grid, cli
 from lowregret.cli import (
+    MAX_NODES,
     ConfigError,
     load_scenario,
     main,
@@ -127,6 +131,7 @@ class TestParseScenario:
             (lambda r: r.update(cg_tol=float("inf")), "cg_tol: must be a finite float"),
             (lambda r: r["time"].update(horizon=float("inf")), "time.horizon: must be a finite float"),
             (lambda r: r.update(seed=-1), "seed:"),
+            (lambda r: r["domain"].update(nodes=20000), "domain.nodes: must be <= 5000"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutate, prefix):
@@ -135,6 +140,12 @@ class TestParseScenario:
         with pytest.raises(ConfigError) as err:
             parse_scenario(raw)
         assert str(err.value).startswith(prefix)
+
+    @pytest.mark.parametrize("nodes", [800, MAX_NODES])
+    def test_node_ceiling_admits_large_grids(self, nodes):
+        raw = config_dict()
+        raw["domain"]["nodes"] = nodes
+        assert parse_scenario(raw).nodes == nodes
 
     def test_zero_gamma_message_is_specific(self):
         raw = config_dict(gamma=0.0)
@@ -145,6 +156,45 @@ class TestParseScenario:
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigError):
             parse_scenario([1, 2, 3])
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NOT_POSITIVE = NON_FINITE | st.floats(max_value=0.0)
+
+# field -> values that must be rejected; integer fields get non-finite floats too
+BAD_VALUES = {
+    "s": NOT_POSITIVE | st.floats(min_value=1.0),
+    "control_weight": NOT_POSITIVE,
+    "gamma": NOT_POSITIVE,
+    "cg_tol": NOT_POSITIVE,
+    "time.horizon": NOT_POSITIVE,
+    "domain.nodes": NON_FINITE | st.integers(max_value=0) | st.integers(min_value=MAX_NODES + 1),
+    "time.steps": NON_FINITE | st.integers(max_value=0),
+    "seed": NON_FINITE | st.integers(max_value=-1),
+    "probes": NON_FINITE | st.integers(max_value=-1),
+}
+
+
+class TestParserProperties:
+    @pytest.mark.parametrize("name", [*sorted(BAD_VALUES), "gammas[i]"])
+    @given(data=st.data())
+    def test_bad_numbers_are_rejected_with_the_field_named(self, name, data):
+        raw = config_dict()
+        if name == "gammas[i]":
+            idx = data.draw(st.integers(0, len(raw["gammas"]) - 1))
+            raw["gammas"][idx] = data.draw(NOT_POSITIVE)
+            name = f"gammas[{idx}]"
+        else:
+            section, _, key = name.rpartition(".")
+            (raw[section] if section else raw)[key] = data.draw(BAD_VALUES[name])
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(raw)
+        assert str(err.value).startswith(f"{name}: ")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.json")
+            with open(path, "w") as fh:
+                json.dump(raw, fh)
+            assert main(["validate", path, "--quiet"]) == 2
 
 
 class TestLoadScenario:
@@ -246,6 +296,29 @@ class TestRunCommand:
         path = write_config(tmp_path, config_dict(gamma=-1.0))
         assert main(["run", path, "--quiet"]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("origin", ["--out", "out_dir", "LOWREGRET_OUT"])
+    def test_unwritable_output_exits_two_before_computing(
+        self, tmp_path, capsys, monkeypatch, origin
+    ):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        bad = str(blocker / "out")  # its parent is a regular file
+        raw, argv = config_dict(), []
+        if origin == "--out":
+            argv = ["--out", bad]
+        elif origin == "out_dir":
+            raw["out_dir"] = bad
+        else:
+            monkeypatch.setenv("LOWREGRET_OUT", bad)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("scenario executed before the output check")
+
+        monkeypatch.setattr(cli, "execute_scenario", must_not_run)
+        path = write_config(tmp_path, raw)
+        assert main(["run", path, "--quiet", *argv]) == 2
+        assert f"config error: {origin}: cannot create output directory" in capsys.readouterr().err
 
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, config_dict())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from lowregret import (
     BackwardProblem,
@@ -203,3 +204,92 @@ class TestDefects:
         bad_mid = xi.copy()
         bad_mid[2] -= 0.4
         assert backward_defect(prob, bad_mid) > 1e-3
+
+
+def cho_solve_reference(op, tgrid, src, datum, backward=False):
+    """The sweeps as a plain loop over ``scipy.linalg.cho_solve``."""
+    factor = cho_factor(np.eye(op.grid.n) + tgrid.dt * op.matrix)
+    out = np.empty_like(src)
+    if backward:
+        carry = datum
+        for m in range(tgrid.steps, 0, -1):
+            carry = cho_solve(factor, carry + tgrid.dt * src[m])
+            out[m] = carry
+        out[0] = carry
+    else:
+        out[0] = datum
+        for m in range(tgrid.steps):
+            out[m + 1] = cho_solve(factor, out[m] + tgrid.dt * src[m + 1])
+    return out
+
+
+def run_sweep(sweep, op, tgrid, src, datum):
+    if sweep == "forward":
+        return solve_forward(ForwardProblem(op, tgrid, src, datum))
+    return solve_backward(BackwardProblem(op, tgrid, src, datum))
+
+
+class TestDirectLapackSweeps:
+    @pytest.mark.parametrize("n,steps", [(40, 6), (400, 3)])
+    def test_bitwise_equal_to_a_cho_solve_loop(self, n, steps):
+        op, grid, tgrid = setup(n=n, steps=steps)
+        rng = np.random.default_rng(n)
+        src = random_field(grid, tgrid, rng)
+        datum = rng.normal(size=grid.n)
+        q = solve_forward(ForwardProblem(op, tgrid, src, datum))
+        xi = solve_backward(BackwardProblem(op, tgrid, src, datum))
+        assert np.array_equal(q, cho_solve_reference(op, tgrid, src, datum))
+        assert np.array_equal(xi, cho_solve_reference(op, tgrid, src, datum, backward=True))
+
+    @pytest.mark.parametrize("sweep", ["forward", "backward"])
+    @pytest.mark.parametrize("m", [1, 5, 12])
+    def test_nan_in_a_read_source_slice_is_rejected(self, sweep, m):
+        op, grid, tgrid = setup()
+        src = zeros_space_time(grid, tgrid)
+        src[m, 3] = np.nan
+        with pytest.raises(ValueError, match="source"):
+            run_sweep(sweep, op, tgrid, src, np.zeros(grid.n))
+
+    @pytest.mark.parametrize("sweep", ["forward", "backward"])
+    def test_nan_in_source_slice_zero_is_ignored(self, sweep):
+        op, grid, tgrid = setup()
+        rng = np.random.default_rng(51)
+        src = random_field(grid, tgrid, rng)
+        datum = rng.normal(size=grid.n)
+        clean = run_sweep(sweep, op, tgrid, src, datum)
+        src[0] = np.nan
+        assert np.array_equal(run_sweep(sweep, op, tgrid, src, datum), clean)
+
+    def test_nan_in_the_initial_datum_is_rejected(self):
+        op, grid, tgrid = setup()
+        init = np.zeros(grid.n)
+        init[0] = np.nan
+        with pytest.raises(ValueError, match="initial datum"):
+            solve_forward(ForwardProblem(op, tgrid, zeros_space_time(grid, tgrid), init))
+
+    def test_inf_in_the_terminal_datum_is_rejected(self):
+        op, grid, tgrid = setup()
+        terminal = np.zeros(grid.n)
+        terminal[-1] = np.inf
+        with pytest.raises(ValueError, match="terminal datum"):
+            solve_backward(BackwardProblem(op, tgrid, zeros_space_time(grid, tgrid), terminal))
+
+    @pytest.mark.parametrize("sweep", ["forward", "backward"])
+    @pytest.mark.parametrize("steps", [1, 12])
+    def test_a_sweep_that_overflows_is_rejected(self, sweep, steps):
+        # finite data whose first right-hand side datum + dt*source exceeds
+        # the float range; with one step that is also the last step
+        op, grid, tgrid = setup(steps=steps)
+        huge = 0.95 * np.finfo(float).max
+        src = np.full((tgrid.steps + 1, grid.n), huge)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="trajectory"
+        ):
+            run_sweep(sweep, op, tgrid, src, np.full(grid.n, huge))
+
+    def test_step_factor_is_read_only(self):
+        op, _, tgrid = setup()
+        c, _ = step_factor(op, tgrid)
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0] = 1.0

@@ -37,6 +37,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(cfg, **{field: value})
 
+    @pytest.mark.parametrize("name,bad", [("f", np.nan), ("z_d", np.inf)])
+    def test_rejects_non_finite_fields(self, name, bad):
+        cfg = make_problem()
+        value = getattr(cfg, name).copy()
+        value[2, 3] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dataclasses.replace(cfg, **{name: value})
+
     def test_rejects_misshapen_fields(self):
         cfg = make_problem()
         with pytest.raises(ValueError):
