@@ -16,6 +16,7 @@ because the backward solver is the exact transpose of the forward one.
 """
 
 from .grids import (
+    ParameterError,
     SpatialGrid,
     TimeGrid,
     build_grid,
@@ -75,6 +76,7 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ParameterError",
     "SpatialGrid",
     "TimeGrid",
     "build_grid",

@@ -18,11 +18,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from . import __version__
 from .evolution import superposition_residual
 from .functional import (
     RegretConfig,
+    check_parameters,
     cost_decomposition_residual,
     duality_residual,
     fenchel_gap,
@@ -38,6 +38,7 @@ from .functional import (
     workspace,
 )
 from .grids import (
+    ParameterError,
     SpatialGrid,
     TimeGrid,
     build_grid,
@@ -48,7 +49,9 @@ from .grids import (
     norm_q,
     zeros_space_time,
 )
-from .optimizer import DEFAULT_SWEEP_GAMMAS, gamma_sweep, optimality_residuals, solve_low_regret
+from .optimizer import (
+    DEFAULT_SWEEP_GAMMAS, check_gammas, gamma_sweep, optimality_residuals, solve_low_regret
+)
 from .presets import parse_profile, space_time_field, spatial_profile
 
 SCENARIOS = ("solve", "audit", "sweep")
@@ -56,14 +59,22 @@ SCENARIOS = ("solve", "audit", "sweep")
 # Ceiling on domain.nodes: assembly holds several dense n x n float arrays,
 # 200 MB each at this size.
 MAX_NODES = 5000
+# Ceiling on nodes x (steps + 1): every space-time field (source, target,
+# each sweep's trajectory) holds that many floats, 80 MB each at this size.
+MAX_GRID_VALUES = 10**7
+
+# JSON objects that group ScenarioConfig fields: section -> its keys
+SECTIONS = {"domain": ("x_left", "x_right", "nodes"), "time": ("horizon", "steps")}
+
+# library parameter name -> JSON path, where the two differ
+_JSON_PATHS = {
+    "x_l": "domain.x_left", "x_r": "domain.x_right", "n": "domain.nodes",
+    "horizon": "time.horizon", "steps": "time.steps",
+}
 
 
-class ConfigError(Exception):
+class ConfigError(ParameterError):
     """Configuration problem; the message starts with the offending field."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
 
 
 @dataclass(frozen=True)
@@ -94,22 +105,11 @@ class ScenarioConfig:
 
         Output location is deliberately excluded: it never affects results.
         """
-        return {
-            "scenario": self.scenario,
-            "domain": {"x_left": self.x_left, "x_right": self.x_right, "nodes": self.nodes},
-            "time": {"horizon": self.horizon, "steps": self.steps},
-            "s": self.s,
-            "control_weight": self.control_weight,
-            "gamma": self.gamma,
-            "gammas": list(self.gammas),
-            "source": self.source,
-            "target": self.target,
-            "probes": self.probes,
-            "probe_presets": list(self.probe_presets),
-            "seed": self.seed,
-            "cg_tol": self.cg_tol,
-            "cg_max_iters": self.cg_max_iters,
-        }
+        echo = asdict(self)
+        del echo["out_dir"]
+        for section, keys in SECTIONS.items():
+            echo[section] = {key: echo.pop(key) for key in keys}
+        return echo
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,22 @@ class RunReport:
     tables: dict
 
 
-def _is_finite(number) -> bool:
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # an integer beyond the float range
-        return False
+def _typed(name: str, value, expect):
+    """``value`` checked against the JSON type ``expect``; ints become floats."""
+    if expect is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(name, f"expected a number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(name, f"must be a finite float, got {value!r}") from None
+    if expect is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(name, f"expected an integer, got {value!r}")
+        return value
+    if expect is str and not isinstance(value, str):
+        raise ConfigError(name, f"expected a string, got {value!r}")
+    return value
 
 
 def _field(raw: dict, key: str, expect, path: str, default=...):
@@ -143,20 +154,7 @@ def _field(raw: dict, key: str, expect, path: str, default=...):
         if default is ...:
             raise ConfigError(f"{path}{key}", "required field is missing")
         return default
-    value = raw[key]
-    if expect is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}{key}", f"expected a number, got {value!r}")
-        if not _is_finite(value):
-            raise ConfigError(f"{path}{key}", f"must be a finite float, got {value!r}")
-        return float(value)
-    if expect is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}{key}", f"expected an integer, got {value!r}")
-        return value
-    if expect is str and not isinstance(value, str):
-        raise ConfigError(f"{path}{key}", f"expected a string, got {value!r}")
-    return value
+    return _typed(f"{path}{key}", raw[key], expect)
 
 
 def _reject_unknown(raw: dict, known, path: str = "") -> None:
@@ -166,75 +164,47 @@ def _reject_unknown(raw: dict, known, path: str = "") -> None:
 
 
 def parse_scenario(raw: dict) -> ScenarioConfig:
-    """Validate a parsed JSON document against all scenario invariants."""
+    """Build the scenario from a parsed JSON document.
+
+    The library checks the ranges of the problem's numbers; its
+    ParameterError is reported under the field's JSON path.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("<config>", "top level must be a JSON object")
-    _reject_unknown(
-        raw,
-        {
-            "scenario", "domain", "time", "s", "control_weight", "gamma",
-            "gammas", "source", "target", "probes", "probe_presets", "seed",
-            "out_dir", "cg_tol", "cg_max_iters",
-        },
-    )
+    nested = {key for keys in SECTIONS.values() for key in keys}
+    _reject_unknown(raw, {f.name for f in fields(ScenarioConfig)} - nested | set(SECTIONS))
 
     scenario = _field(raw, "scenario", str, "", default="solve")
     if scenario not in SCENARIOS:
         raise ConfigError("scenario", f"must be one of {', '.join(SCENARIOS)}, got {scenario!r}")
 
-    domain = raw.get("domain")
-    if not isinstance(domain, dict):
-        raise ConfigError("domain", "required object with x_left, x_right, nodes")
-    _reject_unknown(domain, {"x_left", "x_right", "nodes"}, "domain.")
-    x_left = _field(domain, "x_left", float, "domain.")
-    x_right = _field(domain, "x_right", float, "domain.")
-    nodes = _field(domain, "nodes", int, "domain.")
-    if not x_right > x_left:
-        raise ConfigError("domain.x_right", f"must exceed x_left={x_left}, got {x_right}")
-    if nodes < 1:
-        raise ConfigError("domain.nodes", f"must be >= 1, got {nodes}")
+    for section, keys in SECTIONS.items():
+        if not isinstance(raw.get(section), dict):
+            raise ConfigError(section, f"required object with {', '.join(keys)}")
+        _reject_unknown(raw[section], keys, f"{section}.")
+    x_left = _field(raw["domain"], "x_left", float, "domain.")
+    x_right = _field(raw["domain"], "x_right", float, "domain.")
+    nodes = _field(raw["domain"], "nodes", int, "domain.")
     if nodes > MAX_NODES:
         raise ConfigError("domain.nodes", f"must be <= {MAX_NODES}, got {nodes}")
-
-    tdict = raw.get("time")
-    if not isinstance(tdict, dict):
-        raise ConfigError("time", "required object with horizon, steps")
-    _reject_unknown(tdict, {"horizon", "steps"}, "time.")
-    horizon = _field(tdict, "horizon", float, "time.")
-    steps = _field(tdict, "steps", int, "time.")
-    if not horizon > 0:
-        raise ConfigError("time.horizon", f"must be positive, got {horizon}")
-    if steps < 1:
-        raise ConfigError("time.steps", f"must be >= 1, got {steps}")
+    horizon = _field(raw["time"], "horizon", float, "time.")
+    steps = _field(raw["time"], "steps", int, "time.")
 
     s = _field(raw, "s", float, "")
-    if not 0.0 < s < 1.0:
-        raise ConfigError("s", f"must lie strictly between 0 and 1, got {s}")
     control_weight = _field(raw, "control_weight", float, "")
-    if not control_weight > 0:
-        raise ConfigError("control_weight", f"must be positive, got {control_weight}")
     gamma = _field(raw, "gamma", float, "")
-    if not gamma > 0:
-        raise ConfigError("gamma", f"must be positive, got {gamma}")
-
     gammas_raw = raw.get("gammas", list(DEFAULT_SWEEP_GAMMAS))
-    if not isinstance(gammas_raw, list) or len(gammas_raw) < 2:
-        raise ConfigError("gammas", "must be a list of at least two numbers")
-    gammas = []
-    for idx, g in enumerate(gammas_raw):
-        if isinstance(g, bool) or not isinstance(g, (int, float)):
-            raise ConfigError(f"gammas[{idx}]", f"expected a number, got {g!r}")
-        if not _is_finite(g):
-            raise ConfigError(f"gammas[{idx}]", f"must be a finite float, got {g!r}")
-        if g <= 0:
-            raise ConfigError(f"gammas[{idx}]", f"must be positive, got {g}")
-        gammas.append(float(g))
-    if any(b >= a for a, b in zip(gammas, gammas[1:])):
-        raise ConfigError("gammas", "must be strictly decreasing")
+    if not isinstance(gammas_raw, list):
+        raise ConfigError("gammas", "must be a list of numbers")
+    gammas = [_typed(f"gammas[{idx}]", g, float) for idx, g in enumerate(gammas_raw)]
 
     source = _field(raw, "source", str, "", default="zero")
     target = _field(raw, "target", str, "", default="zero")
-    for field_name, text in (("source", source), ("target", target)):
+    presets_raw = raw.get("probe_presets", [])
+    if not isinstance(presets_raw, list):
+        raise ConfigError("probe_presets", "must be a list of preset strings")
+    presets = [(f"probe_presets[{idx}]", text) for idx, text in enumerate(presets_raw)]
+    for field_name, text in [("source", source), ("target", target), *presets]:
         try:
             parse_profile(text)
         except ValueError as exc:
@@ -243,14 +213,6 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     probes = _field(raw, "probes", int, "", default=5)
     if probes < 0:
         raise ConfigError("probes", f"must be >= 0, got {probes}")
-    presets_raw = raw.get("probe_presets", [])
-    if not isinstance(presets_raw, list):
-        raise ConfigError("probe_presets", "must be a list of preset strings")
-    for idx, text in enumerate(presets_raw):
-        try:
-            parse_profile(text)
-        except ValueError as exc:
-            raise ConfigError(f"probe_presets[{idx}]", str(exc)) from None
 
     seed = _field(raw, "seed", int, "", default=0)
     if seed < 0:
@@ -259,11 +221,18 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir", f"expected a string, got {out_dir!r}")
     cg_tol = _field(raw, "cg_tol", float, "", default=1e-12)
-    if not cg_tol > 0:
-        raise ConfigError("cg_tol", f"must be positive, got {cg_tol}")
     cg_max_iters = _field(raw, "cg_max_iters", int, "", default=5000)
-    if cg_max_iters < 1:
-        raise ConfigError("cg_max_iters", f"must be >= 1, got {cg_max_iters}")
+
+    try:
+        build_grid(x_left, x_right, nodes)
+        if nodes * (steps + 1) > MAX_GRID_VALUES:
+            limit = MAX_GRID_VALUES // nodes - 1
+            raise ParameterError("steps", f"must be <= {limit} at {nodes} nodes, got {steps}")
+        build_time_grid(horizon, steps)
+        check_parameters(s, control_weight, gamma, cg_tol, cg_max_iters)
+        gammas = check_gammas(gammas)
+    except ParameterError as exc:
+        raise ConfigError(_JSON_PATHS.get(exc.field, exc.field), exc.reason) from None
 
     return ScenarioConfig(
         scenario=scenario,
@@ -275,7 +244,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         s=s,
         control_weight=control_weight,
         gamma=gamma,
-        gammas=tuple(gammas),
+        gammas=gammas,
         source=source,
         target=target,
         probes=probes,
@@ -321,27 +290,8 @@ def _random_space_time(rng, grid: SpatialGrid, tgrid: TimeGrid) -> np.ndarray:
     return field
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 def _format_row(values) -> str:
     return ",".join(repr(float(v)) for v in values)
-
-
-def _write_text(path, lines) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
@@ -540,7 +490,8 @@ def emit_plot_data(report: RunReport, out_dir) -> list[str]:
     paths = []
     for name, lines in report.tables.items():
         path = os.path.join(out_dir, f"{report.scenario}_{name}.csv")
-        _write_text(path, lines)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
         paths.append(path)
     return paths
 
@@ -585,7 +536,7 @@ def execute_scenario(sc: ScenarioConfig, quiet: bool = True) -> RunReport:
         config=echo,
         config_digest=digest,
         version=__version__,
-        metrics=_jsonify(metrics),
+        metrics=metrics,
         success=success,
         timings={"scenario_seconds": elapsed},
         tables=tables,

@@ -34,14 +34,29 @@ from .evolution import (
     step_factor,
 )
 from .grids import (
+    ParameterError,
     SpatialGrid,
     TimeGrid,
+    _check_count,
+    _check_finite,
+    _check_positive,
     _check_space_time,
     _check_spatial,
     inner_product_omega,
     inner_product_q,
 )
 from .operator import FracOperator, assemble_operator
+
+
+def check_parameters(s, control_weight, gamma, cg_tol, cg_max_iters) -> None:
+    """Raise ParameterError naming the first scalar parameter out of range."""
+    _check_finite("s", s)
+    if not 0.0 < s < 1.0:
+        raise ParameterError("s", f"must lie strictly between 0 and 1, got {s}")
+    _check_positive("control_weight", control_weight)
+    _check_positive("gamma", gamma)
+    _check_positive("cg_tol", cg_tol)
+    _check_count("cg_max_iters", cg_max_iters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +82,7 @@ class RegretConfig:
     cg_max_iters: int = 5000
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"fractional order must lie in (0, 1), got s={self.s}")
-        if not self.control_weight > 0:
-            raise ValueError(f"control_weight must be positive, got {self.control_weight}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.cg_tol > 0:
-            raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
-        if self.cg_max_iters < 1:
-            raise ValueError(f"cg_max_iters must be >= 1, got {self.cg_max_iters}")
+        check_parameters(self.s, self.control_weight, self.gamma, self.cg_tol, self.cg_max_iters)
         for name in ("f", "z_d"):
             value = _check_space_time(getattr(self, name), self.grid, self.tgrid)
             if not np.isfinite(value).all():

@@ -15,9 +15,37 @@ reproduces the continuous duality identities to round-off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+class ParameterError(ValueError):
+    """Bad input: ``field`` names it, ``reason`` says what is wrong."""
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field}: {reason}")
+
+
+def _check_finite(name: str, value) -> None:
+    if not math.isfinite(value):
+        raise ParameterError(name, f"must be a finite float, got {value}")
+
+
+def _check_positive(name: str, value) -> None:
+    _check_finite(name, value)
+    if not value > 0:
+        raise ParameterError(name, f"must be positive, got {value}")
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(name, f"expected an integer, got {value!r}")
+    if value < 1:
+        raise ParameterError(name, f"must be >= 1, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +78,15 @@ def build_grid(x_l: float, x_r: float, n: int) -> SpatialGrid:
 
     Raises
     ------
-    ValueError
-        if ``n < 1`` or the interval is empty/inverted.
+    ParameterError
+        if an end is not finite, ``n`` is not an integer >= 1, or the
+        interval is empty/inverted.
     """
-    if n < 1:
-        raise ValueError(f"need at least one interior node, got n={n}")
+    _check_finite("x_l", x_l)
+    _check_finite("x_r", x_r)
+    _check_count("n", n)
     if not x_r > x_l:
-        raise ValueError(f"empty domain: x_l={x_l} must be < x_r={x_r}")
+        raise ParameterError("x_r", f"must exceed the left end {x_l}, got {x_r}")
     h = (x_r - x_l) / (n + 1)
     nodes = x_l + h * np.arange(1, n + 1)
     nodes.flags.writeable = False
@@ -64,11 +94,9 @@ def build_grid(x_l: float, x_r: float, n: int) -> SpatialGrid:
 
 
 def build_time_grid(horizon: float, steps: int) -> TimeGrid:
-    """Build the time grid; rejects ``horizon <= 0`` and ``steps < 1``."""
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if steps < 1:
-        raise ValueError(f"need at least one time step, got {steps}")
+    """Build the time grid; needs a finite ``horizon > 0``, an integer ``steps >= 1``."""
+    _check_positive("horizon", horizon)
+    _check_count("steps", steps)
     dt = horizon / steps
     times = dt * np.arange(steps + 1)
     times.flags.writeable = False

@@ -31,7 +31,9 @@ import numpy as np
 
 from .evolution import BackwardProblem, ForwardProblem, backward_defect, forward_defect
 from .functional import RegretConfig, reduced_cost, workspace
-from .grids import _check_space_time, inner_product_q, norm_omega, norm_q
+from .grids import (
+    ParameterError, _check_positive, _check_space_time, inner_product_q, norm_omega, norm_q
+)
 
 DEFAULT_SWEEP_GAMMAS = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -226,6 +228,18 @@ def optimality_residuals(bundle: OptimalityBundle, cfg: RegretConfig) -> dict[st
     }
 
 
+def check_gammas(gammas) -> tuple[float, ...]:
+    """``gammas`` as floats; ParameterError unless two or more, positive, finite, decreasing."""
+    if len(gammas) < 2:
+        raise ParameterError("gammas", f"must hold at least two values, got {len(gammas)}")
+    for idx, g in enumerate(gammas):
+        _check_positive(f"gammas[{idx}]", g)
+    gammas = tuple(float(g) for g in gammas)
+    if any(b >= a for a, b in zip(gammas, gammas[1:])):
+        raise ParameterError("gammas", "must be strictly decreasing")
+    return gammas
+
+
 def gamma_sweep(
     cfg: RegretConfig,
     gammas: tuple[float, ...] = DEFAULT_SWEEP_GAMMAS,
@@ -238,13 +252,7 @@ def gamma_sweep(
     operator and background state are shared across the sweep.
     ``callback(gamma, bundle)`` runs after each solve.
     """
-    gammas = tuple(float(g) for g in gammas)
-    if len(gammas) < 2:
-        raise ValueError("gamma sweep needs at least two gamma values")
-    if not all(math.isfinite(g) and g > 0 for g in gammas):
-        raise ValueError("gamma values must be positive and finite")
-    if any(b >= a for a, b in zip(gammas, gammas[1:])):
-        raise ValueError("gamma values must be strictly decreasing")
+    gammas = check_gammas(gammas)
 
     controls: list[np.ndarray] = []
     xi0_norms: list[float] = []

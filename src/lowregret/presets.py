@@ -21,6 +21,16 @@ _SINE = re.compile(r"^sine\(\s*([^,\s]+)\s*,\s*([^,)\s]+)\s*\)$")
 _USAGE = 'expected "zero", "gauss(center,width,amp)" or "sine(k,amp)"'
 
 
+def _numbers(text: str, groups) -> list[float]:
+    try:
+        values = [float(p) for p in groups]
+    except ValueError:
+        raise ValueError(f"non-numeric parameter in {text!r}") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite parameter in {text!r}")
+    return values
+
+
 def parse_profile(text: str) -> tuple:
     """Parse a preset string into a tag tuple, validating its parameters."""
     if not isinstance(text, str):
@@ -30,19 +40,13 @@ def parse_profile(text: str) -> tuple:
         return ("zero",)
     m = _GAUSS.match(stripped)
     if m:
-        try:
-            center, width, amp = (float(p) for p in m.groups())
-        except ValueError:
-            raise ValueError(f"non-numeric parameter in {text!r}") from None
+        center, width, amp = _numbers(text, m.groups())
         if width <= 0:
             raise ValueError(f"gauss width must be positive in {text!r}")
         return ("gauss", center, width, amp)
     m = _SINE.match(stripped)
     if m:
-        try:
-            k, amp = (float(p) for p in m.groups())
-        except ValueError:
-            raise ValueError(f"non-numeric parameter in {text!r}") from None
+        k, amp = _numbers(text, m.groups())
         if k <= 0:
             raise ValueError(f"sine frequency must be positive in {text!r}")
         return ("sine", k, amp)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lowregret import build_grid, build_time_grid, cli
+from lowregret import ParameterError, build_grid, build_time_grid, cli
 from lowregret.cli import (
+    MAX_GRID_VALUES,
     MAX_NODES,
     ConfigError,
     load_scenario,
@@ -19,6 +20,8 @@ from lowregret.cli import (
     resolve_out_dir,
     run_scenario,
 )
+from lowregret.functional import check_parameters
+from lowregret.optimizer import check_gammas
 from lowregret.presets import parse_profile, space_time_field, spatial_profile
 
 
@@ -55,7 +58,10 @@ class TestProfilePresets:
 
     @pytest.mark.parametrize(
         "text",
-        ["wiggle(1)", "gauss(0.2)", "gauss(0,0,1)", "sine(0,1)", "sine(-1,1)", ""],
+        [
+            "wiggle(1)", "gauss(0.2)", "gauss(0,0,1)", "sine(0,1)", "sine(-1,1)", "",
+            "gauss(nan,0.2,1)", "sine(1,1e400)",
+        ],
     )
     def test_parse_rejects_malformed_text(self, text):
         with pytest.raises(ValueError):
@@ -119,6 +125,7 @@ class TestParseScenario:
             (lambda r: r.update(gammas=[0.5, 0.5]), "gammas:"),
             (lambda r: r.update(gammas=[0.5, -0.1]), "gammas[1]:"),
             (lambda r: r.update(source="wiggle(1)"), "source:"),
+            (lambda r: r.update(target="gauss(nan,0.2,1)"), "target: non-finite parameter"),
             (lambda r: r.update(probe_presets=["gauss(0,0.1,1)", "nope"]), "probe_presets[1]:"),
             (lambda r: r.update(probes=-1), "probes:"),
             (lambda r: r.update(out_dir=17), "out_dir:"),
@@ -132,6 +139,7 @@ class TestParseScenario:
             (lambda r: r["time"].update(horizon=float("inf")), "time.horizon: must be a finite float"),
             (lambda r: r.update(seed=-1), "seed:"),
             (lambda r: r["domain"].update(nodes=20000), "domain.nodes: must be <= 5000"),
+            (lambda r: r["time"].update(steps=10**12), "time.steps: must be <= 833332 at 12 nodes"),
         ],
     )
     def test_errors_name_the_offending_field(self, mutate, prefix):
@@ -146,6 +154,47 @@ class TestParseScenario:
         raw = config_dict()
         raw["domain"]["nodes"] = nodes
         assert parse_scenario(raw).nodes == nodes
+
+    def test_grid_value_ceiling_admits_grids_up_to_it(self):
+        raw = config_dict()
+        raw["domain"]["nodes"] = MAX_NODES
+        raw["time"]["steps"] = MAX_GRID_VALUES // MAX_NODES - 1
+        assert parse_scenario(raw).steps == 1999
+        raw["time"]["steps"] += 1
+        with pytest.raises(ConfigError, match="^time.steps: must be <= 1999 at 5000 nodes"):
+            parse_scenario(raw)
+
+    @pytest.mark.parametrize(
+        "path,bad,check,field",
+        [
+            ("domain.x_left", math.nan, lambda v: build_grid(v, 1.0, 12), "x_l"),
+            ("domain.x_right", -2.0, lambda v: build_grid(-1.0, v, 12), "x_r"),
+            ("domain.nodes", 0, lambda v: build_grid(-1.0, 1.0, v), "n"),
+            ("time.horizon", math.inf, lambda v: build_time_grid(v, 8), "horizon"),
+            ("time.steps", -3, lambda v: build_time_grid(1.0, v), "steps"),
+            ("s", 1.0, lambda v: check_parameters(v, 0.1, 0.01, 1e-12, 5000), "s"),
+            ("control_weight", -0.5, lambda v: check_parameters(0.5, v, 0.01, 1e-12, 5000),
+             "control_weight"),
+            ("gamma", 0.0, lambda v: check_parameters(0.5, 0.1, v, 1e-12, 5000), "gamma"),
+            ("cg_tol", math.inf, lambda v: check_parameters(0.5, 0.1, 0.01, v, 5000), "cg_tol"),
+            ("cg_max_iters", 0, lambda v: check_parameters(0.5, 0.1, 0.01, 1e-12, v),
+             "cg_max_iters"),
+            ("gammas", [1.0], check_gammas, "gammas"),
+            ("gammas", [1.0, 0.1, 0.1], check_gammas, "gammas"),
+            ("gammas[1]", [1.0, math.nan, 0.01], check_gammas, "gammas[1]"),
+        ],
+    )
+    def test_library_reason_is_reported_under_the_json_path(self, path, bad, check, field):
+        # the parser leaves these ranges to the library and only renames the field
+        with pytest.raises(ParameterError) as lib:
+            check(bad)
+        assert lib.value.field == field
+        raw = config_dict()
+        section, _, key = path.partition("[")[0].rpartition(".")
+        (raw[section] if section else raw)[key] = bad
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(raw)
+        assert str(err.value) == f"{path}: {lib.value.reason}"
 
     def test_zero_gamma_message_is_specific(self):
         raw = config_dict(gamma=0.0)
@@ -169,7 +218,7 @@ BAD_VALUES = {
     "cg_tol": NOT_POSITIVE,
     "time.horizon": NOT_POSITIVE,
     "domain.nodes": NON_FINITE | st.integers(max_value=0) | st.integers(min_value=MAX_NODES + 1),
-    "time.steps": NON_FINITE | st.integers(max_value=0),
+    "time.steps": NON_FINITE | st.integers(max_value=0) | st.integers(min_value=MAX_GRID_VALUES),
     "seed": NON_FINITE | st.integers(max_value=-1),
     "probes": NON_FINITE | st.integers(max_value=-1),
 }

@@ -1,9 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lowregret import (
+    ParameterError,
     build_grid,
     build_time_grid,
     inner_product_omega,
@@ -11,6 +15,9 @@ from lowregret import (
     norm_q,
     zeros_space_time,
 )
+from lowregret.optimizer import check_gammas
+
+from conftest import make_problem
 
 
 def test_build_grid_small():
@@ -52,6 +59,44 @@ def test_build_time_grid_rejects_bad_input():
         build_time_grid(-1.0, 4)
     with pytest.raises(ValueError):
         build_time_grid(1.0, 0)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    assert build_grid(-1.0, 1.0, np.int64(3)).n == 3
+    assert build_time_grid(1.0, np.int32(4)).steps == 4
+
+
+def _config(**changes):
+    return dataclasses.replace(make_problem(n=4, steps=2), **changes)
+
+
+# (call taking the bad value, parameter it is passed as, bad value, reason)
+BAD_PARAMETERS = [
+    (lambda v: build_grid(v, 1.0, 3), "x_l", -math.inf, "must be a finite float, got -inf"),
+    (lambda v: build_grid(-1.0, v, 3), "x_r", math.nan, "must be a finite float, got nan"),
+    (lambda v: build_grid(-1.0, 1.0, v), "n", 2.5, "expected an integer, got 2.5"),
+    (lambda v: build_grid(-1.0, 1.0, v), "n", True, "expected an integer, got True"),
+    (lambda v: build_time_grid(v, 4), "horizon", math.inf, "must be a finite float, got inf"),
+    (lambda v: build_time_grid(1.0, v), "steps", 2.5, "expected an integer, got 2.5"),
+    (lambda v: _config(s=v), "s", math.nan, "must be a finite float, got nan"),
+    (lambda v: _config(gamma=v), "gamma", math.inf, "must be a finite float, got inf"),
+    (lambda v: _config(control_weight=v), "control_weight", math.inf,
+     "must be a finite float, got inf"),
+    (lambda v: _config(cg_tol=v), "cg_tol", math.inf, "must be a finite float, got inf"),
+    (lambda v: _config(cg_max_iters=v), "cg_max_iters", 10.0, "expected an integer, got 10.0"),
+    (lambda v: check_gammas((1.0, v)), "gammas[1]", math.inf, "must be a finite float, got inf"),
+    (lambda v: check_gammas((1.0, v)), "gammas", 1.0, "must be strictly decreasing"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,field,bad,reason", BAD_PARAMETERS, ids=[f"{row[1]}={row[2]}" for row in BAD_PARAMETERS]
+)
+def test_bad_parameters_raise_an_error_naming_the_parameter(call, field, bad, reason):
+    with pytest.raises(ParameterError) as err:
+        call(bad)
+    assert (err.value.field, err.value.reason) == (field, reason)
+    assert str(err.value) == f"{field}: {reason}"
 
 
 def test_inner_product_omega_ones():
