@@ -45,6 +45,7 @@ from .grids import (
     inner_product_omega,
     inner_product_q,
 )
+from .modal import NormalModes
 from .operator import FracOperator, assemble_operator
 
 
@@ -117,10 +118,12 @@ class UncertaintyAdjoint:
 
 class _Workspace:
     """Derived state of one problem: operator, step factorization, background
-    state.  Holds no reference to the config that owns it."""
+    state, and (built on first use) the operator's modes.  Holds no reference
+    to the config that owns it."""
 
     def __init__(self, cfg: RegretConfig):
         self.tgrid = cfg.tgrid
+        self.control_weight = cfg.control_weight
         self.operator: FracOperator = assemble_operator(cfg.grid, cfg.s)
         self.factor = step_factor(self.operator, cfg.tgrid)
         self.zero_g = np.zeros(cfg.grid.n)
@@ -128,6 +131,16 @@ class _Workspace:
         self.q_background = self.forward(cfg.f, self.zero_g)
         diff = self.q_background - cfg.z_d
         self.relaxed_cost_00 = inner_product_q(diff, diff, cfg.grid, cfg.tgrid)
+
+    @cached_property
+    def modes(self) -> NormalModes:
+        """Eigenbasis of the operator and the gamma-independent factors of the
+        normal operator's modal blocks.  Only solves need them, so they are
+        built on the first access, not with the workspace; every gamma of a
+        problem shares them."""
+        return NormalModes(
+            self.operator.matrix, self.tgrid.dt, self.tgrid.steps, self.control_weight
+        )
 
     def forward(self, source, initial) -> np.ndarray:
         return solve_forward(

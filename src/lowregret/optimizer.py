@@ -11,10 +11,15 @@ with zero source,
 
 where S* is the backward solve (exact transpose of S under the space-time
 inner product) and T is the exact transpose of R.  H is symmetric positive
-definite in that inner product, so the system is solved by conjugate
-gradients with matching inner products.  Its residual b - H u equals
--(control_weight * u + phi) for the control adjoint phi, hence the CG
-stopping criterion directly bounds the stationarity residual.
+definite in that inner product, so the system is solved by preconditioned
+conjugate gradients with matching inner products.  The preconditioner is the
+exact inverse of H in the eigenmodes of the operator (``modal.NormalModes``),
+so a solve takes one or two iterations at any gamma; the iteration itself
+applies H through the Cholesky sweeps, which keeps every identity on the
+sweeps.  Each iteration is one H-apply.  The residual b - H u equals
+-(control_weight * u + phi) for the control adjoint phi, and the stopping
+rule is on its Q-norm (the unpreconditioned recursive residual), hence it
+directly bounds the stationarity residual.
 
 The first-order system itself splits the gamma factor symmetrically: the
 worst-response variable psi propagates -xi(0)/sqrt(gamma) forward and feeds
@@ -132,46 +137,58 @@ def reduced_gradient(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
     return grad
 
 
-def solve_low_regret(
-    cfg: RegretConfig,
-    initial_control: np.ndarray | None = None,
-    callback=None,
-) -> OptimalityBundle:
-    """Minimize the reduced objective by conjugate gradients on H u = b.
+def _preconditioned_cg(cfg: RegretConfig, initial_control, callback):
+    """Control, iterations, final residual norm and tolerance of the PCG solve.
 
-    ``initial_control`` warm-starts the iteration (its slice 0 is ignored).
-    ``callback(iteration, residual_norm)`` is invoked once per iteration.
-    Stops when the residual drops below cg_tol * |b|_Q or after
-    cg_max_iters iterations, whichever comes first.
+    A function of its own so that its fields (b, r, p, hp, z) are freed
+    before the post-solve allocates its trajectories, which keeps the peak
+    memory of a solve down.
     """
     b = normal_rhs(cfg)
-    b_norm = norm_q(b, cfg.grid, cfg.tgrid)
-    tol = cfg.cg_tol * max(b_norm, np.finfo(float).tiny)
+    modes = workspace(cfg).modes  # after normal_rhs, which builds the workspace
+    tol = cfg.cg_tol * max(norm_q(b, cfg.grid, cfg.tgrid), np.finfo(float).tiny)
 
     if initial_control is None:
         x = np.zeros_like(b)
-        r = b.copy()
+        r = b
     else:
         x = _check_space_time(initial_control, cfg.grid, cfg.tgrid).astype(float).copy()
         x[0] = 0.0
         r = b - apply_normal_operator(x, cfg)
 
     r_sq = inner_product_q(r, r, cfg.grid, cfg.tgrid)
-    p = r.copy()
+    p = None
     iterations = 0
     while math.sqrt(r_sq) > tol and iterations < cfg.cg_max_iters:
+        z = modes.solve(r, cfg.gamma)
+        rz_next = inner_product_q(r, z, cfg.grid, cfg.tgrid)
+        p = z if p is None else z + (rz_next / rz) * p
+        rz = rz_next
         hp = apply_normal_operator(p, cfg)
-        alpha = r_sq / inner_product_q(p, hp, cfg.grid, cfg.tgrid)
+        alpha = rz / inner_product_q(p, hp, cfg.grid, cfg.tgrid)
         x += alpha * p
         r -= alpha * hp
-        r_sq_next = inner_product_q(r, r, cfg.grid, cfg.tgrid)
+        r_sq = inner_product_q(r, r, cfg.grid, cfg.tgrid)
         iterations += 1
         if callback is not None:
-            callback(iterations, math.sqrt(r_sq_next))
-        p = r + (r_sq_next / r_sq) * p
-        r_sq = r_sq_next
+            callback(iterations, math.sqrt(r_sq))
+    return x, iterations, math.sqrt(r_sq), tol
 
-    residual = math.sqrt(r_sq)
+
+def solve_low_regret(
+    cfg: RegretConfig,
+    initial_control: np.ndarray | None = None,
+    callback=None,
+) -> OptimalityBundle:
+    """Minimize the reduced objective by preconditioned CG on H u = b.
+
+    ``initial_control`` warm-starts the iteration (its slice 0 is ignored;
+    the start costs one H-apply).  ``callback(iteration, residual_norm)`` is
+    invoked once per iteration with |b - H u|_Q.  Stops when that residual
+    drops below cg_tol * |b|_Q or after cg_max_iters iterations, whichever
+    comes first; ``cg_iterations`` counts the H-applies of the loop.
+    """
+    x, iterations, residual, tol = _preconditioned_cg(cfg, initial_control, callback)
     state, xi, psi, phi = _first_order_system(x, cfg)
     return OptimalityBundle(
         control=x,

@@ -12,6 +12,10 @@ Everything here deliberately avoids the discretizations under test:
 * ``dense_reduced_hessian`` materializes the reduced normal operator
   column by column so a direct linear solve can be compared against the
   iterative path.
+* ``conjugate_gradient`` solves the normal equations by plain,
+  unpreconditioned CG on the Cholesky sweeps alone, so the modal
+  preconditioner of the main solver can be checked against a route that
+  never uses the eigenmodes.
 * ``fd_gradient`` differentiates the reduced objective by central
   differences, one control component at a time.
 
@@ -30,7 +34,7 @@ import numpy as np
 from scipy import integrate
 
 from .functional import RegretConfig, reduced_cost
-from .grids import _check_space_time, zeros_space_time
+from .grids import _check_space_time, inner_product_q, norm_q, zeros_space_time
 from .operator import normalization_constant
 from .optimizer import apply_normal_operator, normal_rhs
 
@@ -260,6 +264,31 @@ def dense_reduced_hessian(cfg: RegretConfig, cap: int = 2000) -> tuple[np.ndarra
         flat[n + k] = 0.0
     rhs = normal_rhs(cfg)[1:].reshape(-1).copy()
     return hess, rhs
+
+
+def conjugate_gradient(cfg: RegretConfig) -> tuple[np.ndarray, int, float]:
+    """Plain CG on H u = b from zero: (control, iterations, residual norm).
+
+    Stops when |r|_Q <= cfg.cg_tol * |b|_Q or after cfg.cg_max_iters
+    iterations.  Its iteration count grows as gamma shrinks.
+    """
+    b = normal_rhs(cfg)
+    tol = cfg.cg_tol * max(norm_q(b, cfg.grid, cfg.tgrid), np.finfo(float).tiny)
+    x = np.zeros_like(b)
+    r = b.copy()
+    r_sq = inner_product_q(r, r, cfg.grid, cfg.tgrid)
+    p = r.copy()
+    iterations = 0
+    while math.sqrt(r_sq) > tol and iterations < cfg.cg_max_iters:
+        hp = apply_normal_operator(p, cfg)
+        alpha = r_sq / inner_product_q(p, hp, cfg.grid, cfg.tgrid)
+        x += alpha * p
+        r -= alpha * hp
+        r_sq_next = inner_product_q(r, r, cfg.grid, cfg.tgrid)
+        iterations += 1
+        p = r + (r_sq_next / r_sq) * p
+        r_sq = r_sq_next
+    return x, iterations, math.sqrt(r_sq)
 
 
 def _render_oracle_table(params: dict, columns: dict) -> tuple[str, str]:

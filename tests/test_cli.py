@@ -334,7 +334,8 @@ class TestRunCommand:
         assert (tmp_path / "env_out" / "solve" / "report.json").exists()
 
     def test_unconverged_solve_exits_three(self, tmp_path, capsys):
-        path = write_config(tmp_path, config_dict(cg_max_iters=1))
+        # an unreachable tolerance: the preconditioned solve meets 1e-12 in one step
+        path = write_config(tmp_path, config_dict(cg_max_iters=1, cg_tol=1e-30))
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out), "--quiet"]) == 3
         assert "failed its checks" in capsys.readouterr().err
