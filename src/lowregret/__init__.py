@@ -44,6 +44,7 @@ from .evolution import (
     superposition_residual,
 )
 from .functional import (
+    Probe,
     RegretConfig,
     UncertaintyAdjoint,
     cost,
@@ -98,6 +99,7 @@ __all__ = [
     "forward_defect",
     "backward_defect",
     "superposition_residual",
+    "Probe",
     "RegretConfig",
     "UncertaintyAdjoint",
     "cost",

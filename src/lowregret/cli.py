@@ -26,14 +26,10 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .evolution import superposition_residual
 from .functional import (
+    Probe,
     RegretConfig,
     check_parameters,
-    cost_decomposition_residual,
-    duality_residual,
-    fenchel_gap,
-    relaxed_cost,
     solve_uncertainty_adjoint,
     workspace,
 )
@@ -163,6 +159,19 @@ def _reject_unknown(raw: dict, known, path: str = "") -> None:
             raise ConfigError(f"{path}{key}", "unknown field")
 
 
+def _checked_scenario(value) -> str:
+    if value not in SCENARIOS:
+        raise ConfigError("scenario", f"must be one of {', '.join(SCENARIOS)}, got {value!r}")
+    return value
+
+
+def _checked_seed(name: str, value) -> int:
+    seed = _typed(name, value, int)
+    if seed < 0:
+        raise ConfigError(name, f"must be >= 0, got {seed}")
+    return seed
+
+
 def parse_scenario(raw: dict) -> ScenarioConfig:
     """Build the scenario from a parsed JSON document.
 
@@ -174,9 +183,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     nested = {key for keys in SECTIONS.values() for key in keys}
     _reject_unknown(raw, {f.name for f in fields(ScenarioConfig)} - nested | set(SECTIONS))
 
-    scenario = _field(raw, "scenario", str, "", default="solve")
-    if scenario not in SCENARIOS:
-        raise ConfigError("scenario", f"must be one of {', '.join(SCENARIOS)}, got {scenario!r}")
+    scenario = _checked_scenario(_field(raw, "scenario", str, "", default="solve"))
 
     for section, keys in SECTIONS.items():
         if not isinstance(raw.get(section), dict):
@@ -214,9 +221,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     if probes < 0:
         raise ConfigError("probes", f"must be >= 0, got {probes}")
 
-    seed = _field(raw, "seed", int, "", default=0)
-    if seed < 0:
-        raise ConfigError("seed", f"must be >= 0, got {seed}")
+    seed = _checked_seed("seed", raw.get("seed", 0))
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir", f"expected a string, got {out_dir!r}")
@@ -376,19 +381,15 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
             norm_q(fa, grid, tgrid) * norm_q(b, grid, tgrid), np.finfo(float).tiny
         )
 
-        decomposition = cost_decomposition_residual(v, g, cfg) / max(
-            1.0, abs(relaxed_cost(v, g, cfg))
+        probe = Probe(v, g, cfg)
+        decomposition = probe.decomposition_residual / max(1.0, abs(probe.relaxed_cost))
+        duality = probe.duality_residual / max(
+            1.0, norm_omega(probe.g, grid) * norm_omega(probe.xi0, grid)
         )
-        xi0 = solve_uncertainty_adjoint(v, cfg).initial_value
-        duality = duality_residual(v, g, cfg) / max(
-            1.0, norm_omega(g, grid) * norm_omega(xi0, grid)
-        )
-        gap_scale = max(1.0, inner_product_omega(xi0, xi0, grid) / cfg.gamma)
-        gap = fenchel_gap(v, g, cfg) / gap_scale
-        gap_at_max = abs(fenchel_gap(v, xi0 / cfg.gamma, cfg)) / gap_scale
-        superpos = superposition_residual(ws.operator, tgrid, cfg.f, v, g, ws.factor)
-        q_vg = ws.forward(cfg.f + v, g)
-        superpos = superpos / max(1.0, norm_q(q_vg, grid, tgrid))
+        gap_scale = max(1.0, probe.sup_value)
+        gap = probe.fenchel_gap() / gap_scale
+        gap_at_max = abs(probe.fenchel_gap(probe.xi0 / cfg.gamma)) / gap_scale
+        superpos = probe.superposition_residual / max(1.0, norm_q(probe.q_vg, grid, tgrid))
         rows.append(
             {
                 "transpose": transpose,
@@ -571,11 +572,9 @@ def run_scenario(
     sc = load_scenario(config_path)
     updates = {}
     if scenario is not None:
-        updates["scenario"] = scenario
+        updates["scenario"] = _checked_scenario(scenario)
     if seed is not None:
-        if seed < 0:
-            raise ConfigError("--seed", f"must be >= 0, got {seed}")
-        updates["seed"] = seed
+        updates["seed"] = _checked_seed("--seed", seed)
     if updates:
         sc = replace(sc, **updates)
     target, origin = _out_dir_and_origin(out_dir, sc)

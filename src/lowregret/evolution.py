@@ -161,6 +161,21 @@ def backward_defect(p: BackwardProblem, traj: np.ndarray) -> float:
     return res + trace_res
 
 
+def superposition_defect(
+    q_vg: np.ndarray,
+    q_v0: np.ndarray,
+    q_0g: np.ndarray,
+    q_00: np.ndarray,
+    grid: SpatialGrid,
+    tgrid: TimeGrid,
+) -> float:
+    """Q-norm of q(v,g) - q(v,0) - q(0,g) + q(0,0) over four solved trajectories.
+
+    Zero in exact arithmetic by linearity of the affine solve map.
+    """
+    return norm_q(q_vg - q_v0 - q_0g + q_00, grid, tgrid)
+
+
 def superposition_residual(
     op: FracOperator,
     tgrid: TimeGrid,
@@ -169,10 +184,8 @@ def superposition_residual(
     g: np.ndarray,
     factor=None,
 ) -> float:
-    """Q-norm of q(v,g) - q(v,0) - q(0,g) + q(0,0) for source f + v, initial g.
-
-    Zero in exact arithmetic by linearity of the affine solve map.
-    """
+    """``superposition_defect`` of the four solves with source f + v or f and
+    initial value g or 0."""
     grid = op.grid
     zero_g = np.zeros(grid.n)
     zero_v = np.zeros_like(_check_space_time(f, grid, tgrid))
@@ -182,8 +195,7 @@ def superposition_residual(
     def run(src, init):
         return solve_forward(ForwardProblem(op, tgrid, src, init), factor)
 
-    q_vg = run(f + v, g)
-    q_v0 = run(f + v, zero_g)
-    q_0g = run(f + zero_v, g)
-    q_00 = run(f + zero_v, zero_g)
-    return norm_q(q_vg - q_v0 - q_0g + q_00, grid, tgrid)
+    return superposition_defect(
+        run(f + v, g), run(f + v, zero_g), run(f + zero_v, g), run(f + zero_v, zero_g),
+        grid, tgrid,
+    )

@@ -17,6 +17,12 @@ state perturbation and its t=0 trace measures how much v could be exploited
 by an adversarial initial datum.  Every identity connecting these objects
 holds at round-off level because the discrete solvers are exact transposes
 of one another.
+
+The identities (cost decomposition, duality pairing, Fenchel gap,
+superposition) are written once, on ``Probe``: a (v, g) pair whose
+trajectories q(v,g), q(v,0), q(0,g) and xi(.; v) are solved on first use
+and shared by every identity, cost and scale read from it, five sweeps in
+all.  The public identity and cost functions read from a fresh ``Probe``.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .evolution import (
     solve_backward,
     solve_forward,
     step_factor,
+    superposition_defect,
 )
 from .grids import (
     ParameterError,
@@ -129,8 +136,7 @@ class _Workspace:
         self.zero_g = np.zeros(cfg.grid.n)
         self.zero_field = np.zeros_like(np.asarray(cfg.f, dtype=float))
         self.q_background = self.forward(cfg.f, self.zero_g)
-        diff = self.q_background - cfg.z_d
-        self.relaxed_cost_00 = inner_product_q(diff, diff, cfg.grid, cfg.tgrid)
+        self.relaxed_cost_00 = _misfit(self.q_background, cfg)
 
     @cached_property
     def modes(self) -> NormalModes:
@@ -156,22 +162,6 @@ class _Workspace:
 def workspace(cfg: RegretConfig) -> _Workspace:
     """The config's derived state, built on the first call."""
     return cfg._workspace
-
-
-def cost(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
-    """Tracking cost plus control penalty for control v and initial datum g."""
-    v = _check_space_time(v, cfg.grid, cfg.tgrid)
-    g = _check_spatial(g, cfg.grid)
-    ws = workspace(cfg)
-    q = ws.forward(cfg.f + v, g)
-    diff = q - cfg.z_d
-    return inner_product_q(diff, diff, cfg.grid, cfg.tgrid) + cfg.control_weight * inner_product_q(v, v, cfg.grid, cfg.tgrid)
-
-
-def relaxed_cost(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
-    """cost(v, g) minus the relaxation credit gamma * |g|^2."""
-    g = _check_spatial(g, cfg.grid)
-    return cost(v, g, cfg) - cfg.gamma * inner_product_omega(g, g, cfg.grid)
 
 
 def solve_uncertainty_adjoint(v: np.ndarray, cfg: RegretConfig) -> UncertaintyAdjoint:
@@ -203,41 +193,141 @@ def reduced_cost(v: np.ndarray, cfg: RegretConfig) -> float:
     return base - ws.relaxed_cost_00 + inner_product_omega(xi0, xi0, cfg.grid) / cfg.gamma
 
 
-def cost_decomposition_residual(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
-    """Residual of the regret decomposition
 
-    relaxed_cost(v,g) - relaxed_cost(0,g)
-        = relaxed_cost(v,0) - relaxed_cost(0,0)
-          + 2 <q(0,g) - q(0,0), q(v,0) - q(0,0)>_Q
 
-    (the gamma |g|^2 credits on the two sides cancel exactly and are kept
-    grouped that way).  Zero in exact arithmetic for every (v, g).
+def _misfit(q: np.ndarray, cfg: RegretConfig) -> float:
+    """Tracking term |q - z_d|_Q^2 of a state trajectory q."""
+    diff = q - cfg.z_d
+    return inner_product_q(diff, diff, cfg.grid, cfg.tgrid)
+
+
+@dataclass(frozen=True, eq=False)
+class Probe:
+    """A control v and an initial datum g of one problem, with the
+    trajectories every regret identity pairs.
+
+    Each trajectory is solved on its first use and kept: q(v,g), q(v,0) and
+    q(0,g) take one forward sweep each, the uncertainty adjoint xi(.; v) one
+    forward and one backward sweep, and q(0,0) is the workspace's background
+    state.  Every cost, identity and scale of one probe thus costs at most
+    five sweeps.
     """
-    v = _check_space_time(v, cfg.grid, cfg.tgrid)
-    g = _check_spatial(g, cfg.grid)
-    ws = workspace(cfg)
-    lhs = relaxed_cost(v, g, cfg) - relaxed_cost(0 * v, g, cfg)
-    q_v0 = ws.forward(cfg.f + v, ws.zero_g)
-    q_0g = ws.forward(cfg.f, g)
-    cross = inner_product_q(
-        q_0g - ws.q_background, q_v0 - ws.q_background, cfg.grid, cfg.tgrid
-    )
-    rhs = relaxed_cost(v, ws.zero_g, cfg) - ws.relaxed_cost_00 + 2.0 * cross
-    return abs(lhs - rhs)
+
+    v: np.ndarray
+    g: np.ndarray
+    cfg: RegretConfig
+
+    def __post_init__(self):
+        object.__setattr__(self, "v", _check_space_time(self.v, self.cfg.grid, self.cfg.tgrid))
+        object.__setattr__(self, "g", _check_spatial(self.g, self.cfg.grid))
+
+    @cached_property
+    def q_vg(self) -> np.ndarray:
+        return workspace(self.cfg).forward(self.cfg.f + self.v, self.g)
+
+    @cached_property
+    def q_v0(self) -> np.ndarray:
+        ws = workspace(self.cfg)
+        return ws.forward(self.cfg.f + self.v, ws.zero_g)
+
+    @cached_property
+    def q_0g(self) -> np.ndarray:
+        return workspace(self.cfg).forward(self.cfg.f, self.g)
+
+    @cached_property
+    def xi0(self) -> np.ndarray:
+        """t=0 trace of the uncertainty adjoint xi(.; v)."""
+        return solve_uncertainty_adjoint(self.v, self.cfg).initial_value
+
+    @cached_property
+    def _penalty(self) -> float:
+        return self.cfg.control_weight * inner_product_q(self.v, self.v, self.cfg.grid, self.cfg.tgrid)
+
+    @cached_property
+    def _credit(self) -> float:
+        return self.cfg.gamma * inner_product_omega(self.g, self.g, self.cfg.grid)
+
+    @cached_property
+    def _pairing(self) -> float:
+        """<q(v,0) - q(0,0), q(0,g) - q(0,0)>_Q."""
+        q_00 = workspace(self.cfg).q_background
+        return inner_product_q(self.q_v0 - q_00, self.q_0g - q_00, self.cfg.grid, self.cfg.tgrid)
+
+    @cached_property
+    def cost(self) -> float:
+        """Tracking cost plus control penalty, cost(v, g)."""
+        return _misfit(self.q_vg, self.cfg) + self._penalty
+
+    @cached_property
+    def relaxed_cost(self) -> float:
+        """cost(v, g) minus the relaxation credit gamma * |g|^2."""
+        return self.cost - self._credit
+
+    @cached_property
+    def sup_value(self) -> float:
+        """(1/gamma)|xi(0;v)|^2: the sup over g of 2<g, xi(0;v)> - gamma|g|^2."""
+        return inner_product_omega(self.xi0, self.xi0, self.cfg.grid) / self.cfg.gamma
+
+    @cached_property
+    def decomposition_residual(self) -> float:
+        """Residual of the regret decomposition
+
+        relaxed_cost(v,g) - relaxed_cost(0,g)
+            = relaxed_cost(v,0) - relaxed_cost(0,0)
+              + 2 <q(0,g) - q(0,0), q(v,0) - q(0,0)>_Q
+
+        (the gamma |g|^2 credits on the two sides cancel exactly and are kept
+        grouped that way).  Zero in exact arithmetic for every (v, g).
+        """
+        lhs = self.relaxed_cost - (_misfit(self.q_0g, self.cfg) - self._credit)
+        relaxed_v0 = _misfit(self.q_v0, self.cfg) + self._penalty
+        rhs = relaxed_v0 - workspace(self.cfg).relaxed_cost_00 + 2.0 * self._pairing
+        return abs(lhs - rhs)
+
+    @cached_property
+    def duality_residual(self) -> float:
+        """Residual of <g, xi(0; v)>_Omega = <q(v,0) - q(0,0), q(0,g) - q(0,0)>_Q."""
+        return abs(inner_product_omega(self.g, self.xi0, self.cfg.grid) - self._pairing)
+
+    def fenchel_gap(self, g: np.ndarray | None = None) -> float:
+        """(1/gamma)|xi(0;v)|^2 minus the probed value 2<g, xi(0;v)> - gamma|g|^2,
+        at the probe's datum or at ``g``.
+
+        Nonnegative for every g; zero exactly at the maximizer
+        g* = xi(0; v) / gamma.
+        """
+        g = self.g if g is None else _check_spatial(g, self.cfg.grid)
+        grid = self.cfg.grid
+        probed = 2.0 * inner_product_omega(g, self.xi0, grid) - self.cfg.gamma * inner_product_omega(g, g, grid)
+        return self.sup_value - probed
+
+    @cached_property
+    def superposition_residual(self) -> float:
+        """Q-norm of q(v,g) - q(v,0) - q(0,g) + q(0,0); zero by linearity."""
+        return superposition_defect(
+            self.q_vg, self.q_v0, self.q_0g, workspace(self.cfg).q_background,
+            self.cfg.grid, self.cfg.tgrid,
+        )
+
+
+def cost(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
+    """Tracking cost plus control penalty for control v and initial datum g."""
+    return Probe(v, g, cfg).cost
+
+
+def relaxed_cost(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
+    """cost(v, g) minus the relaxation credit gamma * |g|^2."""
+    return Probe(v, g, cfg).relaxed_cost
+
+
+def cost_decomposition_residual(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
+    """Residual of the regret decomposition; see ``Probe.decomposition_residual``."""
+    return Probe(v, g, cfg).decomposition_residual
 
 
 def duality_residual(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
     """Residual of <g, xi(0; v)>_Omega = <q(v,0) - q(0,0), q(0,g) - q(0,0)>_Q."""
-    v = _check_space_time(v, cfg.grid, cfg.tgrid)
-    g = _check_spatial(g, cfg.grid)
-    ws = workspace(cfg)
-    lhs = inner_product_omega(g, solve_uncertainty_adjoint(v, cfg).initial_value, cfg.grid)
-    q_v0 = ws.forward(cfg.f + v, ws.zero_g)
-    q_0g = ws.forward(cfg.f, g)
-    rhs = inner_product_q(
-        q_v0 - ws.q_background, q_0g - ws.q_background, cfg.grid, cfg.tgrid
-    )
-    return abs(lhs - rhs)
+    return Probe(v, g, cfg).duality_residual
 
 
 def fenchel_gap(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
@@ -246,8 +336,4 @@ def fenchel_gap(v: np.ndarray, g: np.ndarray, cfg: RegretConfig) -> float:
     Nonnegative for every probe g; zero exactly at the maximizer
     g* = xi(0; v) / gamma.
     """
-    g = _check_spatial(g, cfg.grid)
-    xi0 = solve_uncertainty_adjoint(v, cfg).initial_value
-    sup_value = inner_product_omega(xi0, xi0, cfg.grid) / cfg.gamma
-    probed = 2.0 * inner_product_omega(g, xi0, cfg.grid) - cfg.gamma * inner_product_omega(g, g, cfg.grid)
-    return sup_value - probed
+    return Probe(v, g, cfg).fenchel_gap()

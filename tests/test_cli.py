@@ -1,28 +1,36 @@
 """Scenario configs, profile presets, CLI subcommands, and report determinism."""
 
+import csv
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lowregret import ParameterError, build_grid, build_time_grid, cli
+import lowregret as lr
+from lowregret import ParameterError, build_grid, build_time_grid, cli, evolution
 from lowregret.cli import (
     MAX_GRID_VALUES,
     MAX_NODES,
     ConfigError,
+    execute_scenario,
     load_scenario,
     main,
     parse_scenario,
     resolve_out_dir,
     run_scenario,
 )
-from lowregret.functional import check_parameters
+from lowregret.functional import check_parameters, workspace
 from lowregret.optimizer import check_gammas
 from lowregret.presets import parse_profile, space_time_field, spatial_profile
+
+from conftest import composed_identities
+
+AUDIT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "audit.json")
 
 
 def config_dict(**overrides):
@@ -375,6 +383,18 @@ class TestRunCommand:
         assert main(["audit", path, "--seed", "-1", "--quiet"]) == 2
         assert "config error: --seed:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override,field",
+        [({"scenario": "bogus"}, "scenario"), ({"seed": 1.5}, "--seed"), ({"seed": True}, "--seed")],
+    )
+    def test_bad_override_is_rejected_before_the_output_directory(self, tmp_path, override, field):
+        path = write_config(tmp_path, config_dict())
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as info:
+            run_scenario(path, out_dir=str(out), **override)
+        assert info.value.field == field
+        assert not out.exists()
+
     def test_solve_with_all_zero_data_writes_a_readable_report(self, tmp_path):
         raw = config_dict()
         del raw["source"], raw["target"]
@@ -414,11 +434,67 @@ class TestAuditCommand:
     def test_transpose_defect_is_scaled_by_norms(self, tmp_path):
         # at seed 134 probe 19's pairing nearly cancels; dividing the defect
         # by its value read 1.5e-12, above the 1e-12 budget
-        path = os.path.join(os.path.dirname(__file__), "..", "configs", "audit.json")
         out = tmp_path / "out"
-        assert main(["audit", path, "--seed", "134", "--out", str(out), "--quiet"]) == 0
+        assert main(["audit", AUDIT_CONFIG, "--seed", "134", "--out", str(out), "--quiet"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"]["identities"]["transpose"]["residual"] <= 1e-15
+
+
+    @pytest.mark.parametrize("probes", [1, 4])
+    def test_each_probe_costs_five_forward_and_two_backward_sweeps(self, monkeypatch, probes):
+        counts = {"solve_forward": 0, "solve_backward": 0}
+        modules = [mod for name, mod in sys.modules.items() if name.startswith("lowregret")]
+        for name in counts:
+            original = getattr(evolution, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        execute_scenario(parse_scenario(config_dict(scenario="audit", probes=probes)))
+        # one forward sweep builds the background state q(0,0)
+        assert counts == {"solve_forward": 1 + 5 * probes, "solve_backward": 2 * probes}
+
+    def test_probe_columns_equal_the_composed_oracle(self, tmp_path):
+        out = tmp_path / "out"
+        run_scenario(AUDIT_CONFIG, out_dir=str(out))
+        with open(out / "audit_probe_residuals.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        sc = load_scenario(AUDIT_CONFIG)
+        grid, tgrid, cfg = cli._build_problem(sc, sc.gamma)
+        ws = workspace(cfg)
+        presets = [spatial_profile(text, grid) for text in sc.probe_presets]
+        rng = np.random.default_rng(sc.seed)
+
+        def draw_space_time():
+            field = lr.zeros_space_time(grid, tgrid)
+            field[1:] = rng.standard_normal((tgrid.steps, grid.n))
+            return field
+
+        for k, row in enumerate(rows[:8]):
+            v = draw_space_time()
+            g = rng.standard_normal(grid.n) + presets[k % len(presets)]
+            a, b = draw_space_time(), draw_space_time()
+            fa, bb = ws.forward(a, ws.zero_g), ws.backward(b, ws.zero_g)
+            transpose = abs(lr.inner_product_q(fa, b, grid, tgrid) - lr.inner_product_q(a, bb, grid, tgrid)) / max(
+                lr.norm_q(fa, grid, tgrid) * lr.norm_q(b, grid, tgrid), np.finfo(float).tiny
+            )
+            ref = composed_identities(v, g, cfg)
+            xi0 = ref["xi0"]
+            gap_scale = max(1.0, lr.inner_product_omega(xi0, xi0, grid) / cfg.gamma)
+            expected = {
+                "transpose": transpose,
+                "cost_decomposition": ref["cost_decomposition"] / max(1.0, abs(ref["relaxed_cost"])),
+                "duality": ref["duality"] / max(1.0, lr.norm_omega(g, grid) * lr.norm_omega(xi0, grid)),
+                "fenchel_nonnegative": max(0.0, -(ref["fenchel_gap"] / gap_scale)),
+                "fenchel_at_maximizer": abs(ref["fenchel_gap_at_maximizer"]) / gap_scale,
+                "superposition": ref["superposition"] / max(1.0, ref["q_vg_norm"]),
+            }
+            assert int(row.pop("probe")) == k
+            assert {name: float(text) for name, text in row.items()} == expected
 
 
 class TestSweepCommand:

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import lowregret as lr
 from lowregret.functional import workspace
 
-from conftest import make_problem, random_control
+from conftest import composed_identities, make_problem, random_control
 
 
 def tiny_cfg(**kw):
@@ -254,6 +254,25 @@ class TestExactIdentities:
         scale = max(1.0, abs(lr.relaxed_cost(2.0 * v, 3.0 * g, small_cfg)))
         assert lr.cost_decomposition_residual(2.0 * v, 3.0 * g, small_cfg) <= 1e-12 * scale
         assert lr.duality_residual(2.0 * v, 3.0 * g, small_cfg) <= 1e-12 * scale
+
+
+class TestSharedTrajectories:
+    @pytest.mark.parametrize("seed,v_scale,g_scale", [(0, 1.0, 1.0), (1, 1.0, 1.0), (2, 0.0, 1.0), (3, 1.0, 0.0), (4, 30.0, 0.01)])
+    def test_public_identities_equal_the_composed_oracle(self, small_cfg, seed, v_scale, g_scale):
+        rng = np.random.default_rng(seed)
+        v = v_scale * random_control(small_cfg, rng)
+        g = g_scale * rng.standard_normal(small_cfg.grid.n)
+        ref = composed_identities(v, g, small_cfg)
+        ws = workspace(small_cfg)
+        assert lr.cost_decomposition_residual(v, g, small_cfg) == ref["cost_decomposition"]
+        assert lr.duality_residual(v, g, small_cfg) == ref["duality"]
+        assert lr.fenchel_gap(v, g, small_cfg) == ref["fenchel_gap"]
+        g_star = ref["xi0"] / small_cfg.gamma
+        assert lr.fenchel_gap(v, g_star, small_cfg) == ref["fenchel_gap_at_maximizer"]
+        assert lr.relaxed_cost(v, g, small_cfg) == ref["relaxed_cost"]
+        superposition = lr.superposition_residual(ws.operator, small_cfg.tgrid, small_cfg.f, v, g, ws.factor)
+        assert superposition == ref["superposition"]
+        assert lr.Probe(v, g, small_cfg).superposition_residual == ref["superposition"]
 
 
 class TestFenchelGap:
