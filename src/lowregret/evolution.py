@@ -11,12 +11,18 @@ and duplicates slice 1 into slice 0: that entry is the t=0 trace appearing
 in every duality identity.  This storage is a derived constraint — the
 adjoint tests pin it — not a stylistic choice.
 
-Each step is one LAPACK ``dpotrs`` solve with the shared Cholesky factor of
-``I + dt*A``.  Finiteness is checked once per value, not once per step:
-``step_factor`` checks the factor and returns it read-only, and each sweep
-checks the source slices it reads (1..M; slice 0 is never read) and its
-initial or terminal datum before the loop, then its trajectory after it, so
-an overflow at any step, the last included, raises ``ValueError``.
+A is symmetric and time-invariant and dt is uniform, so every sweep runs in
+A's eigenbasis (Lynch, Rice and Thomas 1964): one GEMM takes the source
+into it, each mode then follows the scalar recurrence
+``y_m = r (y_{m-1} + dt s_m)`` with ``r = 1/(1 + dt lam)``, and one GEMM
+takes the trajectory back.  ``step_factor`` builds that propagator once per
+problem, from two half-size eigenproblems because A is centrosymmetric.
+``solve_backward`` is the same forward march on the reversed source.
+Finiteness is checked once per value, not once per step: ``step_factor``
+checks the propagator and returns it read-only, and each sweep checks the
+source slices it reads (1..M; slice 0 is never read) and its initial or
+terminal datum before the march, then its trajectory after it, so an
+overflow at any step, the last included, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dsyevd
 
 from .grids import (
     SpatialGrid,
@@ -55,16 +60,65 @@ class BackwardProblem:
 
 
 def step_factor(op: FracOperator, tgrid: TimeGrid):
-    """Cholesky factorization ``(c, lower)`` of (I + dt*A), shared by every
-    step and both directions; callers doing many solves should build it once.
+    """Modal propagator ``(lam, basis, ratio)`` of (I + dt*A), shared by every
+    sweep of both directions; callers doing many sweeps should build it once.
 
-    ``c`` is checked to be finite here, once, and returned read-only.
+    ``basis`` holds the orthonormal eigenvectors of A as columns, ``lam`` their
+    eigenvalues and ``ratio`` = 1/(1 + dt*lam) the per-step amplification of
+    each mode.  All three are checked to be finite here, once, and returned
+    read-only.
     """
-    system = np.eye(op.grid.n) + tgrid.dt * op.matrix
-    c, lower = cho_factor(system)
-    _require_finite(c, "step factor")
-    c.flags.writeable = False
-    return c, lower
+    lam, basis = centrosymmetric_eigh(op.matrix)
+    ratio = 1.0 / (1.0 + tgrid.dt * lam)
+    for a in (lam, basis, ratio):
+        _require_finite(a, "step factor")
+        a.flags.writeable = False
+    return lam, basis, ratio
+
+
+_HALF_ROOT = 0.5 ** 0.5
+
+
+def centrosymmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of a symmetric
+    centrosymmetric matrix, A = J A J with J the reversal.
+
+    On a uniform grid A is centrosymmetric, so each eigenvector is even
+    (x = Jx) or odd (x = -Jx).  With k = n // 2 and A11, A12 the leading k
+    rows split at the centre, the even modes are x = (y, Jy)/sqrt(2) for the
+    eigenvectors y of A11 + A12 J and the odd modes x = (z, -Jz)/sqrt(2) for
+    those of A11 - A12 J: two symmetric problems of half size.  For odd n the
+    even block gains the centre node, x = (y, sqrt(2) w, Jy)/sqrt(2), which
+    couples to the rest with weight sqrt(2).  Only the leading rows are read.
+    """
+    n = matrix.shape[0]
+    k = n // 2
+    c = n - k  # size of the even block: k, or k + 1 with the centre node
+    mirrored = matrix[:c, ::-1]  # leading rows times J
+    even = matrix[:c, :c] + mirrored[:, :c]
+    odd = matrix[:k, :k] - mirrored[:k, :k]
+    if c > k:  # the centre row and column of the sum hold 2 a and 2 A_cc
+        even[k] *= _HALF_ROOT
+        even[:, k] *= _HALF_ROOT
+    lam_even, y = _symmetric_eigh(even)
+    lam_odd, z = _symmetric_eigh(odd)
+    basis = np.zeros((n, n))
+    basis[:k, :c] = _HALF_ROOT * y[:k]
+    basis[c:, :c] = _HALF_ROOT * y[:k][::-1]
+    if c > k:
+        basis[k, :c] = y[k]
+    basis[:k, c:] = _HALF_ROOT * z
+    basis[c:, c:] = -_HALF_ROOT * z[::-1]
+    return np.concatenate((lam_even, lam_odd)), basis
+
+
+def _symmetric_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``dsyevd`` on a C-ordered symmetric ``block``, which it
+    overwrites: the transpose is the same matrix in Fortran order."""
+    lam, vectors, info = dsyevd(block.T, overwrite_a=1)
+    if info:
+        raise ValueError(f"eigendecomposition failed (dsyevd info={info})")
+    return lam, vectors
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -72,8 +126,22 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def _potrs_failed(info: int) -> ValueError:
-    return ValueError(f"illegal value in {-info}th argument of internal potrs")
+def _march(factor, rows: np.ndarray, datum: np.ndarray, dt: float) -> np.ndarray:
+    """Trajectory (M+1, n) of q_m = (I + dt*A)^{-1} (q_{m-1} + dt*rows[m-1])
+    from q_0 = ``datum``, in the eigenbasis: one GEMM into it, the diagonal
+    recurrence y_m = ratio * (y_{m-1} + dt*s_m) in place, one GEMM back."""
+    _, basis, ratio = factor
+    modal = rows @ basis  # row m-1 holds V^T s_m
+    modal *= dt
+    carry = datum @ basis
+    for row in modal:
+        row += carry
+        row *= ratio
+        carry = row
+    out = np.empty((rows.shape[0] + 1, basis.shape[0]))
+    out[0] = datum
+    np.matmul(modal, basis.T, out=out[1:])
+    return out
 
 
 def solve_forward(p: ForwardProblem, factor=None) -> np.ndarray:
@@ -84,15 +152,7 @@ def solve_forward(p: ForwardProblem, factor=None) -> np.ndarray:
     _require_finite(init, "initial datum")
     if factor is None:
         factor = step_factor(p.operator, tgrid)
-    c, lower = factor
-    dt, m_steps = tgrid.dt, tgrid.steps
-    q = np.empty((m_steps + 1, grid.n))
-    q[0] = init
-    for m in range(m_steps):
-        x, info = dpotrs(c, q[m] + dt * src[m + 1], lower=lower, overwrite_b=1)
-        if info:
-            raise _potrs_failed(info)
-        q[m + 1] = x
+    q = _march(factor, src[1:], init, tgrid.dt)
     _require_finite(q[1:], "forward trajectory")
     return q
 
@@ -105,18 +165,26 @@ def solve_backward(p: BackwardProblem, factor=None) -> np.ndarray:
     _require_finite(terminal, "terminal datum")
     if factor is None:
         factor = step_factor(p.operator, tgrid)
-    c, lower = factor
-    dt, m_steps = tgrid.dt, tgrid.steps
-    xi = np.empty((m_steps + 1, grid.n))
-    carry = terminal
-    for m in range(m_steps, 0, -1):
-        carry, info = dpotrs(c, carry + dt * src[m], lower=lower, overwrite_b=1)
-        if info:
-            raise _potrs_failed(info)
-        xi[m] = carry
-    xi[0] = carry  # t=0 trace
+    # the forward march on the reversed source; its slice j is time M+1-j
+    marched = _march(factor, np.ascontiguousarray(src[:0:-1]), terminal, tgrid.dt)
+    xi = np.empty_like(marched)
+    xi[1:] = marched[:0:-1]
+    xi[0] = xi[1]  # t=0 trace
     _require_finite(xi[1:], "backward trajectory")
     return xi
+
+
+def _step_residual(op: FracOperator, tgrid: TimeGrid, traj: np.ndarray, src: np.ndarray):
+    """Field whose slices 1..M are traj_m + dt*A traj_m - dt*src_m (slice 0 zero),
+    the step's left-hand side minus its source; A is symmetric, so all M
+    products are the one GEMM traj[1:] @ A."""
+    out = np.zeros_like(traj)
+    step = out[1:]
+    np.matmul(traj[1:], op.matrix, out=step)
+    step *= tgrid.dt
+    step += traj[1:]
+    step -= tgrid.dt * src[1:]
+    return out
 
 
 def forward_defect(p: ForwardProblem, traj: np.ndarray) -> float:
@@ -129,15 +197,8 @@ def forward_defect(p: ForwardProblem, traj: np.ndarray) -> float:
     traj = _check_space_time(traj, grid, tgrid)
     src = _check_space_time(p.source, grid, tgrid)
     init = _check_spatial(p.initial, grid)
-    dt = tgrid.dt
-    defect = np.zeros_like(traj)
-    for m in range(tgrid.steps):
-        defect[m + 1] = (
-            traj[m + 1]
-            + dt * (p.operator.matrix @ traj[m + 1])
-            - traj[m]
-            - dt * src[m + 1]
-        )
+    defect = _step_residual(p.operator, tgrid, traj, src)
+    defect[1:] -= traj[:-1]
     res = norm_q(defect, grid, tgrid)
     init_res = grid.h ** 0.5 * float(np.linalg.norm(traj[0] - init))
     return res + init_res
@@ -148,14 +209,9 @@ def backward_defect(p: BackwardProblem, traj: np.ndarray) -> float:
     grid, tgrid = p.operator.grid, p.tgrid
     traj = _check_space_time(traj, grid, tgrid)
     src = _check_space_time(p.source, grid, tgrid)
-    dt = tgrid.dt
-    defect = np.zeros_like(traj)
-    ahead = _check_spatial(p.terminal, grid)  # ghost slot at the terminal time
-    for m in range(tgrid.steps, 0, -1):
-        defect[m] = (
-            traj[m] + dt * (p.operator.matrix @ traj[m]) - ahead - dt * src[m]
-        )
-        ahead = traj[m]
+    defect = _step_residual(p.operator, tgrid, traj, src)
+    defect[1:-1] -= traj[2:]
+    defect[-1] -= _check_spatial(p.terminal, grid)  # ghost slot at the terminal time
     res = norm_q(defect, grid, tgrid)
     trace_res = grid.h ** 0.5 * float(np.linalg.norm(traj[0] - traj[1]))
     return res + trace_res

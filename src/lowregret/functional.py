@@ -124,9 +124,10 @@ class UncertaintyAdjoint:
 
 
 class _Workspace:
-    """Derived state of one problem: operator, step factorization, background
-    state, and (built on first use) the operator's modes.  Holds no reference
-    to the config that owns it."""
+    """Derived state of one problem: operator, the sweeps' modal propagator
+    (the one eigendecomposition of the operator), background state, and
+    (built on first use) the normal operator's modal factors.  Holds no
+    reference to the config that owns it."""
 
     def __init__(self, cfg: RegretConfig):
         self.tgrid = cfg.tgrid
@@ -140,13 +141,11 @@ class _Workspace:
 
     @cached_property
     def modes(self) -> NormalModes:
-        """Eigenbasis of the operator and the gamma-independent factors of the
-        normal operator's modal blocks.  Only solves need them, so they are
-        built on the first access, not with the workspace; every gamma of a
-        problem shares them."""
-        return NormalModes(
-            self.operator.matrix, self.tgrid.dt, self.tgrid.steps, self.control_weight
-        )
+        """The gamma-independent factors of the normal operator's modal
+        blocks, in the eigenbasis of ``factor``.  Only solves need them, so
+        they are built on the first access, not with the workspace; every
+        gamma of a problem shares them."""
+        return NormalModes(self.factor, self.tgrid.dt, self.tgrid.steps, self.control_weight)
 
     def forward(self, source, initial) -> np.ndarray:
         return solve_forward(

@@ -1,11 +1,12 @@
 """Exact inverse of the reduced normal operator, one time block per mode.
 
 A is symmetric and time-invariant and dt is uniform, so with A = V diag(lam)
-V^T every sweep acts on each eigenmode k separately.  With r = 1/(1 + dt lam_k)
-the forward sweep from zero initial data is, on slices 1..M, the
-lower-triangular Toeplitz matrix L with entries dt r^(i-j+1), the backward
-sweep is its transpose, and the t=0 trace of a backward solve is dt t^T,
-t_m = r^m.  The normal operator therefore splits into n blocks of size M
+V^T every sweep acts on each eigenmode k separately; ``evolution`` marches
+the sweeps themselves that way.  With r = 1/(1 + dt lam_k) the forward sweep
+from zero initial data is, on slices 1..M, the lower-triangular Toeplitz
+matrix L with entries dt r^(i-j+1), the backward sweep is its transpose, and
+the t=0 trace of a backward solve is dt t^T, t_m = r^m.  The normal operator
+therefore splits into n blocks of size M
 
     H_k = L^T (I + (dt/gamma) t t^T) L + w I,
 
@@ -20,28 +21,27 @@ n*M (mode-major, zero coupling between modes), and Sherman-Morrison removes
 the rank-one term.  This is the fast-diagonalization idea of Lynch, Rice and
 Thomas (1964) applied in time.  It inverts H up to round-off times its
 condition number, which grows like 1/gamma; the optimizer therefore uses it
-as a preconditioner on the Cholesky sweeps, not as the solver.
+as a preconditioner on the sweeps of ``evolution``, not as the solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 
 class NormalModes:
-    """Eigenbasis of A and the gamma-independent factors of H's modal blocks.
+    """The gamma-independent factors of H's modal blocks.
 
-    Holds V (``basis``), r (``ratio``), the LDL^T pivots of the stacked
+    Holds V (``basis``) and r (``ratio``) of the sweeps' propagator
+    (``evolution.step_factor``), the LDL^T pivots of the stacked
     tridiagonal T (``pivots``, ``multipliers``), T^{-1} t (``t_solved``) and
     t^T T^{-1} t (``t_energy``).
     """
 
-    def __init__(self, matrix: np.ndarray, dt: float, steps: int, control_weight: float):
-        lam, self.basis = eigh(matrix)
+    def __init__(self, factor, dt: float, steps: int, control_weight: float):
+        lam, self.basis, self.ratio = factor  # evolution.step_factor at this dt
         self.dt = dt
-        self.ratio = 1.0 / (1.0 + dt * lam)
         n, r = lam.size, self.ratio[:, None]
         scale = control_weight / (dt * r) ** 2
         diag = np.empty((n, steps))

@@ -15,11 +15,11 @@ definite in that inner product, so the system is solved by preconditioned
 conjugate gradients with matching inner products.  The preconditioner is the
 exact inverse of H in the eigenmodes of the operator (``modal.NormalModes``),
 so a solve takes one or two iterations at any gamma; the iteration itself
-applies H through the Cholesky sweeps, which keeps every identity on the
-sweeps.  Each iteration is one H-apply.  The residual b - H u equals
--(control_weight * u + phi) for the control adjoint phi, and the stopping
-rule is on its Q-norm (the unpreconditioned recursive residual), hence it
-directly bounds the stationarity residual.
+applies H through the forward and backward sweeps, which keeps every
+identity on the sweeps.  Each iteration is one H-apply.  The residual
+b - H u equals -(control_weight * u + phi) for the control adjoint phi, and
+the stopping rule is on its Q-norm (the unpreconditioned recursive
+residual), hence it directly bounds the stationarity residual.
 
 The first-order system itself splits the gamma factor symmetrically: the
 worst-response variable psi propagates -xi(0)/sqrt(gamma) forward and feeds

@@ -13,9 +13,8 @@ Everything here deliberately avoids the discretizations under test:
   column by column so a direct linear solve can be compared against the
   iterative path.
 * ``conjugate_gradient`` solves the normal equations by plain,
-  unpreconditioned CG on the Cholesky sweeps alone, so the modal
-  preconditioner of the main solver can be checked against a route that
-  never uses the eigenmodes.
+  unpreconditioned CG on the sweeps alone, so the modal preconditioner of
+  the main solver can be checked against a route that never uses it.
 * ``fd_gradient`` differentiates the reduced objective by central
   differences, one control component at a time.
 

@@ -24,8 +24,8 @@ from lowregret import (
 from lowregret.evolution import step_factor
 
 
-def setup(n=24, steps=12, s=0.5, horizon=1.0):
-    grid = build_grid(-1.0, 1.0, n)
+def setup(n=24, steps=12, s=0.5, horizon=1.0, interval=(-1.0, 1.0)):
+    grid = build_grid(*interval, n)
     tgrid = build_time_grid(horizon, steps)
     return assemble_operator(grid, s), grid, tgrid
 
@@ -230,16 +230,24 @@ def run_sweep(sweep, op, tgrid, src, datum):
 
 
 class TestDirectLapackSweeps:
-    @pytest.mark.parametrize("n,steps", [(40, 6), (400, 3)])
-    def test_bitwise_equal_to_a_cho_solve_loop(self, n, steps):
-        op, grid, tgrid = setup(n=n, steps=steps)
+    @pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 400])
+    def test_matches_a_cho_solve_loop(self, n, s, interval):
+        # the modal march reorders the arithmetic of the per-step solves; both
+        # sweeps are compared on the scale of the forward trajectory, whose
+        # slice 0 is the datum they start from
+        op, grid, tgrid = setup(n=n, steps=5, s=s, interval=interval)
         rng = np.random.default_rng(n)
         src = random_field(grid, tgrid, rng)
         datum = rng.normal(size=grid.n)
         q = solve_forward(ForwardProblem(op, tgrid, src, datum))
         xi = solve_backward(BackwardProblem(op, tgrid, src, datum))
-        assert np.array_equal(q, cho_solve_reference(op, tgrid, src, datum))
-        assert np.array_equal(xi, cho_solve_reference(op, tgrid, src, datum, backward=True))
+        q_ref = cho_solve_reference(op, tgrid, src, datum)
+        xi_ref = cho_solve_reference(op, tgrid, src, datum, backward=True)
+        scale = np.max(np.abs(q_ref))
+        assert np.max(np.abs(q - q_ref)) <= 1e-13 * scale
+        assert np.max(np.abs(xi - xi_ref)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("sweep", ["forward", "backward"])
     @pytest.mark.parametrize("m", [1, 5, 12])
@@ -289,7 +297,25 @@ class TestDirectLapackSweeps:
 
     def test_step_factor_is_read_only(self):
         op, _, tgrid = setup()
-        c, _ = step_factor(op, tgrid)
-        assert not c.flags.writeable
+        lam, basis, ratio = step_factor(op, tgrid)
+        for a in (lam, basis, ratio):
+            assert not a.flags.writeable
         with pytest.raises(ValueError):
-            c[0, 0] = 1.0
+            basis[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ratio[0] = 1.0
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 41, 400])
+    def test_half_size_eigenpairs_are_exact_to_round_off(self, n, s, interval):
+        op, _, tgrid = setup(n=n, s=s, interval=interval)
+        a = op.matrix
+        lam, basis, ratio = step_factor(op, tgrid)
+        scale = np.max(np.abs(a))
+        assert np.max(np.abs(a - a[::-1, ::-1])) <= 1e-12 * scale  # centrosymmetric
+        assert np.max(np.abs(a @ basis - basis * lam)) <= 1e-13 * scale
+        assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= 1e-13
+        assert np.array_equal(ratio, 1.0 / (1.0 + tgrid.dt * lam))

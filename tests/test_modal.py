@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lowregret as lr
-from lowregret import modal
+from lowregret import evolution
 from lowregret.cli import main
 from lowregret.functional import workspace
 from lowregret.optimizer import apply_normal_operator
@@ -68,8 +68,10 @@ class TestModesOwnership:
 
     def test_a_sweep_decomposes_the_operator_once(self, small_cfg, monkeypatch):
         calls = []
-        real_eigh = modal.eigh
-        monkeypatch.setattr(modal, "eigh", lambda a: calls.append(1) or real_eigh(a))
+        real_eigh = evolution.centrosymmetric_eigh
+        monkeypatch.setattr(
+            evolution, "centrosymmetric_eigh", lambda a: calls.append(1) or real_eigh(a)
+        )
         report = lr.gamma_sweep(small_cfg, gammas=(1.0, 1e-2, 1e-4))
         assert all(report.converged)
         assert len(calls) == 1
