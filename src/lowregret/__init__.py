@@ -35,12 +35,12 @@ from .operator import (
     normalization_constant,
 )
 from .evolution import (
-    BackwardProblem,
-    ForwardProblem,
+    Propagator,
     backward_defect,
     forward_defect,
     solve_backward,
     solve_forward,
+    step_factor,
     superposition_residual,
 )
 from .functional import (
@@ -92,8 +92,8 @@ __all__ = [
     "normalization_constant",
     "nonlocal_normal_derivative",
     "integration_by_parts_residual",
-    "ForwardProblem",
-    "BackwardProblem",
+    "Propagator",
+    "step_factor",
     "solve_forward",
     "solve_backward",
     "forward_defect",

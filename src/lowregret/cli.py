@@ -10,7 +10,8 @@ identical config and seed are byte-identical.
 Output directory resolution: ``--out`` flag, else the config's ``out_dir``
 field, else ``$LOWREGRET_OUT/<scenario>`` (current directory when the
 variable is unset).  Exit codes: 0 success, 2 configuration error, 3
-scenario failure (non-convergence or an identity check out of tolerance).
+scenario failure (non-convergence, an identity check out of tolerance, or a
+library refusal such as a non-finite sweep).
 """
 
 from __future__ import annotations
@@ -404,7 +405,7 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
     identities = {}
     for name, tol in AUDIT_TOLERANCES.items():
         worst = max((row[name] for row in rows), default=0.0)
-        identities[name] = {"residual": worst, "tolerance": tol, "passed": worst <= tol}
+        identities[name] = {"residual": worst, "tolerance": tol, "passed": bool(worst <= tol)}
         say(f"  {name}: worst scaled residual {worst:.3e} (budget {tol:g})")
 
     success = all(entry["passed"] for entry in identities.values())
@@ -630,6 +631,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # the library refused the validated scenario's numbers
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 3
     if not report.success:
         print(f"{report.scenario} scenario failed its checks", file=sys.stderr)
         return 3

@@ -15,19 +15,21 @@ A is symmetric and time-invariant and dt is uniform, so every sweep runs in
 A's eigenbasis (Lynch, Rice and Thomas 1964): one GEMM takes the source
 into it, each mode then follows the scalar recurrence
 ``y_m = r (y_{m-1} + dt s_m)`` with ``r = 1/(1 + dt lam)``, and one GEMM
-takes the trajectory back.  ``step_factor`` builds that propagator once per
-problem, from two half-size eigenproblems because A is centrosymmetric.
-``solve_backward`` is the same forward march on the reversed source.
-Finiteness is checked once per value, not once per step: ``step_factor``
-checks the propagator and returns it read-only, and each sweep checks the
-source slices it reads (1..M; slice 0 is never read) and its initial or
-terminal datum before the march, then its trajectory after it, so an
-overflow at any step, the last included, raises ``ValueError``.
+takes the trajectory back.  ``step_factor(op, tgrid)`` builds that
+``Propagator`` once per problem, from two half-size eigenproblems because A
+is centrosymmetric; every sweep, defect and superposition residual takes it
+first, so all of them step with the same (I + dt*A).  ``solve_backward`` is
+the same forward march on the reversed source.  Finiteness is checked once
+per value, not once per step: the propagator when it is built (it is then
+read-only), and each sweep the source slices it reads (1..M; slice 0 is
+never read) and its initial or terminal datum before the march, then its
+trajectory after it, so an overflow at any step, the last included, raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dsyevd
@@ -37,43 +39,40 @@ from .grids import (
     TimeGrid,
     _check_space_time,
     _check_spatial,
-    inner_product_q,
     norm_q,
 )
 from .operator import FracOperator
 
 
 @dataclass(frozen=True, eq=False)
-class ForwardProblem:
-    operator: FracOperator
-    tgrid: TimeGrid
-    source: np.ndarray    # (M+1, n); slice 0 is never read
-    initial: np.ndarray   # (n,)
+class Propagator:
+    """Modal propagator of (I + dt*A) for ``operator`` on ``tgrid``.
 
-
-@dataclass(frozen=True, eq=False)
-class BackwardProblem:
-    operator: FracOperator
-    tgrid: TimeGrid
-    source: np.ndarray    # (M+1, n); slice 0 is never read
-    terminal: np.ndarray  # (n,)
-
-
-def step_factor(op: FracOperator, tgrid: TimeGrid):
-    """Modal propagator ``(lam, basis, ratio)`` of (I + dt*A), shared by every
-    sweep of both directions; callers doing many sweeps should build it once.
-
-    ``basis`` holds the orthonormal eigenvectors of A as columns, ``lam`` their
-    eigenvalues and ``ratio`` = 1/(1 + dt*lam) the per-step amplification of
-    each mode.  All three are checked to be finite here, once, and returned
-    read-only.
+    ``basis`` holds the orthonormal eigenvectors of A as columns, ``lam``
+    their eigenvalues and ``ratio`` = 1/(1 + dt*lam) the per-step
+    amplification of each mode.  All three are derived here from the two
+    given fields, checked to be finite once and read-only, so no sweep can
+    pair one operator's eigenbasis with another grid, time step or s.
     """
-    lam, basis = centrosymmetric_eigh(op.matrix)
-    ratio = 1.0 / (1.0 + tgrid.dt * lam)
-    for a in (lam, basis, ratio):
-        _require_finite(a, "step factor")
-        a.flags.writeable = False
-    return lam, basis, ratio
+
+    operator: FracOperator
+    tgrid: TimeGrid
+    lam: np.ndarray = field(init=False, repr=False)
+    basis: np.ndarray = field(init=False, repr=False)
+    ratio: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lam, basis = centrosymmetric_eigh(self.operator.matrix)
+        ratio = 1.0 / (1.0 + self.tgrid.dt * lam)
+        for name, a in (("lam", lam), ("basis", basis), ("ratio", ratio)):
+            _require_finite(a, "step factor")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+
+def step_factor(op: FracOperator, tgrid: TimeGrid) -> Propagator:
+    """The propagator every sweep of ``op`` on ``tgrid`` takes first."""
+    return Propagator(op, tgrid)
 
 
 _HALF_ROOT = 0.5 ** 0.5
@@ -126,13 +125,13 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def _march(factor, rows: np.ndarray, datum: np.ndarray, dt: float) -> np.ndarray:
+def _march(prop: Propagator, rows: np.ndarray, datum: np.ndarray) -> np.ndarray:
     """Trajectory (M+1, n) of q_m = (I + dt*A)^{-1} (q_{m-1} + dt*rows[m-1])
     from q_0 = ``datum``, in the eigenbasis: one GEMM into it, the diagonal
     recurrence y_m = ratio * (y_{m-1} + dt*s_m) in place, one GEMM back."""
-    _, basis, ratio = factor
+    basis, ratio = prop.basis, prop.ratio
     modal = rows @ basis  # row m-1 holds V^T s_m
-    modal *= dt
+    modal *= prop.tgrid.dt
     carry = datum @ basis
     for row in modal:
         row += carry
@@ -144,29 +143,25 @@ def _march(factor, rows: np.ndarray, datum: np.ndarray, dt: float) -> np.ndarray
     return out
 
 
-def solve_forward(p: ForwardProblem, factor=None) -> np.ndarray:
-    grid, tgrid = p.operator.grid, p.tgrid
-    src = _check_space_time(p.source, grid, tgrid)
-    init = _check_spatial(p.initial, grid)
+def solve_forward(prop: Propagator, source: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    grid, tgrid = prop.operator.grid, prop.tgrid
+    src = _check_space_time(source, grid, tgrid)
+    init = _check_spatial(initial, grid)
     _require_finite(src[1:], "source slices 1..M")
     _require_finite(init, "initial datum")
-    if factor is None:
-        factor = step_factor(p.operator, tgrid)
-    q = _march(factor, src[1:], init, tgrid.dt)
+    q = _march(prop, src[1:], init)
     _require_finite(q[1:], "forward trajectory")
     return q
 
 
-def solve_backward(p: BackwardProblem, factor=None) -> np.ndarray:
-    grid, tgrid = p.operator.grid, p.tgrid
-    src = _check_space_time(p.source, grid, tgrid)
-    terminal = _check_spatial(p.terminal, grid)
+def solve_backward(prop: Propagator, source: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+    grid, tgrid = prop.operator.grid, prop.tgrid
+    src = _check_space_time(source, grid, tgrid)
+    terminal = _check_spatial(terminal, grid)
     _require_finite(src[1:], "source slices 1..M")
     _require_finite(terminal, "terminal datum")
-    if factor is None:
-        factor = step_factor(p.operator, tgrid)
     # the forward march on the reversed source; its slice j is time M+1-j
-    marched = _march(factor, np.ascontiguousarray(src[:0:-1]), terminal, tgrid.dt)
+    marched = _march(prop, np.ascontiguousarray(src[:0:-1]), terminal)
     xi = np.empty_like(marched)
     xi[1:] = marched[:0:-1]
     xi[0] = xi[1]  # t=0 trace
@@ -174,44 +169,44 @@ def solve_backward(p: BackwardProblem, factor=None) -> np.ndarray:
     return xi
 
 
-def _step_residual(op: FracOperator, tgrid: TimeGrid, traj: np.ndarray, src: np.ndarray):
+def _step_residual(prop: Propagator, traj: np.ndarray, src: np.ndarray):
     """Field whose slices 1..M are traj_m + dt*A traj_m - dt*src_m (slice 0 zero),
     the step's left-hand side minus its source; A is symmetric, so all M
     products are the one GEMM traj[1:] @ A."""
     out = np.zeros_like(traj)
     step = out[1:]
-    np.matmul(traj[1:], op.matrix, out=step)
-    step *= tgrid.dt
+    np.matmul(traj[1:], prop.operator.matrix, out=step)
+    step *= prop.tgrid.dt
     step += traj[1:]
-    step -= tgrid.dt * src[1:]
+    step -= prop.tgrid.dt * src[1:]
     return out
 
 
-def forward_defect(p: ForwardProblem, traj: np.ndarray) -> float:
+def forward_defect(prop: Propagator, traj: np.ndarray, source: np.ndarray, initial: np.ndarray) -> float:
     """Q-norm of the stepping defect plus the initial-condition mismatch.
 
     Re-substitutes the trajectory into the discrete recursion; a trajectory
     produced by ``solve_forward`` comes back at round-off level.
     """
-    grid, tgrid = p.operator.grid, p.tgrid
+    grid, tgrid = prop.operator.grid, prop.tgrid
     traj = _check_space_time(traj, grid, tgrid)
-    src = _check_space_time(p.source, grid, tgrid)
-    init = _check_spatial(p.initial, grid)
-    defect = _step_residual(p.operator, tgrid, traj, src)
+    src = _check_space_time(source, grid, tgrid)
+    init = _check_spatial(initial, grid)
+    defect = _step_residual(prop, traj, src)
     defect[1:] -= traj[:-1]
     res = norm_q(defect, grid, tgrid)
     init_res = grid.h ** 0.5 * float(np.linalg.norm(traj[0] - init))
     return res + init_res
 
 
-def backward_defect(p: BackwardProblem, traj: np.ndarray) -> float:
+def backward_defect(prop: Propagator, traj: np.ndarray, source: np.ndarray, terminal: np.ndarray) -> float:
     """Q-norm of the reversed-recursion defect plus the trace-copy mismatch."""
-    grid, tgrid = p.operator.grid, p.tgrid
+    grid, tgrid = prop.operator.grid, prop.tgrid
     traj = _check_space_time(traj, grid, tgrid)
-    src = _check_space_time(p.source, grid, tgrid)
-    defect = _step_residual(p.operator, tgrid, traj, src)
+    src = _check_space_time(source, grid, tgrid)
+    defect = _step_residual(prop, traj, src)
     defect[1:-1] -= traj[2:]
-    defect[-1] -= _check_spatial(p.terminal, grid)  # ghost slot at the terminal time
+    defect[-1] -= _check_spatial(terminal, grid)  # ghost slot at the terminal time
     res = norm_q(defect, grid, tgrid)
     trace_res = grid.h ** 0.5 * float(np.linalg.norm(traj[0] - traj[1]))
     return res + trace_res
@@ -232,26 +227,14 @@ def superposition_defect(
     return norm_q(q_vg - q_v0 - q_0g + q_00, grid, tgrid)
 
 
-def superposition_residual(
-    op: FracOperator,
-    tgrid: TimeGrid,
-    f: np.ndarray,
-    v: np.ndarray,
-    g: np.ndarray,
-    factor=None,
-) -> float:
+def superposition_residual(prop: Propagator, f: np.ndarray, v: np.ndarray, g: np.ndarray) -> float:
     """``superposition_defect`` of the four solves with source f + v or f and
     initial value g or 0."""
-    grid = op.grid
+    grid, tgrid = prop.operator.grid, prop.tgrid
     zero_g = np.zeros(grid.n)
     zero_v = np.zeros_like(_check_space_time(f, grid, tgrid))
-    if factor is None:
-        factor = step_factor(op, tgrid)
-
-    def run(src, init):
-        return solve_forward(ForwardProblem(op, tgrid, src, init), factor)
-
     return superposition_defect(
-        run(f + v, g), run(f + v, zero_g), run(f + zero_v, g), run(f + zero_v, zero_g),
+        solve_forward(prop, f + v, g), solve_forward(prop, f + v, zero_g),
+        solve_forward(prop, f + zero_v, g), solve_forward(prop, f + zero_v, zero_g),
         grid, tgrid,
     )

@@ -32,14 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolution import (
-    BackwardProblem,
-    ForwardProblem,
-    solve_backward,
-    solve_forward,
-    step_factor,
-    superposition_defect,
-)
+from .evolution import solve_backward, solve_forward, step_factor, superposition_defect
 from .grids import (
     ParameterError,
     SpatialGrid,
@@ -53,7 +46,7 @@ from .grids import (
     inner_product_q,
 )
 from .modal import NormalModes
-from .operator import FracOperator, assemble_operator
+from .operator import assemble_operator
 
 
 def check_parameters(s, control_weight, gamma, cg_tol, cg_max_iters) -> None:
@@ -74,7 +67,7 @@ class RegretConfig:
     ``gamma`` is the relaxation weight on the unknown initial datum and
     ``control_weight`` the quadratic penalty on the control itself.  ``f``
     and ``z_d`` are finite space-time fields (background source and tracking
-    target).  Derived quantities (assembled operator, factorization,
+    target).  Derived quantities (assembled operator, time propagator,
     background state) are built on first use and kept on the instance;
     ``with_gamma`` shares them with the same problem at another gamma.
     """
@@ -124,16 +117,14 @@ class UncertaintyAdjoint:
 
 
 class _Workspace:
-    """Derived state of one problem: operator, the sweeps' modal propagator
-    (the one eigendecomposition of the operator), background state, and
-    (built on first use) the normal operator's modal factors.  Holds no
-    reference to the config that owns it."""
+    """Derived state of one problem: the sweeps' modal propagator (which
+    holds the assembled operator and its one eigendecomposition), background
+    state, and (built on first use) the normal operator's modal factors.
+    Holds no reference to the config that owns it."""
 
     def __init__(self, cfg: RegretConfig):
-        self.tgrid = cfg.tgrid
         self.control_weight = cfg.control_weight
-        self.operator: FracOperator = assemble_operator(cfg.grid, cfg.s)
-        self.factor = step_factor(self.operator, cfg.tgrid)
+        self.propagator = step_factor(assemble_operator(cfg.grid, cfg.s), cfg.tgrid)
         self.zero_g = np.zeros(cfg.grid.n)
         self.zero_field = np.zeros_like(np.asarray(cfg.f, dtype=float))
         self.q_background = self.forward(cfg.f, self.zero_g)
@@ -142,20 +133,16 @@ class _Workspace:
     @cached_property
     def modes(self) -> NormalModes:
         """The gamma-independent factors of the normal operator's modal
-        blocks, in the eigenbasis of ``factor``.  Only solves need them, so
-        they are built on the first access, not with the workspace; every
+        blocks, in the eigenbasis of ``propagator``.  Only solves need them,
+        so they are built on the first access, not with the workspace; every
         gamma of a problem shares them."""
-        return NormalModes(self.factor, self.tgrid.dt, self.tgrid.steps, self.control_weight)
+        return NormalModes(self.propagator, self.control_weight)
 
     def forward(self, source, initial) -> np.ndarray:
-        return solve_forward(
-            ForwardProblem(self.operator, self.tgrid, source, initial), self.factor
-        )
+        return solve_forward(self.propagator, source, initial)
 
     def backward(self, source, terminal) -> np.ndarray:
-        return solve_backward(
-            BackwardProblem(self.operator, self.tgrid, source, terminal), self.factor
-        )
+        return solve_backward(self.propagator, source, terminal)
 
 
 def workspace(cfg: RegretConfig) -> _Workspace:
@@ -183,15 +170,9 @@ def reduced_cost(v: np.ndarray, cfg: RegretConfig) -> float:
     Strictly convex quadratic; zero at v = 0 and bounded below by
     -relaxed_cost(0, 0).
     """
-    v = _check_space_time(v, cfg.grid, cfg.tgrid)
     ws = workspace(cfg)
-    q = ws.forward(cfg.f + v, ws.zero_g)
-    diff = q - cfg.z_d
-    base = inner_product_q(diff, diff, cfg.grid, cfg.tgrid) + cfg.control_weight * inner_product_q(v, v, cfg.grid, cfg.tgrid)
-    xi0 = solve_uncertainty_adjoint(v, cfg).initial_value
-    return base - ws.relaxed_cost_00 + inner_product_omega(xi0, xi0, cfg.grid) / cfg.gamma
-
-
+    p = Probe(v, ws.zero_g, cfg)
+    return p.cost - ws.relaxed_cost_00 + p.sup_value
 
 
 def _misfit(q: np.ndarray, cfg: RegretConfig) -> float:

@@ -79,8 +79,9 @@ def build_grid(x_l: float, x_r: float, n: int) -> SpatialGrid:
     Raises
     ------
     ParameterError
-        if an end is not finite, ``n`` is not an integer >= 1, or the
-        interval is empty/inverted.
+        if an end is not finite, ``n`` is not an integer >= 1, the
+        interval is empty/inverted, or ``h*h`` (the operator assembly divides
+        by it) underflows to zero or overflows.
     """
     _check_finite("x_l", x_l)
     _check_finite("x_r", x_r)
@@ -88,6 +89,8 @@ def build_grid(x_l: float, x_r: float, n: int) -> SpatialGrid:
     if not x_r > x_l:
         raise ParameterError("x_r", f"must exceed the left end {x_l}, got {x_r}")
     h = (x_r - x_l) / (n + 1)
+    if not 0.0 < h * h < math.inf:
+        raise ParameterError("x_r", f"gives spacing h = {h}; h*h must be positive and finite")
     nodes = x_l + h * np.arange(1, n + 1)
     nodes.flags.writeable = False
     return SpatialGrid(float(x_l), float(x_r), int(n), h, nodes)

@@ -2,10 +2,11 @@
 
 A is symmetric and time-invariant and dt is uniform, so with A = V diag(lam)
 V^T every sweep acts on each eigenmode k separately; ``evolution`` marches
-the sweeps themselves that way.  With r = 1/(1 + dt lam_k) the forward sweep
-from zero initial data is, on slices 1..M, the lower-triangular Toeplitz
-matrix L with entries dt r^(i-j+1), the backward sweep is its transpose, and
-the t=0 trace of a backward solve is dt t^T, t_m = r^m.  The normal operator
+the sweeps themselves that way, and ``NormalModes`` takes V, lam and r from
+the sweeps' own ``evolution.Propagator``.  With r = 1/(1 + dt lam_k) the
+forward sweep from zero initial data is, on slices 1..M, the lower-triangular
+Toeplitz matrix L with entries dt r^(i-j+1), the backward sweep is its
+transpose, and the t=0 trace of a backward solve is dt t^T, t_m = r^m.  The normal operator
 therefore splits into n blocks of size M
 
     H_k = L^T (I + (dt/gamma) t t^T) L + w I,
@@ -29,20 +30,20 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .evolution import Propagator
+
 
 class NormalModes:
     """The gamma-independent factors of H's modal blocks.
 
-    Holds V (``basis``) and r (``ratio``) of the sweeps' propagator
-    (``evolution.step_factor``), the LDL^T pivots of the stacked
-    tridiagonal T (``pivots``, ``multipliers``), T^{-1} t (``t_solved``) and
-    t^T T^{-1} t (``t_energy``).
+    Holds V (``basis``), r (``ratio``) and dt of the sweeps' propagator, the
+    LDL^T pivots of the stacked tridiagonal T (``pivots``, ``multipliers``),
+    T^{-1} t (``t_solved``) and t^T T^{-1} t (``t_energy``).
     """
 
-    def __init__(self, factor, dt: float, steps: int, control_weight: float):
-        lam, self.basis, self.ratio = factor  # evolution.step_factor at this dt
-        self.dt = dt
-        n, r = lam.size, self.ratio[:, None]
+    def __init__(self, prop: Propagator, control_weight: float):
+        self.basis, self.ratio, self.dt = prop.basis, prop.ratio, prop.tgrid.dt
+        n, steps, dt, r = prop.lam.size, prop.tgrid.steps, self.dt, self.ratio[:, None]
         scale = control_weight / (dt * r) ** 2
         diag = np.empty((n, steps))
         diag[:, :-1] = 1.0 + scale * (1.0 + r * r)

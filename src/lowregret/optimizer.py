@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import BackwardProblem, ForwardProblem, backward_defect, forward_defect
+from .evolution import backward_defect, forward_defect
 from .functional import RegretConfig, reduced_cost, workspace
 from .grids import (
     ParameterError, _check_positive, _check_space_time, inner_product_q, norm_omega, norm_q
@@ -187,9 +187,12 @@ def solve_low_regret(
     invoked once per iteration with |b - H u|_Q.  Stops when that residual
     drops below cg_tol * |b|_Q or after cg_max_iters iterations, whichever
     comes first; ``cg_iterations`` counts the H-applies of the loop.
+    ``converged`` is false unless that tolerance, the final residual and the
+    objective are all finite (data large enough to overflow them).
     """
     x, iterations, residual, tol = _preconditioned_cg(cfg, initial_control, callback)
     state, xi, psi, phi = _first_order_system(x, cfg)
+    value = reduced_cost(x, cfg)
     return OptimalityBundle(
         control=x,
         state=state,
@@ -197,10 +200,10 @@ def solve_low_regret(
         worst_response=psi,
         control_adjoint=phi,
         worst_initial_datum=xi[0] / cfg.gamma,
-        value=reduced_cost(x, cfg),
+        value=value,
         cg_iterations=iterations,
         cg_residual=residual,
-        converged=bool(residual <= tol),
+        converged=bool(residual <= tol) and all(map(math.isfinite, (tol, residual, value))),
     )
 
 
@@ -212,32 +215,23 @@ def optimality_residuals(bundle: OptimalityBundle, cfg: RegretConfig) -> dict[st
     |control_weight * u + phi|_Q.  All five vanish at the minimizer.
     """
     ws = workspace(cfg)
+    prop = ws.propagator
     root_gamma = math.sqrt(cfg.gamma)
     u = bundle.control
     xi0 = bundle.uncertainty_adjoint[0]
     return {
-        "state": forward_defect(
-            ForwardProblem(ws.operator, cfg.tgrid, cfg.f + u, ws.zero_g),
-            bundle.state,
-        ),
+        "state": forward_defect(prop, bundle.state, cfg.f + u, ws.zero_g),
         "uncertainty_adjoint": backward_defect(
-            BackwardProblem(
-                ws.operator, cfg.tgrid, bundle.state - ws.q_background, ws.zero_g
-            ),
-            bundle.uncertainty_adjoint,
+            prop, bundle.uncertainty_adjoint, bundle.state - ws.q_background, ws.zero_g
         ),
         "worst_response": forward_defect(
-            ForwardProblem(ws.operator, cfg.tgrid, ws.zero_field, -xi0 / root_gamma),
-            bundle.worst_response,
+            prop, bundle.worst_response, ws.zero_field, -xi0 / root_gamma
         ),
         "control_adjoint": backward_defect(
-            BackwardProblem(
-                ws.operator,
-                cfg.tgrid,
-                (bundle.state - cfg.z_d) - bundle.worst_response / root_gamma,
-                ws.zero_g,
-            ),
+            prop,
             bundle.control_adjoint,
+            (bundle.state - cfg.z_d) - bundle.worst_response / root_gamma,
+            ws.zero_g,
         ),
         "stationarity": norm_q(
             cfg.control_weight * u + bundle.control_adjoint, cfg.grid, cfg.tgrid

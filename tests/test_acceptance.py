@@ -97,18 +97,15 @@ def test_criterion_02_normalization_constant_high_precision():
 def test_criterion_03_forward_backward_maps_are_transposes():
     grid = lr.build_grid(-1.0, 1.0, 50)
     tgrid = lr.build_time_grid(1.0, 40)
-    op = lr.assemble_operator(grid, 0.5)
-    from lowregret.evolution import step_factor
-
-    factor = step_factor(op, tgrid)
+    prop = lr.step_factor(lr.assemble_operator(grid, 0.5), tgrid)
     zero = np.zeros(grid.n)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(20):
         w = rng.standard_normal((tgrid.steps + 1, grid.n))
         r = rng.standard_normal((tgrid.steps + 1, grid.n))
-        sw = lr.solve_forward(lr.ForwardProblem(op, tgrid, w, zero), factor)
-        sr = lr.solve_backward(lr.BackwardProblem(op, tgrid, r, zero), factor)
+        sw = lr.solve_forward(prop, w, zero)
+        sr = lr.solve_backward(prop, r, zero)
         lhs = lr.inner_product_q(sw, r, grid, tgrid)
         rhs = lr.inner_product_q(w, sr, grid, tgrid)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))

@@ -355,6 +355,32 @@ class TestRunCommand:
         assert main(["run", path, "--quiet"]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_unusable_grid_spacing_exits_two(self, tmp_path, capsys):
+        raw = config_dict()
+        raw["domain"].update(x_left=0.0, x_right=1e-200)  # h*h underflows to zero
+        assert main(["run", write_config(tmp_path, raw), "--quiet"]) == 2
+        assert "config error: domain.x_right: gives spacing h" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["solve", "sweep"])
+    @pytest.mark.parametrize("amplitude", ["1e154", "1e160"])
+    def test_overflowing_data_exits_three(self, tmp_path, capsys, scenario, amplitude):
+        # the objective or the CG tolerance overflows, which numpy warns about;
+        # the run must not call that converged
+        raw = config_dict(scenario=scenario, source=f"gauss(0,0.3,{amplitude})")
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            assert main(["run", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 3
+        assert "failed its checks" in capsys.readouterr().err
+        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        assert not any(np.atleast_1d(metrics["converged"]))
+
+    def test_library_refusal_exits_three(self, tmp_path, capsys):
+        # the parser accepts gamma = 1e-300, but a sweep's source overflows
+        path = write_config(tmp_path, config_dict(gamma=1e-300))
+        with pytest.warns(RuntimeWarning):
+            assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        assert "run failed: source slices 1..M must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("origin", ["--out", "out_dir", "LOWREGRET_OUT"])
     def test_unwritable_output_exits_two_before_computing(
         self, tmp_path, capsys, monkeypatch, origin
@@ -430,6 +456,18 @@ class TestAuditCommand:
 
         probe_lines = (out / "audit_probe_residuals.csv").read_text().splitlines()
         assert len(probe_lines) == 1 + report["metrics"]["probes"]
+
+    def test_audit_whose_scale_hits_the_floor_writes_its_report(self, tmp_path):
+        # on a domain of width 1e-150 some transpose scale falls below the
+        # float floor, so that residual is a numpy float; its verdict must
+        # still be written as a JSON boolean
+        raw = config_dict()
+        raw["domain"].update(x_left=0.0, x_right=1e-150)
+        out = tmp_path / "out"
+        code = main(["audit", write_config(tmp_path, raw), "--out", str(out), "--quiet"])
+        report = json.loads((out / "report.json").read_text())
+        assert code == (0 if report["success"] else 3)
+        assert all(type(e["passed"]) is bool for e in report["metrics"]["identities"].values())
 
     def test_transpose_defect_is_scaled_by_norms(self, tmp_path):
         # at seed 134 probe 19's pairing nearly cancels; dividing the defect

@@ -1,13 +1,14 @@
 """Forward/backward implicit Euler: recursions, transpose and duality identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from lowregret import (
-    BackwardProblem,
-    ForwardProblem,
+    Propagator,
     assemble_operator,
     backward_defect,
     build_grid,
@@ -18,16 +19,17 @@ from lowregret import (
     norm_q,
     solve_backward,
     solve_forward,
+    step_factor,
     superposition_residual,
     zeros_space_time,
 )
-from lowregret.evolution import step_factor
 
 
 def setup(n=24, steps=12, s=0.5, horizon=1.0, interval=(-1.0, 1.0)):
+    """The propagator of a fresh problem, with its grid and time grid."""
     grid = build_grid(*interval, n)
     tgrid = build_time_grid(horizon, steps)
-    return assemble_operator(grid, s), grid, tgrid
+    return step_factor(assemble_operator(grid, s), tgrid), grid, tgrid
 
 
 def random_field(grid, tgrid, rng):
@@ -36,90 +38,82 @@ def random_field(grid, tgrid, rng):
 
 class TestForward:
     def test_zero_data_zero_trajectory(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         src = zeros_space_time(grid, tgrid)
-        q = solve_forward(ForwardProblem(op, tgrid, src, np.zeros(grid.n)))
+        q = solve_forward(prop, src, np.zeros(grid.n))
         assert np.array_equal(q, np.zeros_like(src))
 
     def test_stationary_solution(self):
         # source A p at every step with initial p keeps the trajectory at p
-        op, grid, tgrid = setup(n=30, steps=20)
+        prop, grid, tgrid = setup(n=30, steps=20)
         p = np.cos(0.5 * np.pi * grid.nodes)
-        src = np.tile(op.apply(p), (tgrid.steps + 1, 1))
-        q = solve_forward(ForwardProblem(op, tgrid, src, p))
+        src = np.tile(prop.operator.apply(p), (tgrid.steps + 1, 1))
+        q = solve_forward(prop, src, p)
         assert np.max(np.abs(q - p)) <= 1e-12 * np.max(np.abs(p))
 
     @pytest.mark.parametrize("dt", [1e-3, 1e-2, 1e-1])
     def test_unforced_step_is_contractive(self, dt):
-        op, grid, _ = setup(n=20)
         steps = 8
-        tgrid = build_time_grid(dt * steps, steps)
+        prop, grid, tgrid = setup(n=20, steps=steps, horizon=dt * steps)
         rng = np.random.default_rng(2)
         init = rng.normal(size=grid.n)
-        q = solve_forward(ForwardProblem(op, tgrid, zeros_space_time(grid, tgrid), init))
+        q = solve_forward(prop, zeros_space_time(grid, tgrid), init)
         norms = np.linalg.norm(q, axis=1)
         assert np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-12))
         assert norms[-1] < norms[0]
 
     def test_initial_slice_is_returned_verbatim(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         rng = np.random.default_rng(9)
         init = rng.normal(size=grid.n)
-        q = solve_forward(ForwardProblem(op, tgrid, random_field(grid, tgrid, rng), init))
+        q = solve_forward(prop, random_field(grid, tgrid, rng), init)
         assert np.array_equal(q[0], init)
 
-    def test_factor_reuse_is_bitwise_identical(self):
-        op, grid, tgrid = setup()
-        rng = np.random.default_rng(4)
-        prob = ForwardProblem(op, tgrid, random_field(grid, tgrid, rng), rng.normal(size=grid.n))
-        assert np.array_equal(solve_forward(prob), solve_forward(prob, step_factor(op, tgrid)))
-
     def test_rejects_misshapen_data(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         with pytest.raises(ValueError):
-            solve_forward(ForwardProblem(op, tgrid, np.zeros((tgrid.steps, grid.n)), np.zeros(grid.n)))
+            solve_forward(prop, np.zeros((tgrid.steps, grid.n)), np.zeros(grid.n))
         with pytest.raises(ValueError):
-            solve_forward(ForwardProblem(op, tgrid, zeros_space_time(grid, tgrid), np.zeros(grid.n + 1)))
+            solve_forward(prop, zeros_space_time(grid, tgrid), np.zeros(grid.n + 1))
 
 
 class TestBackward:
     def test_zero_data_zero_trajectory(self):
-        op, grid, tgrid = setup()
-        xi = solve_backward(BackwardProblem(op, tgrid, zeros_space_time(grid, tgrid), np.zeros(grid.n)))
+        prop, grid, tgrid = setup()
+        xi = solve_backward(prop, zeros_space_time(grid, tgrid), np.zeros(grid.n))
         assert np.array_equal(xi, np.zeros_like(xi))
 
     def test_time_reversal_matches_forward(self):
         # running the backward recursion is the forward march on the reversed source
-        op, grid, tgrid = setup(n=18, steps=9)
+        prop, grid, tgrid = setup(n=18, steps=9)
         rng = np.random.default_rng(13)
         src = random_field(grid, tgrid, rng)
         terminal = rng.normal(size=grid.n)
-        xi = solve_backward(BackwardProblem(op, tgrid, src, terminal))
+        xi = solve_backward(prop, src, terminal)
 
         rev = np.zeros_like(src)
         rev[1:] = src[1:][::-1]
-        q = solve_forward(ForwardProblem(op, tgrid, rev, terminal))
+        q = solve_forward(prop, rev, terminal)
         for m in range(1, tgrid.steps + 1):
             assert np.array_equal(xi[m], q[tgrid.steps + 1 - m])
 
     def test_time_zero_trace_duplicates_first_slice(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         rng = np.random.default_rng(21)
-        xi = solve_backward(BackwardProblem(op, tgrid, random_field(grid, tgrid, rng), rng.normal(size=grid.n)))
+        xi = solve_backward(prop, random_field(grid, tgrid, rng), rng.normal(size=grid.n))
         assert np.array_equal(xi[0], xi[1])
 
 
 class TestAdjointIdentities:
     @given(seed=st.integers(0, 10**6))
     def test_source_map_transpose(self, seed):
-        op, grid, tgrid = setup(n=14, steps=7)
+        prop, grid, tgrid = setup(n=14, steps=7)
         rng = np.random.default_rng(seed)
         w = random_field(grid, tgrid, rng)
         r = random_field(grid, tgrid, rng)
         zero = np.zeros(grid.n)
-        factor = step_factor(op, tgrid)
-        sw = solve_forward(ForwardProblem(op, tgrid, w, zero), factor)
-        sr = solve_backward(BackwardProblem(op, tgrid, r, zero), factor)
+        sw = solve_forward(prop, w, zero)
+        sr = solve_backward(prop, r, zero)
         lhs = inner_product_q(sw, r, grid, tgrid)
         rhs = inner_product_q(w, sr, grid, tgrid)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
@@ -127,13 +121,12 @@ class TestAdjointIdentities:
     @given(seed=st.integers(0, 10**6))
     def test_initial_datum_duality(self, seed):
         # <z(g), r>_Q = <g, xi_r(0)>_Omega with z(g) the free evolution of g
-        op, grid, tgrid = setup(n=14, steps=7)
+        prop, grid, tgrid = setup(n=14, steps=7)
         rng = np.random.default_rng(seed)
         g = rng.normal(size=grid.n)
         r = random_field(grid, tgrid, rng)
-        factor = step_factor(op, tgrid)
-        z = solve_forward(ForwardProblem(op, tgrid, zeros_space_time(grid, tgrid), g), factor)
-        xi = solve_backward(BackwardProblem(op, tgrid, r, np.zeros(grid.n)), factor)
+        z = solve_forward(prop, zeros_space_time(grid, tgrid), g)
+        xi = solve_backward(prop, r, np.zeros(grid.n))
         lhs = inner_product_q(z, r, grid, tgrid)
         rhs = inner_product_omega(g, xi[0], grid)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
@@ -141,69 +134,69 @@ class TestAdjointIdentities:
 
 class TestSuperposition:
     def test_generic_data_cancels_to_round_off(self):
-        op, grid, tgrid = setup(n=20, steps=10)
+        prop, grid, tgrid = setup(n=20, steps=10)
         rng = np.random.default_rng(31)
         f = random_field(grid, tgrid, rng)
         v = random_field(grid, tgrid, rng)
         g = rng.normal(size=grid.n)
         scale = max(1.0, norm_q(f, grid, tgrid))
-        assert superposition_residual(op, tgrid, f, v, g) <= 1e-12 * scale
+        assert superposition_residual(prop, f, v, g) <= 1e-12 * scale
 
     def test_zero_control_cancels_to_machine_eps(self):
         # not bitwise zero: the four-term sum is evaluated left to right, so the
         # pairwise-equal trajectories cancel only after an eps-level rounding
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         rng = np.random.default_rng(33)
         f = random_field(grid, tgrid, rng)
-        res = superposition_residual(op, tgrid, f, zeros_space_time(grid, tgrid), rng.normal(size=grid.n))
+        res = superposition_residual(prop, f, zeros_space_time(grid, tgrid), rng.normal(size=grid.n))
         assert res <= 1e-15 * max(1.0, norm_q(f, grid, tgrid))
 
     def test_zero_datum_cancels_exactly(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         rng = np.random.default_rng(34)
         f = random_field(grid, tgrid, rng)
         v = random_field(grid, tgrid, rng)
-        assert superposition_residual(op, tgrid, f, v, np.zeros(grid.n)) == 0.0
+        assert superposition_residual(prop, f, v, np.zeros(grid.n)) == 0.0
 
 
 class TestDefects:
     def test_forward_solution_has_tiny_defect(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         rng = np.random.default_rng(41)
-        prob = ForwardProblem(op, tgrid, random_field(grid, tgrid, rng), rng.normal(size=grid.n))
-        q = solve_forward(prob)
-        assert forward_defect(prob, q) <= 1e-12 * max(1.0, norm_q(q, grid, tgrid))
+        src, init = random_field(grid, tgrid, rng), rng.normal(size=grid.n)
+        q = solve_forward(prop, src, init)
+        assert forward_defect(prop, q, src, init) <= 1e-12 * max(1.0, norm_q(q, grid, tgrid))
 
     def test_forward_defect_detects_perturbation(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         rng = np.random.default_rng(42)
-        prob = ForwardProblem(op, tgrid, random_field(grid, tgrid, rng), rng.normal(size=grid.n))
-        q = solve_forward(prob)
+        src, init = random_field(grid, tgrid, rng), rng.normal(size=grid.n)
+        q = solve_forward(prop, src, init)
         bad = q.copy()
         bad[3] += 0.5
-        assert forward_defect(prob, bad) > 1e-3
+        assert forward_defect(prop, bad, src, init) > 1e-3
         bad_init = q.copy()
         bad_init[0] += 1.0
-        assert forward_defect(prob, bad_init) > 0.1
+        assert forward_defect(prop, bad_init, src, init) > 0.1
 
     def test_backward_solution_has_tiny_defect(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         rng = np.random.default_rng(43)
-        prob = BackwardProblem(op, tgrid, random_field(grid, tgrid, rng), rng.normal(size=grid.n))
-        xi = solve_backward(prob)
-        assert backward_defect(prob, xi) <= 1e-12 * max(1.0, norm_q(xi, grid, tgrid))
+        src, terminal = random_field(grid, tgrid, rng), rng.normal(size=grid.n)
+        xi = solve_backward(prop, src, terminal)
+        assert backward_defect(prop, xi, src, terminal) <= 1e-12 * max(1.0, norm_q(xi, grid, tgrid))
 
     def test_backward_defect_detects_broken_trace_copy(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         rng = np.random.default_rng(44)
-        prob = BackwardProblem(op, tgrid, random_field(grid, tgrid, rng), rng.normal(size=grid.n))
-        xi = solve_backward(prob)
+        src, terminal = random_field(grid, tgrid, rng), rng.normal(size=grid.n)
+        xi = solve_backward(prop, src, terminal)
         bad = xi.copy()
         bad[0] = bad[1] + 0.3
-        assert backward_defect(prob, bad) > 1e-2
+        assert backward_defect(prop, bad, src, terminal) > 1e-2
         bad_mid = xi.copy()
         bad_mid[2] -= 0.4
-        assert backward_defect(prob, bad_mid) > 1e-3
+        assert backward_defect(prop, bad_mid, src, terminal) > 1e-3
 
 
 def cho_solve_reference(op, tgrid, src, datum, backward=False):
@@ -223,10 +216,8 @@ def cho_solve_reference(op, tgrid, src, datum, backward=False):
     return out
 
 
-def run_sweep(sweep, op, tgrid, src, datum):
-    if sweep == "forward":
-        return solve_forward(ForwardProblem(op, tgrid, src, datum))
-    return solve_backward(BackwardProblem(op, tgrid, src, datum))
+def run_sweep(sweep, prop, src, datum):
+    return (solve_forward if sweep == "forward" else solve_backward)(prop, src, datum)
 
 
 class TestDirectLapackSweeps:
@@ -237,14 +228,14 @@ class TestDirectLapackSweeps:
         # the modal march reorders the arithmetic of the per-step solves; both
         # sweeps are compared on the scale of the forward trajectory, whose
         # slice 0 is the datum they start from
-        op, grid, tgrid = setup(n=n, steps=5, s=s, interval=interval)
+        prop, grid, tgrid = setup(n=n, steps=5, s=s, interval=interval)
         rng = np.random.default_rng(n)
         src = random_field(grid, tgrid, rng)
         datum = rng.normal(size=grid.n)
-        q = solve_forward(ForwardProblem(op, tgrid, src, datum))
-        xi = solve_backward(BackwardProblem(op, tgrid, src, datum))
-        q_ref = cho_solve_reference(op, tgrid, src, datum)
-        xi_ref = cho_solve_reference(op, tgrid, src, datum, backward=True)
+        q = solve_forward(prop, src, datum)
+        xi = solve_backward(prop, src, datum)
+        q_ref = cho_solve_reference(prop.operator, tgrid, src, datum)
+        xi_ref = cho_solve_reference(prop.operator, tgrid, src, datum, backward=True)
         scale = np.max(np.abs(q_ref))
         assert np.max(np.abs(q - q_ref)) <= 1e-13 * scale
         assert np.max(np.abs(xi - xi_ref)) <= 1e-13 * scale
@@ -252,58 +243,60 @@ class TestDirectLapackSweeps:
     @pytest.mark.parametrize("sweep", ["forward", "backward"])
     @pytest.mark.parametrize("m", [1, 5, 12])
     def test_nan_in_a_read_source_slice_is_rejected(self, sweep, m):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         src = zeros_space_time(grid, tgrid)
         src[m, 3] = np.nan
         with pytest.raises(ValueError, match="source"):
-            run_sweep(sweep, op, tgrid, src, np.zeros(grid.n))
+            run_sweep(sweep, prop, src, np.zeros(grid.n))
 
     @pytest.mark.parametrize("sweep", ["forward", "backward"])
     def test_nan_in_source_slice_zero_is_ignored(self, sweep):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         rng = np.random.default_rng(51)
         src = random_field(grid, tgrid, rng)
         datum = rng.normal(size=grid.n)
-        clean = run_sweep(sweep, op, tgrid, src, datum)
+        clean = run_sweep(sweep, prop, src, datum)
         src[0] = np.nan
-        assert np.array_equal(run_sweep(sweep, op, tgrid, src, datum), clean)
+        assert np.array_equal(run_sweep(sweep, prop, src, datum), clean)
 
     def test_nan_in_the_initial_datum_is_rejected(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         init = np.zeros(grid.n)
         init[0] = np.nan
         with pytest.raises(ValueError, match="initial datum"):
-            solve_forward(ForwardProblem(op, tgrid, zeros_space_time(grid, tgrid), init))
+            solve_forward(prop, zeros_space_time(grid, tgrid), init)
 
     def test_inf_in_the_terminal_datum_is_rejected(self):
-        op, grid, tgrid = setup()
+        prop, grid, tgrid = setup()
         terminal = np.zeros(grid.n)
         terminal[-1] = np.inf
         with pytest.raises(ValueError, match="terminal datum"):
-            solve_backward(BackwardProblem(op, tgrid, zeros_space_time(grid, tgrid), terminal))
+            solve_backward(prop, zeros_space_time(grid, tgrid), terminal)
 
     @pytest.mark.parametrize("sweep", ["forward", "backward"])
     @pytest.mark.parametrize("steps", [1, 12])
     def test_a_sweep_that_overflows_is_rejected(self, sweep, steps):
         # finite data whose first right-hand side datum + dt*source exceeds
         # the float range; with one step that is also the last step
-        op, grid, tgrid = setup(steps=steps)
+        prop, grid, tgrid = setup(steps=steps)
         huge = 0.95 * np.finfo(float).max
         src = np.full((tgrid.steps + 1, grid.n), huge)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             ValueError, match="trajectory"
         ):
-            run_sweep(sweep, op, tgrid, src, np.full(grid.n, huge))
+            run_sweep(sweep, prop, src, np.full(grid.n, huge))
 
     def test_step_factor_is_read_only(self):
-        op, _, tgrid = setup()
-        lam, basis, ratio = step_factor(op, tgrid)
-        for a in (lam, basis, ratio):
+        prop, _, tgrid = setup()
+        assert isinstance(prop, Propagator) and prop.tgrid is tgrid
+        for a in (prop.lam, prop.basis, prop.ratio):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
-            basis[0, 0] = 1.0
+            prop.basis[0, 0] = 1.0
         with pytest.raises(ValueError):
-            ratio[0] = 1.0
+            prop.ratio[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prop.ratio = np.ones_like(prop.ratio)
 
 
 class TestPropagator:
@@ -311,9 +304,8 @@ class TestPropagator:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 41, 400])
     def test_half_size_eigenpairs_are_exact_to_round_off(self, n, s, interval):
-        op, _, tgrid = setup(n=n, s=s, interval=interval)
-        a = op.matrix
-        lam, basis, ratio = step_factor(op, tgrid)
+        prop, _, tgrid = setup(n=n, s=s, interval=interval)
+        a, lam, basis, ratio = prop.operator.matrix, prop.lam, prop.basis, prop.ratio
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - a[::-1, ::-1])) <= 1e-12 * scale  # centrosymmetric
         assert np.max(np.abs(a @ basis - basis * lam)) <= 1e-13 * scale

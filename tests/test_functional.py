@@ -157,7 +157,7 @@ class TestUncertaintyAdjoint:
         cfg = tiny_cfg()
         ws = workspace(cfg)
         n, m_steps, dt = cfg.grid.n, cfg.tgrid.steps, cfg.tgrid.dt
-        k = np.linalg.inv(np.eye(n) + dt * ws.operator.matrix)
+        k = np.linalg.inv(np.eye(n) + dt * ws.propagator.operator.matrix)
 
         rng = np.random.default_rng(41)
         v = random_control(cfg, rng)
@@ -270,7 +270,7 @@ class TestSharedTrajectories:
         g_star = ref["xi0"] / small_cfg.gamma
         assert lr.fenchel_gap(v, g_star, small_cfg) == ref["fenchel_gap_at_maximizer"]
         assert lr.relaxed_cost(v, g, small_cfg) == ref["relaxed_cost"]
-        superposition = lr.superposition_residual(ws.operator, small_cfg.tgrid, small_cfg.f, v, g, ws.factor)
+        superposition = lr.superposition_residual(ws.propagator, small_cfg.f, v, g)
         assert superposition == ref["superposition"]
         assert lr.Probe(v, g, small_cfg).superposition_residual == ref["superposition"]
 

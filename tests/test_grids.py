@@ -44,6 +44,11 @@ def test_build_grid_rejects_bad_input():
         build_grid(1.0, -1.0, 5)
     with pytest.raises(ValueError):
         build_grid(-1.0, 1.0, 0)
+    # h*h underflows to zero, overflows, or h itself is not finite
+    for x_l, x_r in ((0.0, 1e-200), (-1e200, 1e200), (-1e308, 1e308)):
+        with pytest.raises(ParameterError) as err:
+            build_grid(x_l, x_r, 12)
+        assert err.value.field == "x_r"
 
 
 def test_build_time_grid():
