@@ -36,15 +36,12 @@ from .functional import (
 )
 from .grids import (
     ParameterError,
-    SpatialGrid,
-    TimeGrid,
     build_grid,
     build_time_grid,
     inner_product_omega,
     inner_product_q,
     norm_omega,
     norm_q,
-    zeros_space_time,
 )
 from .optimizer import (
     DEFAULT_SWEEP_GAMMAS, check_gammas, gamma_sweep, optimality_residuals, solve_low_regret
@@ -290,12 +287,6 @@ def _build_problem(sc: ScenarioConfig, gamma: float):
     return grid, tgrid, cfg
 
 
-def _random_space_time(rng, grid: SpatialGrid, tgrid: TimeGrid) -> np.ndarray:
-    field = zeros_space_time(grid, tgrid)
-    field[1:] = rng.standard_normal((tgrid.steps, grid.n))
-    return field
-
-
 def _format_row(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
@@ -357,6 +348,17 @@ AUDIT_TOLERANCES = {
 }
 
 
+# Bytes of one stacked trajectory in the audit: probes are marched in blocks
+# of at most this many bytes per trajectory (13 probes at 40 x 30, one at
+# 400 x 200), so the audit's memory does not grow with its probe count.
+AUDIT_BLOCK_BYTES = 128 * 1024
+
+
+def _max(a, b):
+    """Python's ``max(a, b)`` per value: b only where it is greater than a."""
+    return np.where(b > a, b, a)
+
+
 def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
     grid, tgrid, cfg = _build_problem(sc, sc.gamma)
     ws = workspace(cfg)
@@ -364,47 +366,48 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
     say(f"auditing identities on {sc.probes} random probes (seed {sc.seed})")
 
     preset_data = [spatial_profile(text, grid) for text in sc.probe_presets]
-    rows = []
-    for k in range(sc.probes):
-        v = _random_space_time(rng, grid, tgrid)
-        g = rng.standard_normal(grid.n)
-        if preset_data:
-            g = g + preset_data[k % len(preset_data)]
+    shape = (tgrid.steps + 1, grid.n)
+    block = max(1, AUDIT_BLOCK_BYTES // (8 * shape[0] * shape[1]))
+    columns = {name: [] for name in AUDIT_TOLERANCES}
+    for start in range(0, sc.probes, block):
+        size = min(block, sc.probes - start)
+        v, a, b = (np.zeros((size,) + shape) for _ in range(3))
+        g = np.empty((size, grid.n))
+        for i in range(size):  # each probe draws v, g, a, b in turn
+            v[i, 1:] = rng.standard_normal((tgrid.steps, grid.n))
+            g[i] = rng.standard_normal(grid.n)
+            if preset_data:
+                g[i] += preset_data[(start + i) % len(preset_data)]
+            a[i, 1:] = rng.standard_normal((tgrid.steps, grid.n))
+            b[i, 1:] = rng.standard_normal((tgrid.steps, grid.n))
 
-        a = _random_space_time(rng, grid, tgrid)
-        b = _random_space_time(rng, grid, tgrid)
         fa = ws.forward(a, ws.zero_g)
         bb = ws.backward(b, ws.zero_g)
         lhs = inner_product_q(fa, b, grid, tgrid)
         rhs = inner_product_q(a, bb, grid, tgrid)
         # scaled by the norms, not by the pairing, which can nearly cancel
-        transpose = abs(lhs - rhs) / max(
+        transpose = abs(lhs - rhs) / _max(
             norm_q(fa, grid, tgrid) * norm_q(b, grid, tgrid), np.finfo(float).tiny
         )
 
         probe = Probe(v, g, cfg)
-        decomposition = probe.decomposition_residual / max(1.0, abs(probe.relaxed_cost))
-        duality = probe.duality_residual / max(
-            1.0, norm_omega(probe.g, grid) * norm_omega(probe.xi0, grid)
-        )
-        gap_scale = max(1.0, probe.sup_value)
-        gap = probe.fenchel_gap() / gap_scale
-        gap_at_max = abs(probe.fenchel_gap(probe.xi0 / cfg.gamma)) / gap_scale
-        superpos = probe.superposition_residual / max(1.0, norm_q(probe.q_vg, grid, tgrid))
-        rows.append(
-            {
-                "transpose": transpose,
-                "cost_decomposition": decomposition,
-                "duality": duality,
-                "fenchel_nonnegative": max(0.0, -gap),
-                "fenchel_at_maximizer": gap_at_max,
-                "superposition": superpos,
-            }
-        )
+        duality_scale = norm_omega(probe.g, grid) * norm_omega(probe.xi0, grid)
+        gap_scale = _max(1.0, probe.sup_value)
+        block_columns = {
+            "transpose": transpose,
+            "cost_decomposition": probe.decomposition_residual / _max(1.0, abs(probe.relaxed_cost)),
+            "duality": probe.duality_residual / _max(1.0, duality_scale),
+            "fenchel_nonnegative": _max(0.0, -(probe.fenchel_gap() / gap_scale)),
+            "fenchel_at_maximizer": abs(probe.fenchel_gap(probe.xi0 / cfg.gamma)) / gap_scale,
+            "superposition": probe.superposition_residual
+            / _max(1.0, norm_q(probe.q_vg, grid, tgrid)),
+        }
+        for name, values in block_columns.items():
+            columns[name].extend(values.tolist())
 
     identities = {}
     for name, tol in AUDIT_TOLERANCES.items():
-        worst = max((row[name] for row in rows), default=0.0)
+        worst = max(columns[name], default=0.0)
         identities[name] = {"residual": worst, "tolerance": tol, "passed": bool(worst <= tol)}
         say(f"  {name}: worst scaled residual {worst:.3e} (budget {tol:g})")
 
@@ -419,8 +422,8 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         )
     names = sorted(AUDIT_TOLERANCES)
     per_probe = ["probe," + ",".join(names)]
-    for k, row in enumerate(rows):
-        per_probe.append(str(k) + "," + _format_row([row[n] for n in names]))
+    for k in range(sc.probes):
+        per_probe.append(str(k) + "," + _format_row([columns[n][k] for n in names]))
     tables = {"residuals": summary, "probe_residuals": per_probe}
     return metrics, tables, success
 
@@ -439,13 +442,9 @@ def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
 
     rng = np.random.default_rng(sc.seed)
     terminal_xi0 = solve_uncertainty_adjoint(report.controls[-1], cfg).initial_value
-    membership = 0.0
-    for _ in range(max(sc.probes, 1)):
-        g = rng.standard_normal(grid.n)
-        membership = max(
-            membership,
-            abs(inner_product_omega(g, terminal_xi0, grid)) / norm_omega(g, grid),
-        )
+    g = rng.standard_normal((max(sc.probes, 1), grid.n))
+    ratios = abs(inner_product_omega(g, terminal_xi0, grid)) / norm_omega(g, grid)
+    membership = max([0.0] + ratios.tolist())
     say(f"fitted slope {report.slope:.3f}, membership bound {membership:.3e}")
 
     metrics = {

@@ -25,6 +25,14 @@ read-only), and each sweep the source slices it reads (1..M; slice 0 is
 never read) and its initial or terminal datum before the march, then its
 trajectory after it, so an overflow at any step, the last included, raises
 ``ValueError``.
+
+Both sweeps also take a stack along a leading axis: a source (P, M+1, n)
+and a datum (P, n) give P trajectories (P, M+1, n) in one march, whose GEMMs
+are 3-D ``matmul`` (one GEMM per entry) and whose recurrence steps all P
+entries at once.  Each entry equals the single sweep of that entry bit for
+bit, which the stacked audit's byte-identical reports rely on.  An unstacked
+source or datum is shared by every entry; stacks of different lengths raise
+``ValueError``.  The checks run once per stacked array.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .grids import (
     SpatialGrid,
     TimeGrid,
     _check_space_time,
+    _check_stacks,
     _check_spatial,
     norm_q,
 )
@@ -128,44 +137,60 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 def _march(prop: Propagator, rows: np.ndarray, datum: np.ndarray) -> np.ndarray:
     """Trajectory (M+1, n) of q_m = (I + dt*A)^{-1} (q_{m-1} + dt*rows[m-1])
     from q_0 = ``datum``, in the eigenbasis: one GEMM into it, the diagonal
-    recurrence y_m = ratio * (y_{m-1} + dt*s_m) in place, one GEMM back."""
+    recurrence y_m = ratio * (y_{m-1} + dt*s_m) in place, one GEMM back.
+
+    Rows (P, M, n) or a datum (P, n) march a stack (P, M+1, n), stored
+    step-major so that each step updates contiguous (P, n) rows.  Each entry
+    keeps the bits of its single march: 3-D matmul is one GEMM per entry,
+    and a datum's one-row product is the single march's GEMV."""
     basis, ratio = prop.basis, prop.ratio
-    modal = rows @ basis  # row m-1 holds V^T s_m
-    modal *= prop.tgrid.dt
-    carry = datum @ basis
-    for row in modal:
+    if rows.ndim == 2 and datum.ndim == 1:
+        steps = modal = rows @ basis  # row m-1 holds V^T s_m
+    else:
+        size = len(rows) if rows.ndim == 3 else len(datum)
+        steps = np.empty((rows.shape[-2], size, basis.shape[0]))
+        modal = steps.transpose(1, 0, 2)
+        np.matmul(rows, basis, out=modal)
+    steps *= prop.tgrid.dt
+    carry = datum @ basis if datum.ndim == 1 else (datum[:, None, :] @ basis)[:, 0]
+    for row in steps:
         row += carry
         row *= ratio
         carry = row
-    out = np.empty((rows.shape[0] + 1, basis.shape[0]))
-    out[0] = datum
-    np.matmul(modal, basis.T, out=out[1:])
+    out = np.empty(modal.shape[:-2] + (modal.shape[-2] + 1, basis.shape[0]))
+    out[..., 0, :] = datum
+    np.matmul(modal, basis.T, out=out[..., 1:, :])
     return out
 
 
-def solve_forward(prop: Propagator, source: np.ndarray, initial: np.ndarray) -> np.ndarray:
+def _checked_data(prop: Propagator, source, datum, what: str):
+    """The source's slices 1..M (the rows a march reads) and the datum,
+    checked for shape and finiteness."""
     grid, tgrid = prop.operator.grid, prop.tgrid
-    src = _check_space_time(source, grid, tgrid)
-    init = _check_spatial(initial, grid)
-    _require_finite(src[1:], "source slices 1..M")
-    _require_finite(init, "initial datum")
-    q = _march(prop, src[1:], init)
-    _require_finite(q[1:], "forward trajectory")
+    src = _check_space_time(source, grid, tgrid, stacked=True)
+    datum = _check_spatial(datum, grid, stacked=True)
+    _check_stacks("source", src, 2, what, datum, 1)
+    rows = src[..., 1:, :]
+    _require_finite(rows, "source slices 1..M")
+    _require_finite(datum, what)
+    return rows, datum
+
+
+def solve_forward(prop: Propagator, source: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    rows, init = _checked_data(prop, source, initial, "initial datum")
+    q = _march(prop, rows, init)
+    _require_finite(q, "forward trajectory")  # slice 0 is the checked datum
     return q
 
 
 def solve_backward(prop: Propagator, source: np.ndarray, terminal: np.ndarray) -> np.ndarray:
-    grid, tgrid = prop.operator.grid, prop.tgrid
-    src = _check_space_time(source, grid, tgrid)
-    terminal = _check_spatial(terminal, grid)
-    _require_finite(src[1:], "source slices 1..M")
-    _require_finite(terminal, "terminal datum")
+    rows, terminal = _checked_data(prop, source, terminal, "terminal datum")
     # the forward march on the reversed source; its slice j is time M+1-j
-    marched = _march(prop, np.ascontiguousarray(src[:0:-1]), terminal)
+    marched = _march(prop, np.ascontiguousarray(rows[..., ::-1, :]), terminal)
     xi = np.empty_like(marched)
-    xi[1:] = marched[:0:-1]
-    xi[0] = xi[1]  # t=0 trace
-    _require_finite(xi[1:], "backward trajectory")
+    xi[..., 1:, :] = marched[..., :0:-1, :]
+    xi[..., 0, :] = xi[..., 1, :]  # t=0 trace
+    _require_finite(xi, "backward trajectory")  # slice 0 copies slice 1
     return xi
 
 

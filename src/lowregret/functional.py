@@ -23,6 +23,11 @@ superposition) are written once, on ``Probe``: a (v, g) pair whose
 trajectories q(v,g), q(v,0), q(0,g) and xi(.; v) are solved on first use
 and shared by every identity, cost and scale read from it, five sweeps in
 all.  The public identity and cost functions read from a fresh ``Probe``.
+
+A ``Probe`` also takes a stack of P probes, v (P, M+1, n) and g (P, n),
+along a leading axis.  Its sweeps and inner products then run once for the
+whole stack, and each cost, identity and scale is an array of P values,
+each bit for bit the value of the single probe (a Python float).
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .grids import (
     _check_positive,
     _check_space_time,
     _check_spatial,
+    _check_stacks,
     inner_product_omega,
     inner_product_q,
 )
@@ -108,8 +114,9 @@ class RegretConfig:
 class UncertaintyAdjoint:
     """Backward solution driven by the control-induced state perturbation.
 
-    ``initial_value`` is slice 0 of ``trajectory``: the t=0 trace paired
-    against candidate initial data in the duality identities.
+    ``initial_value`` is slice 0 of ``trajectory`` (of each one, for a
+    stack): the t=0 trace paired against candidate initial data in the
+    duality identities.
     """
 
     trajectory: np.ndarray
@@ -155,13 +162,14 @@ def solve_uncertainty_adjoint(v: np.ndarray, cfg: RegretConfig) -> UncertaintyAd
 
     The source equals the zero-initial forward solve of v alone (linearity),
     which is how it is computed here; the superposition test covers the
-    equivalence.
+    equivalence.  A stack of controls (P, M+1, n) gives the P adjoints in
+    two stacked sweeps.
     """
-    v = _check_space_time(v, cfg.grid, cfg.tgrid)
+    v = _check_space_time(v, cfg.grid, cfg.tgrid, stacked=True)
     ws = workspace(cfg)
     perturbation = ws.forward(v, ws.zero_g)
     traj = ws.backward(perturbation, ws.zero_g)
-    return UncertaintyAdjoint(traj, traj[0].copy())
+    return UncertaintyAdjoint(traj, traj[..., 0, :].copy())
 
 
 def reduced_cost(v: np.ndarray, cfg: RegretConfig) -> float:
@@ -190,7 +198,9 @@ class Probe:
     q(0,g) take one forward sweep each, the uncertainty adjoint xi(.; v) one
     forward and one backward sweep, and q(0,0) is the workspace's background
     state.  Every cost, identity and scale of one probe thus costs at most
-    five sweeps.
+    five sweeps.  With v (P, M+1, n) and g (P, n) it is P probes, whose
+    five stacked sweeps give one value per probe; an unstacked v or g is
+    shared by every probe.
     """
 
     v: np.ndarray
@@ -198,8 +208,11 @@ class Probe:
     cfg: RegretConfig
 
     def __post_init__(self):
-        object.__setattr__(self, "v", _check_space_time(self.v, self.cfg.grid, self.cfg.tgrid))
-        object.__setattr__(self, "g", _check_spatial(self.g, self.cfg.grid))
+        v = _check_space_time(self.v, self.cfg.grid, self.cfg.tgrid, stacked=True)
+        g = _check_spatial(self.g, self.cfg.grid, stacked=True)
+        _check_stacks("v", v, 2, "g", g, 1)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "g", g)
 
     @cached_property
     def q_vg(self) -> np.ndarray:
@@ -276,7 +289,7 @@ class Probe:
         Nonnegative for every g; zero exactly at the maximizer
         g* = xi(0; v) / gamma.
         """
-        g = self.g if g is None else _check_spatial(g, self.cfg.grid)
+        g = self.g if g is None else _check_spatial(g, self.cfg.grid, stacked=True)
         grid = self.cfg.grid
         probed = 2.0 * inner_product_omega(g, self.xi0, grid) - self.cfg.gamma * inner_product_omega(g, g, grid)
         return self.sup_value - probed

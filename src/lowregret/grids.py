@@ -5,7 +5,12 @@ Field conventions used across the package:
 * a *spatial field* is a ``(n,)`` array of values on the interior nodes
   ``x_i = x_l + i*h``, ``i = 1..n`` (the zero exterior extension is implied);
 * a *space-time field* is an ``(M+1, n)`` array whose slice ``m`` holds the
-  values at time ``t_m = m*dt``.
+  values at time ``t_m = m*dt``;
+* a *stack* of P such fields, ``(P, n)`` or ``(P, M+1, n)``, holds one field
+  per entry of its leading axis.  The sweeps and the inner products take
+  stacks, give one result per entry, and give each entry exactly the bits
+  of the same call on that entry alone; an unstacked operand is shared by
+  every entry.
 
 The L2(Q) quadrature is the right-endpoint rule ``h*dt*sum over slices
 1..M``; the ``t = 0`` slice carries the initial datum and is deliberately
@@ -106,44 +111,73 @@ def build_time_grid(horizon: float, steps: int) -> TimeGrid:
     return TimeGrid(float(horizon), int(steps), dt, times)
 
 
-def _check_spatial(a: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+def _check_spatial(a: np.ndarray, grid: SpatialGrid, stacked: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.shape != (grid.n,):
-        raise ValueError(f"spatial field shape {a.shape} != ({grid.n},)")
+    if a.shape[-1:] != (grid.n,) or a.ndim > 1 + stacked:
+        allowed = f"({grid.n},)" + (f" or (P, {grid.n})" if stacked else "")
+        raise ValueError(f"spatial field shape {a.shape} != {allowed}")
     return a
 
 
-def _check_space_time(a: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid) -> np.ndarray:
+def _check_space_time(
+    a: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid, stacked: bool = False
+) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.shape != (tgrid.steps + 1, grid.n):
+    base = (tgrid.steps + 1, grid.n)
+    if a.shape[-2:] != base or a.ndim > 2 + stacked:
+        allowed = f"{base}" + (f" or (P, {base[0]}, {base[1]})" if stacked else "")
+        raise ValueError(f"space-time field shape {a.shape} != {allowed}")
+    return a
+
+
+def _check_stacks(
+    name_a: str, a: np.ndarray, rank_a: int, name_b: str, b: np.ndarray, rank_b: int
+) -> None:
+    """Raise unless ``a`` and ``b``, whose unstacked fields have ranks
+    ``rank_a`` and ``rank_b``, stack the same number of fields; an unstacked
+    one is shared by every entry of the other's stack."""
+    if a.ndim > rank_a and b.ndim > rank_b and len(a) != len(b):
         raise ValueError(
-            f"space-time field shape {a.shape} != ({tgrid.steps + 1}, {grid.n})"
+            f"stacks of different lengths: {name_a} of shape {a.shape}, {name_b} of shape {b.shape}"
         )
-    return a
 
 
-def inner_product_omega(a: np.ndarray, b: np.ndarray, grid: SpatialGrid) -> float:
-    """h-weighted inner product of two spatial fields."""
-    a = _check_spatial(a, grid)
-    b = _check_spatial(b, grid)
-    return grid.h * float(np.dot(a, b))
+def _values(x):
+    """A Python float for an unstacked result, else the array of one per entry."""
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
-def inner_product_q(
-    a: np.ndarray, b: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid
-) -> float:
-    """h*dt-weighted inner product over time slices 1..M (t=0 excluded)."""
-    a = _check_space_time(a, grid, tgrid)
-    b = _check_space_time(b, grid, tgrid)
-    return grid.h * tgrid.dt * float(np.sum(a[1:] * b[1:]))
+def _roots(x):
+    """Square root per value, each taken as Python's ``float ** 0.5``; np.sqrt
+    rounds a few values differently."""
+    if isinstance(x, float):
+        return x ** 0.5
+    return np.array([value ** 0.5 for value in x.tolist()])
 
 
-def norm_omega(a: np.ndarray, grid: SpatialGrid) -> float:
-    return inner_product_omega(a, a, grid) ** 0.5
+def inner_product_omega(a: np.ndarray, b: np.ndarray, grid: SpatialGrid):
+    """h-weighted inner product of two spatial fields (per entry of a stack)."""
+    a = _check_spatial(a, grid, stacked=True)
+    b = _check_spatial(b, grid, stacked=True)
+    _check_stacks("a", a, 1, "b", b, 1)
+    return _values(grid.h * np.vecdot(a, b))
 
 
-def norm_q(a: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid) -> float:
-    return inner_product_q(a, a, grid, tgrid) ** 0.5
+def inner_product_q(a: np.ndarray, b: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid):
+    """h*dt-weighted inner product over time slices 1..M (t=0 excluded), per
+    entry of a stack."""
+    a = _check_space_time(a, grid, tgrid, stacked=True)
+    b = _check_space_time(b, grid, tgrid, stacked=True)
+    _check_stacks("a", a, 2, "b", b, 2)
+    return _values(grid.h * tgrid.dt * np.add.reduce(a[..., 1:, :] * b[..., 1:, :], axis=(-2, -1)))
+
+
+def norm_omega(a: np.ndarray, grid: SpatialGrid):
+    return _roots(inner_product_omega(a, a, grid))
+
+
+def norm_q(a: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid):
+    return _roots(inner_product_q(a, a, grid, tgrid))
 
 
 def zeros_space_time(grid: SpatialGrid, tgrid: TimeGrid) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,23 +479,50 @@ class TestAuditCommand:
         assert report["metrics"]["identities"]["transpose"]["residual"] <= 1e-15
 
 
-    @pytest.mark.parametrize("probes", [1, 4])
-    def test_each_probe_costs_five_forward_and_two_backward_sweeps(self, monkeypatch, probes):
-        counts = {"solve_forward": 0, "solve_backward": 0}
+    @staticmethod
+    def count_sweeps(monkeypatch):
+        """Patch both sweeps to count calls and swept right-hand sides: a
+        stacked call sweeps one per stack entry, the product of its result's
+        stack dimensions."""
+        swept = {"solve_forward": 0, "solve_backward": 0}
+        calls = dict.fromkeys(swept, 0)
         modules = [mod for name, mod in sys.modules.items() if name.startswith("lowregret")]
-        for name in counts:
+        for name in swept:
             original = getattr(evolution, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
+                out = _original(*args, **kwargs)
+                calls[_name] += 1
+                swept[_name] += math.prod(out.shape[:-2])
+                return out
 
             for mod in modules:
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted)
+        return swept, calls
+
+    @pytest.mark.parametrize("probes", [1, 4, 7])
+    def test_each_probe_costs_five_forward_and_two_backward_sweeps(self, monkeypatch, probes):
+        swept, calls = self.count_sweeps(monkeypatch)
         execute_scenario(parse_scenario(config_dict(scenario="audit", probes=probes)))
         # one forward sweep builds the background state q(0,0)
-        assert counts == {"solve_forward": 1 + 5 * probes, "solve_backward": 2 * probes}
+        assert swept == {"solve_forward": 1 + 5 * probes, "solve_backward": 2 * probes}
+        # on the 12 x 8 grid every probe fits one block, which shares each call
+        assert calls == {"solve_forward": 1 + 5, "solve_backward": 2}
+
+    def test_probes_past_one_block_cost_the_same_sweeps(self, monkeypatch):
+        swept, calls = self.count_sweeps(monkeypatch)
+        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 3 * 8 * 9 * 12)  # 3 probes at 12 x 8
+        execute_scenario(parse_scenario(config_dict(scenario="audit", probes=7)))
+        assert swept == {"solve_forward": 1 + 5 * 7, "solve_backward": 2 * 7}
+        assert calls == {"solve_forward": 1 + 5 * 3, "solve_backward": 2 * 3}
+
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+        raw = config_dict(scenario="audit", probes=7, probe_presets=["sine(2,0.5)", "gauss(0,0.3,1)"])
+        blocked = execute_scenario(parse_scenario(raw))
+        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 1)  # one probe per block
+        single = execute_scenario(parse_scenario(raw))
+        assert (single.metrics, single.tables) == (blocked.metrics, blocked.tables)
 
     def test_probe_columns_equal_the_composed_oracle(self, tmp_path):
         out = tmp_path / "out"
@@ -533,6 +561,31 @@ class TestAuditCommand:
             }
             assert int(row.pop("probe")) == k
             assert {name: float(text) for name, text in row.items()} == expected
+
+
+class TestAuditMemory:
+    def test_peak_does_not_grow_with_the_probe_count(self):
+        # probes are marched in blocks of a fixed byte budget, so ten times
+        # the probes at 40 x 30 reach the same peak
+        def config(probes):
+            return parse_scenario(config_dict(
+                scenario="audit", probes=probes,
+                domain={"x_left": -1.0, "x_right": 1.0, "nodes": 40},
+                time={"horizon": 1.0, "steps": 30},
+            ))
+
+        execute_scenario(config(1))  # first-call allocations stay out of the peaks
+        peaks = {}
+        for probes in (20, 200):
+            sc = config(probes)
+            tracemalloc.start()
+            try:
+                execute_scenario(sc)
+                peaks[probes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[200] - peaks[20]) <= 0.5e6
+        assert max(peaks.values()) < 4e6
 
 
 class TestSweepCommand:

@@ -311,3 +311,52 @@ class TestPropagator:
         assert np.max(np.abs(a @ basis - basis * lam)) <= 1e-13 * scale
         assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= 1e-13
         assert np.array_equal(ratio, 1.0 / (1.0 + tgrid.dt * lam))
+
+
+class TestStackedSweeps:
+    @pytest.mark.parametrize("n", [1, 2, 40, 41])
+    @pytest.mark.parametrize("stack", [1, 2, 7])
+    def test_equal_single_sweeps_bitwise(self, n, stack):
+        prop, grid, tgrid = setup(n=n, steps=6)
+        rng = np.random.default_rng(10 * n + stack)
+        src = rng.normal(size=(stack, tgrid.steps + 1, grid.n))
+        datum = rng.normal(size=(stack, grid.n))
+        for sweep in (solve_forward, solve_backward):
+            marched = sweep(prop, src, datum)
+            assert marched.shape == src.shape
+            for p in range(stack):
+                assert np.array_equal(marched[p], sweep(prop, src[p], datum[p]))
+
+    @pytest.mark.parametrize("sweep", [solve_forward, solve_backward])
+    def test_an_unstacked_operand_is_shared_by_every_entry(self, sweep):
+        prop, grid, tgrid = setup(n=41, steps=6)
+        rng = np.random.default_rng(3)
+        src = rng.normal(size=(4, tgrid.steps + 1, grid.n))
+        datum = rng.normal(size=(4, grid.n))
+        shared_source = sweep(prop, src[0], datum)
+        shared_datum = sweep(prop, src, datum[0])
+        for p in range(4):
+            assert np.array_equal(shared_source[p], sweep(prop, src[0], datum[p]))
+            assert np.array_equal(shared_datum[p], sweep(prop, src[p], datum[0]))
+
+    @pytest.mark.parametrize("sweep,datum", [(solve_forward, "initial datum"), (solve_backward, "terminal datum")])
+    def test_stacks_of_different_lengths_are_rejected_with_the_shapes(self, sweep, datum):
+        prop, grid, tgrid = setup(n=5, steps=6)
+        with pytest.raises(ValueError, match=rf"source of shape \(3, 7, 5\), {datum} of shape \(2, 5\)"):
+            sweep(prop, np.zeros((3, 7, 5)), np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="space-time field shape"):
+            sweep(prop, np.zeros((2, 3, 7, 5)), np.zeros(5))
+        with pytest.raises(ValueError, match="spatial field shape"):
+            sweep(prop, np.zeros((7, 5)), np.zeros((2, 3, 5)))
+
+    @pytest.mark.parametrize("sweep", ["forward", "backward"])
+    def test_a_nan_in_one_entry_is_rejected(self, sweep):
+        prop, grid, tgrid = setup()
+        src = np.zeros((3, tgrid.steps + 1, grid.n))
+        src[1, 4, 2] = np.nan
+        with pytest.raises(ValueError, match="source slices 1..M must be finite"):
+            run_sweep(sweep, prop, src, np.zeros((3, grid.n)))
+        datum = np.zeros((3, grid.n))
+        datum[2, 0] = np.inf
+        with pytest.raises(ValueError, match="datum must be finite"):
+            run_sweep(sweep, prop, np.zeros((3, tgrid.steps + 1, grid.n)), datum)

@@ -300,3 +300,59 @@ class TestFenchelGap:
         xi0 = lr.solve_uncertainty_adjoint(v, cfg).initial_value
         scale = max(1.0, lr.inner_product_omega(xi0, xi0, cfg.grid) / cfg.gamma)
         assert lr.fenchel_gap(v, g, cfg) >= -1e-12 * scale
+
+
+class TestStackedProbe:
+    @staticmethod
+    def columns(probe, gamma):
+        return {
+            "decomposition_residual": probe.decomposition_residual,
+            "duality_residual": probe.duality_residual,
+            "fenchel_gap": probe.fenchel_gap(),
+            "fenchel_gap_at_maximizer": probe.fenchel_gap(probe.xi0 / gamma),
+            "superposition_residual": probe.superposition_residual,
+            "relaxed_cost": probe.relaxed_cost,
+            "sup_value": probe.sup_value,
+        }
+
+    @pytest.mark.parametrize("stack", [1, 2, 7])
+    def test_each_entry_equals_the_single_probe(self, small_cfg, stack):
+        rng = np.random.default_rng(stack)
+        v = np.stack([random_control(small_cfg, rng) for _ in range(stack)])
+        g = rng.standard_normal((stack, small_cfg.grid.n))
+        stacked = self.columns(lr.Probe(v, g, small_cfg), small_cfg.gamma)
+        assert all(column.shape == (stack,) for column in stacked.values())
+        for p in range(stack):
+            single = self.columns(lr.Probe(v[p], g[p], small_cfg), small_cfg.gamma)
+            assert all(type(value) is float for value in single.values())
+            assert {name: column[p] for name, column in stacked.items()} == single
+
+    def test_stacked_uncertainty_adjoint_equals_single_solves(self, small_cfg):
+        rng = np.random.default_rng(5)
+        v = np.stack([random_control(small_cfg, rng) for _ in range(3)])
+        adjoint = lr.solve_uncertainty_adjoint(v, small_cfg)
+        for p in range(3):
+            single = lr.solve_uncertainty_adjoint(v[p], small_cfg)
+            assert np.array_equal(adjoint.trajectory[p], single.trajectory)
+            assert np.array_equal(adjoint.initial_value[p], single.initial_value)
+
+    def test_stacks_of_different_lengths_are_rejected_with_the_shapes(self, small_cfg):
+        grid, tgrid = small_cfg.grid, small_cfg.tgrid
+        v = np.zeros((3, tgrid.steps + 1, grid.n))
+        with pytest.raises(ValueError, match=r"v of shape \(3, 11, 16\), g of shape \(2, 16\)"):
+            lr.Probe(v, np.zeros((2, grid.n)), small_cfg)
+        probe = lr.Probe(v, np.zeros((3, grid.n)), small_cfg)
+        with pytest.raises(ValueError, match=r"a of shape \(4, 16\), b of shape \(3, 16\)"):
+            probe.fenchel_gap(np.zeros((4, grid.n)))
+
+    def test_a_nan_in_one_probe_is_rejected(self, small_cfg):
+        rng = np.random.default_rng(6)
+        v = np.stack([random_control(small_cfg, rng) for _ in range(3)])
+        g = rng.standard_normal((3, small_cfg.grid.n))
+        v[1, 4, 2] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            lr.Probe(v, g, small_cfg).decomposition_residual
+        v[1, 4, 2] = 0.0
+        g[2, 0] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            lr.Probe(v, g, small_cfg).duality_residual

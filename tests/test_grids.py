@@ -12,6 +12,7 @@ from lowregret import (
     build_time_grid,
     inner_product_omega,
     inner_product_q,
+    norm_omega,
     norm_q,
     zeros_space_time,
 )
@@ -180,3 +181,35 @@ def test_q_product_positive_definite_off_initial_slice(n, steps, data):
     if np.any(a[1:] != 0):
         assert inner_product_q(a, a, grid, tgrid) > 0.0
         assert norm_q(a, grid, tgrid) > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 41])
+def test_stacked_products_equal_single_products_bitwise(n):
+    grid = build_grid(-1.0, 1.0, n)
+    tgrid = build_time_grid(1.0, 6)
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(2, 7, tgrid.steps + 1, n))
+    x, y = rng.normal(size=(2, 7, n))
+    q, omega = inner_product_q(a, b, grid, tgrid), inner_product_omega(x, y, grid)
+    norms_q, norms_omega = norm_q(a, grid, tgrid), norm_omega(x, grid)
+    assert q.shape == omega.shape == norms_q.shape == norms_omega.shape == (7,)
+    for p in range(7):
+        single = inner_product_q(a[p], b[p], grid, tgrid)
+        assert type(single) is float and q[p] == single
+        assert omega[p] == inner_product_omega(x[p], y[p], grid)
+        assert norms_q[p] == norm_q(a[p], grid, tgrid)
+        assert norms_omega[p] == norm_omega(x[p], grid)
+        # an unstacked operand is shared by every entry
+        assert inner_product_q(a, b[0], grid, tgrid)[p] == inner_product_q(a[p], b[0], grid, tgrid)
+        assert inner_product_omega(x[0], y, grid)[p] == inner_product_omega(x[0], y[p], grid)
+
+
+def test_stacks_of_different_lengths_are_rejected_with_the_shapes():
+    grid = build_grid(-1.0, 1.0, 5)
+    tgrid = build_time_grid(1.0, 6)
+    with pytest.raises(ValueError, match=r"a of shape \(3, 5\), b of shape \(2, 5\)"):
+        inner_product_omega(np.ones((3, 5)), np.ones((2, 5)), grid)
+    with pytest.raises(ValueError, match=r"a of shape \(3, 7, 5\), b of shape \(2, 7, 5\)"):
+        inner_product_q(np.ones((3, 7, 5)), np.ones((2, 7, 5)), grid, tgrid)
+    with pytest.raises(ValueError, match="space-time field shape"):
+        inner_product_q(np.ones((2, 3, 7, 5)), np.ones((7, 5)), grid, tgrid)
