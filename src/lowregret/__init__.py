@@ -63,16 +63,6 @@ from .optimizer import (
     reduced_gradient,
     solve_low_regret,
 )
-from .oracles import (
-    QuadratureError,
-    QuadratureResult,
-    QuadratureSpec,
-    benchmark_constant,
-    benchmark_profile,
-    dense_reduced_hessian,
-    fd_gradient,
-    quadrature_apply,
-)
 
 __version__ = "0.1.0"
 
@@ -115,13 +105,5 @@ __all__ = [
     "solve_low_regret",
     "optimality_residuals",
     "gamma_sweep",
-    "QuadratureSpec",
-    "QuadratureResult",
-    "QuadratureError",
-    "quadrature_apply",
-    "benchmark_profile",
-    "benchmark_constant",
-    "dense_reduced_hessian",
-    "fd_gradient",
     "__version__",
 ]

@@ -334,7 +334,8 @@ def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         "worst_datum": worst,
         "residuals": residual_lines,
     }
-    return metrics, tables, bundle.converged
+    finite = all(map(np.isfinite, [*residuals.values(), scale]))
+    return metrics, tables, bundle.converged and finite
 
 
 # scaled tolerances mirrored by the audit: identity name -> budget
@@ -486,8 +487,7 @@ def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
 
 
 def emit_plot_data(report: RunReport, out_dir) -> list[str]:
-    """Write per-metric CSV files (column 1 abscissa) for one report."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write per-metric CSV files (column 1 abscissa) into the existing ``out_dir``."""
     paths = []
     for name, lines in report.tables.items():
         path = os.path.join(out_dir, f"{report.scenario}_{name}.csv")
@@ -498,8 +498,10 @@ def emit_plot_data(report: RunReport, out_dir) -> list[str]:
 
 
 def write_report_files(report: RunReport, out_dir) -> list[str]:
-    """Write report.json (deterministic) and timings.json (not compared)."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write report.json (deterministic) and timings.json (not compared).
+
+    ``out_dir`` must exist; ``run_scenario`` creates it before computing.
+    """
     report_path = os.path.join(out_dir, "report.json")
     payload = {
         "version": report.version,
@@ -544,16 +546,13 @@ def execute_scenario(sc: ScenarioConfig, quiet: bool = True) -> RunReport:
     )
 
 
-def _out_dir_and_origin(flag_value, sc: ScenarioConfig) -> tuple[str, str]:
+def resolve_out_dir(flag_value, sc: ScenarioConfig) -> tuple[str, str]:
+    """The output directory and the setting it came from, named as in errors."""
     if flag_value:
         return flag_value, "--out"
     if sc.out_dir:
         return sc.out_dir, "out_dir"
     return os.path.join(os.environ.get("LOWREGRET_OUT", "."), sc.scenario), "LOWREGRET_OUT"
-
-
-def resolve_out_dir(flag_value, sc: ScenarioConfig) -> str:
-    return _out_dir_and_origin(flag_value, sc)[0]
 
 
 def run_scenario(
@@ -577,7 +576,7 @@ def run_scenario(
         updates["seed"] = _checked_seed("--seed", seed)
     if updates:
         sc = replace(sc, **updates)
-    target, origin = _out_dir_and_origin(out_dir, sc)
+    target, origin = resolve_out_dir(out_dir, sc)
     try:
         os.makedirs(target, exist_ok=True)
     except OSError as exc:

@@ -51,8 +51,11 @@ class NormalModes:
         off = np.empty((n, steps))
         off[:, :-1] = -scale * r
         off[:, -1] = 0.0  # no coupling from one mode's block into the next
+        # dpttrf's wrapper wants max(N - 1, 1) off-diagonal values; at N = 1
+        # the extra one is the zero coupling stored above
         self.pivots, self.multipliers, info = dpttrf(
-            diag.reshape(-1), off.reshape(-1)[:-1], overwrite_d=1, overwrite_e=1
+            diag.reshape(-1), off.reshape(-1)[: max(diag.size - 1, 1)],
+            overwrite_d=1, overwrite_e=1,
         )
         if info:
             raise ValueError(f"modal tridiagonal factorization failed (info={info})")

@@ -53,7 +53,9 @@ class OptimalityBundle:
     scaled datum -xi(0)/sqrt(gamma), and ``control_adjoint`` the backward
     solve whose slices 1..M equal -control_weight * control at optimality.
     ``worst_initial_datum`` is the maximizer xi(0)/gamma of the inner
-    uncertainty problem.
+    uncertainty problem.  ``cg_residuals`` holds |b - H u|_Q at the start
+    and after each iteration, so it has ``cg_iterations + 1`` entries and
+    ends with ``cg_residual``.
     """
 
     control: np.ndarray
@@ -65,6 +67,7 @@ class OptimalityBundle:
     value: float
     cg_iterations: int
     cg_residual: float
+    cg_residuals: tuple[float, ...]
     converged: bool
 
 
@@ -137,8 +140,8 @@ def reduced_gradient(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
     return grad
 
 
-def _preconditioned_cg(cfg: RegretConfig, initial_control, callback):
-    """Control, iterations, final residual norm and tolerance of the PCG solve.
+def _preconditioned_cg(cfg: RegretConfig, initial_control):
+    """Control, residual norm history and tolerance of the PCG solve.
 
     A function of its own so that its fields (b, r, p, hp, z) are freed
     before the post-solve allocates its trajectories, which keeps the peak
@@ -156,10 +159,9 @@ def _preconditioned_cg(cfg: RegretConfig, initial_control, callback):
         x[0] = 0.0
         r = b - apply_normal_operator(x, cfg)
 
-    r_sq = inner_product_q(r, r, cfg.grid, cfg.tgrid)
+    residuals = [math.sqrt(inner_product_q(r, r, cfg.grid, cfg.tgrid))]
     p = None
-    iterations = 0
-    while math.sqrt(r_sq) > tol and iterations < cfg.cg_max_iters:
+    while residuals[-1] > tol and len(residuals) <= cfg.cg_max_iters:
         z = modes.solve(r, cfg.gamma)
         rz_next = inner_product_q(r, z, cfg.grid, cfg.tgrid)
         p = z if p is None else z + (rz_next / rz) * p
@@ -168,29 +170,24 @@ def _preconditioned_cg(cfg: RegretConfig, initial_control, callback):
         alpha = rz / inner_product_q(p, hp, cfg.grid, cfg.tgrid)
         x += alpha * p
         r -= alpha * hp
-        r_sq = inner_product_q(r, r, cfg.grid, cfg.tgrid)
-        iterations += 1
-        if callback is not None:
-            callback(iterations, math.sqrt(r_sq))
-    return x, iterations, math.sqrt(r_sq), tol
+        residuals.append(math.sqrt(inner_product_q(r, r, cfg.grid, cfg.tgrid)))
+    return x, tuple(residuals), tol
 
 
 def solve_low_regret(
-    cfg: RegretConfig,
-    initial_control: np.ndarray | None = None,
-    callback=None,
+    cfg: RegretConfig, initial_control: np.ndarray | None = None
 ) -> OptimalityBundle:
     """Minimize the reduced objective by preconditioned CG on H u = b.
 
     ``initial_control`` warm-starts the iteration (its slice 0 is ignored;
-    the start costs one H-apply).  ``callback(iteration, residual_norm)`` is
-    invoked once per iteration with |b - H u|_Q.  Stops when that residual
-    drops below cg_tol * |b|_Q or after cg_max_iters iterations, whichever
-    comes first; ``cg_iterations`` counts the H-applies of the loop.
+    the start costs one H-apply).  Stops when |b - H u|_Q drops below
+    cg_tol * |b|_Q or after cg_max_iters iterations, whichever comes first;
+    ``cg_iterations`` counts the H-applies of the loop.
     ``converged`` is false unless that tolerance, the final residual and the
     objective are all finite (data large enough to overflow them).
     """
-    x, iterations, residual, tol = _preconditioned_cg(cfg, initial_control, callback)
+    x, residuals, tol = _preconditioned_cg(cfg, initial_control)
+    residual = residuals[-1]
     state, xi, psi, phi = _first_order_system(x, cfg)
     value = reduced_cost(x, cfg)
     return OptimalityBundle(
@@ -201,8 +198,9 @@ def solve_low_regret(
         control_adjoint=phi,
         worst_initial_datum=xi[0] / cfg.gamma,
         value=value,
-        cg_iterations=iterations,
+        cg_iterations=len(residuals) - 1,
         cg_residual=residual,
+        cg_residuals=residuals,
         converged=bool(residual <= tol) and all(map(math.isfinite, (tol, residual, value))),
     )
 

@@ -32,6 +32,7 @@ from lowregret.presets import parse_profile, space_time_field, spatial_profile
 from conftest import composed_identities
 
 AUDIT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "audit.json")
+SOLVE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "solve.json")
 
 
 def config_dict(**overrides):
@@ -271,10 +272,10 @@ class TestOutDirResolution:
     def test_flag_beats_config_beats_environment(self, monkeypatch):
         sc = parse_scenario(config_dict(out_dir="from_config"))
         monkeypatch.setenv("LOWREGRET_OUT", "from_env")
-        assert resolve_out_dir("from_flag", sc) == "from_flag"
-        assert resolve_out_dir(None, sc) == "from_config"
+        assert resolve_out_dir("from_flag", sc) == ("from_flag", "--out")
+        assert resolve_out_dir(None, sc) == ("from_config", "out_dir")
         bare = parse_scenario(config_dict())
-        assert resolve_out_dir(None, bare) == os.path.join("from_env", "solve")
+        assert resolve_out_dir(None, bare) == (os.path.join("from_env", "solve"), "LOWREGRET_OUT")
 
 
 class TestValidateCommand:
@@ -374,6 +375,26 @@ class TestRunCommand:
         assert "failed its checks" in capsys.readouterr().err
         metrics = json.loads((out / "report.json").read_text())["metrics"]
         assert not any(np.atleast_1d(metrics["converged"]))
+
+    def test_overflowing_residuals_exit_three(self, tmp_path, capsys):
+        # CG converges, but the equation residuals of the first-order system overflow
+        with open(SOLVE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["time"] = {"horizon": 1e300, "steps": 30}
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            assert main(["run", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 3
+        assert "failed its checks" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["success"] is False
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_one_node_and_one_step_solve(self, tmp_path, command):
+        raw = config_dict()
+        raw["domain"]["nodes"] = 1
+        raw["time"]["steps"] = 1
+        path = write_config(tmp_path, raw)
+        assert main([command, path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
     def test_library_refusal_exits_three(self, tmp_path, capsys):
         # the parser accepts gamma = 1e-300, but a sweep's source overflows

@@ -20,7 +20,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 class TestModalInverse:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
-    @pytest.mark.parametrize("n,steps", [(16, 10), (120, 60)])
+    @pytest.mark.parametrize("n,steps", [(1, 1), (1, 2), (2, 1), (16, 10), (120, 60)])
     @pytest.mark.parametrize("gamma,budget", [(1.0, 1e-11), (1e-2, 1e-11), (1e-6, 1e-7)])
     def test_inverts_the_normal_operator_to_round_off(self, n, steps, s, gamma, budget):
         # exact up to round-off times cond(H), which grows like 1/gamma

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -222,3 +225,28 @@ class TestDenseHessian:
         cfg = make_problem(n=8, steps=5)
         with pytest.raises(ValueError, match="cap"):
             dense_reduced_hessian(cfg, cap=10)
+
+
+class TestImportBoundary:
+    """The runtime never loads the oracles; they import the runtime, not the reverse."""
+
+    @staticmethod
+    def fresh_python(code):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lr.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_the_runtime_loads_neither_the_oracles_nor_their_scipy_modules(self):
+        out = self.fresh_python(
+            "import sys, lowregret, lowregret.cli\n"
+            "banned = ('lowregret.oracles', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse')\n"
+            "print(','.join(name for name in banned if name in sys.modules))"
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == ""
+
+    def test_the_oracles_import_on_their_own(self):
+        out = self.fresh_python("from lowregret.oracles import fd_gradient, quadrature_apply")
+        assert out.returncode == 0, out.stderr
