@@ -63,7 +63,7 @@ SECTIONS = {"domain": ("x_left", "x_right", "nodes"), "time": ("horizon", "steps
 # library parameter name -> JSON path, where the two differ
 _JSON_PATHS = {
     "x_l": "domain.x_left", "x_r": "domain.x_right", "n": "domain.nodes",
-    "horizon": "time.horizon", "steps": "time.steps",
+    "horizon": "time.horizon", "steps": "time.steps", "f": "source", "z_d": "target",
 }
 
 
@@ -273,17 +273,20 @@ def load_scenario(config_path) -> ScenarioConfig:
 def _build_problem(sc: ScenarioConfig, gamma: float):
     grid = build_grid(sc.x_left, sc.x_right, sc.nodes)
     tgrid = build_time_grid(sc.horizon, sc.steps)
-    cfg = RegretConfig(
-        s=sc.s,
-        control_weight=sc.control_weight,
-        gamma=gamma,
-        f=space_time_field(sc.source, grid, tgrid),
-        z_d=space_time_field(sc.target, grid, tgrid),
-        grid=grid,
-        tgrid=tgrid,
-        cg_tol=sc.cg_tol,
-        cg_max_iters=sc.cg_max_iters,
-    )
+    try:
+        cfg = RegretConfig(
+            s=sc.s,
+            control_weight=sc.control_weight,
+            gamma=gamma,
+            f=space_time_field(sc.source, grid, tgrid),
+            z_d=space_time_field(sc.target, grid, tgrid),
+            grid=grid,
+            tgrid=tgrid,
+            cg_tol=sc.cg_tol,
+            cg_max_iters=sc.cg_max_iters,
+        )
+    except ParameterError as exc:  # a source or target whose Q-norm overflows
+        raise ConfigError(_JSON_PATHS.get(exc.field, exc.field), exc.reason) from None
     return grid, tgrid, cfg
 
 
@@ -381,6 +384,14 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
                 g[i] += preset_data[(start + i) % len(preset_data)]
             a[i, 1:] = rng.standard_normal((tgrid.steps, grid.n))
             b[i, 1:] = rng.standard_normal((tgrid.steps, grid.n))
+        # the identity is linear: scale each a and b by a power of two, which
+        # is exact, to about unit Q-norm, so that the norms below cannot
+        # underflow; the power is half the exponent of the squared norm, one
+        # dot product per probe (slice 0 is zero, so it runs over all slices)
+        for x in (a, b):
+            flat = x.reshape(size, -1)
+            _, exponent = np.frexp(grid.h * tgrid.dt * np.vecdot(flat, flat))
+            np.ldexp(x, -(exponent[:, None, None] // 2), out=x)
 
         fa = ws.forward(a, ws.zero_g)
         bb = ws.backward(b, ws.zero_g)

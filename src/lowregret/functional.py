@@ -32,6 +32,7 @@ each bit for bit the value of the single probe (a Python float).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -73,9 +74,11 @@ class RegretConfig:
     ``gamma`` is the relaxation weight on the unknown initial datum and
     ``control_weight`` the quadratic penalty on the control itself.  ``f``
     and ``z_d`` are finite space-time fields (background source and tracking
-    target).  Derived quantities (assembled operator, time propagator,
-    background state) are built on first use and kept on the instance;
-    ``with_gamma`` shares them with the same problem at another gamma.
+    target) whose squared Q-norms do not overflow; a finite field whose
+    norm overflows raises ``ParameterError`` naming it.  Derived quantities
+    (assembled operator, time propagator, background state) are built on
+    first use and kept on the instance; ``with_gamma`` shares them with the
+    same problem at another gamma.
     """
 
     s: float
@@ -90,10 +93,19 @@ class RegretConfig:
 
     def __post_init__(self):
         check_parameters(self.s, self.control_weight, self.gamma, self.cg_tol, self.cg_max_iters)
-        for name in ("f", "z_d"):
-            value = _check_space_time(getattr(self, name), self.grid, self.tgrid)
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite")
+        weight = self.grid.h * self.tgrid.dt
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            for name in ("f", "z_d"):
+                value = _check_space_time(getattr(self, name), self.grid, self.tgrid)
+                # one pass: the weighted sum of squares over all slices is
+                # finite if every value is and the Q-norm (slices 1..M) does
+                # not overflow; only a field that fails it is looked at again
+                if not math.isfinite(weight * np.vdot(value, value)):
+                    if not np.isfinite(value).all():
+                        raise ValueError(f"{name} must be finite")
+                    rows = value[1:]
+                    if not math.isfinite(weight * np.vdot(rows, rows)):
+                        raise ParameterError(name, "its Q-norm overflows the float range")
 
     @cached_property
     def _workspace(self) -> "_Workspace":

@@ -2,11 +2,13 @@
 
 A is symmetric and time-invariant and dt is uniform, so with A = V diag(lam)
 V^T every sweep acts on each eigenmode k separately; ``evolution`` marches
-the sweeps themselves that way, and ``NormalModes`` takes V, lam and r from
-the sweeps' own ``evolution.Propagator``.  With r = 1/(1 + dt lam_k) the
-forward sweep from zero initial data is, on slices 1..M, the lower-triangular
-Toeplitz matrix L with entries dt r^(i-j+1), the backward sweep is its
-transpose, and the t=0 trace of a backward solve is dt t^T, t_m = r^m.  The normal operator
+the sweeps themselves that way, and ``NormalModes`` takes lam and r from
+the sweeps' own ``evolution.Propagator`` and changes basis with its
+``to_modes`` and ``from_modes`` (two half-size GEMMs each on fine grids), so
+it never sees how V is stored.  With r = 1/(1 + dt lam_k) the forward sweep
+from zero initial data is, on slices 1..M, the lower-triangular Toeplitz
+matrix L with entries dt r^(i-j+1), the backward sweep is its transpose, and
+the t=0 trace of a backward solve is dt t^T, t_m = r^m.  The normal operator
 therefore splits into n blocks of size M
 
     H_k = L^T (I + (dt/gamma) t t^T) L + w I,
@@ -36,13 +38,14 @@ from .evolution import Propagator
 class NormalModes:
     """The gamma-independent factors of H's modal blocks.
 
-    Holds V (``basis``), r (``ratio``) and dt of the sweeps' propagator, the
-    LDL^T pivots of the stacked tridiagonal T (``pivots``, ``multipliers``),
-    T^{-1} t (``t_solved``) and t^T T^{-1} t (``t_energy``).
+    Holds the sweeps' ``propagator`` (whose ``to_modes`` and ``from_modes``
+    change basis), its r (``ratio``) and dt, the LDL^T pivots of the stacked
+    tridiagonal T (``pivots``, ``multipliers``), T^{-1} t (``t_solved``) and
+    t^T T^{-1} t (``t_energy``).
     """
 
     def __init__(self, prop: Propagator, control_weight: float):
-        self.basis, self.ratio, self.dt = prop.basis, prop.ratio, prop.tgrid.dt
+        self.propagator, self.ratio, self.dt = prop, prop.ratio, prop.tgrid.dt
         n, steps, dt, r = prop.lam.size, prop.tgrid.steps, self.dt, self.ratio[:, None]
         scale = control_weight / (dt * r) ** 2
         diag = np.empty((n, steps))
@@ -78,7 +81,8 @@ class NormalModes:
         holds about two fields beyond its argument and result.
         """
         dt, r = self.dt, self.ratio[:, None]
-        work = self.basis.T @ rhs[1:].T  # (n, M): one time series per mode
+        # (n, M), C-ordered: one time series per mode
+        work = np.ascontiguousarray(self.propagator.to_modes(rhs[1:]).T)
         work[:, :-1] -= r * work[:, 1:]
         work /= dt * r  # L^{-T} b
         weight = dt / gamma
@@ -89,5 +93,5 @@ class NormalModes:
         work /= dt * r  # L^{-1} y
         out = np.empty_like(rhs, dtype=float)
         out[0] = 0.0
-        np.matmul(work.T, self.basis.T, out=out[1:])
+        self.propagator.from_modes(work.T, out=out[1:])
         return out

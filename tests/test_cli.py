@@ -365,16 +365,16 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("scenario", ["solve", "sweep"])
     @pytest.mark.parametrize("amplitude", ["1e154", "1e160"])
-    def test_overflowing_data_exits_three(self, tmp_path, capsys, scenario, amplitude):
-        # the objective or the CG tolerance overflows, which numpy warns about;
-        # the run must not call that converged
-        raw = config_dict(scenario=scenario, source=f"gauss(0,0.3,{amplitude})")
+    @pytest.mark.parametrize("field,preset", [("source", "gauss(0,0.3,{})"), ("target", "sine(1,{})")])
+    def test_overflowing_data_exits_two(self, tmp_path, capsys, scenario, amplitude, field, preset):
+        # every value of the field is finite, but its Q-norm overflows: the
+        # objective would be NaN, so the run is refused before it solves
+        raw = config_dict(scenario=scenario, **{field: preset.format(amplitude)})
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):
-            assert main(["run", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 3
-        assert "failed its checks" in capsys.readouterr().err
-        metrics = json.loads((out / "report.json").read_text())["metrics"]
-        assert not any(np.atleast_1d(metrics["converged"]))
+        assert main(["run", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {field}: its Q-norm overflows the float range\n"
+        assert not (out / "report.json").exists()
 
     def test_overflowing_residuals_exit_three(self, tmp_path, capsys):
         # CG converges, but the equation residuals of the first-order system overflow
@@ -490,6 +490,19 @@ class TestAuditCommand:
         report = json.loads((out / "report.json").read_text())
         assert code == (0 if report["success"] else 3)
         assert all(type(e["passed"]) is bool for e in report["metrics"]["identities"].values())
+
+    def test_audit_on_a_tiny_domain_passes(self, tmp_path):
+        # on (0, 1e-150) the product of the Q-norms of a and b underflowed and
+        # a one-ulp transpose defect read 4.7e-10; a and b are now scaled to
+        # about unit Q-norm by powers of two, which leaves the identity exact
+        with open(SOLVE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["domain"].update(x_left=0.0, x_right=1e-150, nodes=12)
+        raw["time"]["steps"] = 8
+        out = tmp_path / "out"
+        assert main(["audit", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 0
+        identities = json.loads((out / "report.json").read_text())["metrics"]["identities"]
+        assert identities["transpose"]["residual"] <= 1e-15
 
     def test_transpose_defect_is_scaled_by_norms(self, tmp_path):
         # at seed 134 probe 19's pairing nearly cancels; dividing the defect

@@ -13,6 +13,7 @@ from lowregret import (
     backward_defect,
     build_grid,
     build_time_grid,
+    evolution,
     forward_defect,
     inner_product_omega,
     inner_product_q,
@@ -84,18 +85,20 @@ class TestBackward:
         assert np.array_equal(xi, np.zeros_like(xi))
 
     def test_time_reversal_matches_forward(self):
-        # running the backward recursion is the forward march on the reversed source
-        prop, grid, tgrid = setup(n=18, steps=9)
-        rng = np.random.default_rng(13)
-        src = random_field(grid, tgrid, rng)
-        terminal = rng.normal(size=grid.n)
-        xi = solve_backward(prop, src, terminal)
+        # running the backward recursion is the forward march on the reversed
+        # source, on a dense and on a folded basis change
+        for n in (18, evolution.FOLD_NODES):
+            prop, grid, tgrid = setup(n=n, steps=9)
+            rng = np.random.default_rng(13)
+            src = random_field(grid, tgrid, rng)
+            terminal = rng.normal(size=grid.n)
+            xi = solve_backward(prop, src, terminal)
 
-        rev = np.zeros_like(src)
-        rev[1:] = src[1:][::-1]
-        q = solve_forward(prop, rev, terminal)
-        for m in range(1, tgrid.steps + 1):
-            assert np.array_equal(xi[m], q[tgrid.steps + 1 - m])
+            rev = np.zeros_like(src)
+            rev[1:] = src[1:][::-1]
+            q = solve_forward(prop, rev, terminal)
+            for m in range(1, tgrid.steps + 1):
+                assert np.array_equal(xi[m], q[tgrid.steps + 1 - m])
 
     def test_time_zero_trace_duplicates_first_slice(self):
         prop, grid, tgrid = setup()
@@ -107,16 +110,17 @@ class TestBackward:
 class TestAdjointIdentities:
     @given(seed=st.integers(0, 10**6))
     def test_source_map_transpose(self, seed):
-        prop, grid, tgrid = setup(n=14, steps=7)
-        rng = np.random.default_rng(seed)
-        w = random_field(grid, tgrid, rng)
-        r = random_field(grid, tgrid, rng)
-        zero = np.zeros(grid.n)
-        sw = solve_forward(prop, w, zero)
-        sr = solve_backward(prop, r, zero)
-        lhs = inner_product_q(sw, r, grid, tgrid)
-        rhs = inner_product_q(w, sr, grid, tgrid)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+        for n in (14, evolution.FOLD_NODES):  # a dense and a folded basis change
+            prop, grid, tgrid = setup(n=n, steps=7)
+            rng = np.random.default_rng(seed)
+            w = random_field(grid, tgrid, rng)
+            r = random_field(grid, tgrid, rng)
+            zero = np.zeros(grid.n)
+            sw = solve_forward(prop, w, zero)
+            sr = solve_backward(prop, r, zero)
+            lhs = inner_product_q(sw, r, grid, tgrid)
+            rhs = inner_product_q(w, sr, grid, tgrid)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
     @given(seed=st.integers(0, 10**6))
     def test_initial_datum_duality(self, seed):
@@ -287,16 +291,21 @@ class TestDirectLapackSweeps:
             run_sweep(sweep, prop, src, np.full(grid.n, huge))
 
     def test_step_factor_is_read_only(self):
-        prop, _, tgrid = setup()
-        assert isinstance(prop, Propagator) and prop.tgrid is tgrid
-        for a in (prop.lam, prop.basis, prop.ratio):
-            assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            prop.basis[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            prop.ratio[0] = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            prop.ratio = np.ones_like(prop.ratio)
+        for n in (24, evolution.FOLD_NODES):  # with and without the dense basis
+            prop, _, tgrid = setup(n=n)
+            assert isinstance(prop, Propagator) and prop.tgrid is tgrid
+            arrays = (prop.lam, prop.even, prop.odd, prop.ratio)
+            if prop.basis is not None:
+                arrays += (prop.basis,)
+            for a in arrays:
+                assert not a.flags.writeable
+            for half in (prop.even, prop.odd):
+                with pytest.raises(ValueError):
+                    half[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                prop.ratio[0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                prop.ratio = np.ones_like(prop.ratio)
 
 
 class TestPropagator:
@@ -305,7 +314,11 @@ class TestPropagator:
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 41, 400])
     def test_half_size_eigenpairs_are_exact_to_round_off(self, n, s, interval):
         prop, _, tgrid = setup(n=n, s=s, interval=interval)
-        a, lam, basis, ratio = prop.operator.matrix, prop.lam, prop.basis, prop.ratio
+        a, lam, ratio = prop.operator.matrix, prop.lam, prop.ratio
+        basis = prop.from_modes(np.eye(n)).T  # V^T = I V^T
+        k, c = n // 2, n - n // 2
+        assert np.array_equal(prop.even, basis[:c, :c])  # the leading rows of V
+        assert np.array_equal(prop.odd, basis[:k, c:])
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - a[::-1, ::-1])) <= 1e-12 * scale  # centrosymmetric
         assert np.max(np.abs(a @ basis - basis * lam)) <= 1e-13 * scale
@@ -313,8 +326,59 @@ class TestPropagator:
         assert np.array_equal(ratio, 1.0 / (1.0 + tgrid.dt * lam))
 
 
+class TestBasisChange:
+    """``to_modes`` and ``from_modes`` against the dense products with V."""
+
+    SIZES = [1, 2, 3, 40, 41, evolution.FOLD_NODES, evolution.FOLD_NODES + 1, 400, 401]
+
+    @staticmethod
+    def propagators(monkeypatch, n):
+        """A propagator of n nodes that folds and one that does not."""
+        grid, tgrid = build_grid(-1.0, 1.0, n), build_time_grid(1.0, 5)
+        op = assemble_operator(grid, 0.5)
+        monkeypatch.setattr(evolution, "FOLD_NODES", 1)
+        folded = Propagator(op, tgrid)
+        monkeypatch.setattr(evolution, "FOLD_NODES", n + 1)
+        return folded, Propagator(op, tgrid)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 7)])
+    def test_agree_with_the_dense_products_and_invert_each_other(self, monkeypatch, n, shape):
+        folded, dense = self.propagators(monkeypatch, n)
+        assert folded.basis is None and dense.basis is not None
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=shape + (n,))
+        scale = np.max(np.abs(x))
+        modal = folded.to_modes(x)
+        assert np.max(np.abs(modal - x @ dense.basis)) <= 1e-13 * scale
+        assert np.max(np.abs(folded.from_modes(x) - x @ dense.basis.T)) <= 1e-13 * scale
+        assert np.max(np.abs(folded.from_modes(modal) - x)) <= 1e-13 * scale
+        assert np.max(np.abs(dense.from_modes(dense.to_modes(x)) - x)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_write_into_strided_views(self, monkeypatch, n):
+        folded, _ = self.propagators(monkeypatch, n)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(7, n))
+        storage = np.empty((3, 8, n))
+        folded.to_modes(x[::-1], out=storage[1, 1:])  # a reversed input, a strided output
+        assert np.array_equal(storage[1, 1:], folded.to_modes(np.ascontiguousarray(x[::-1])))
+        folded.from_modes(x[:3], out=storage[:, 0])
+        assert np.array_equal(storage[:, 0], folded.from_modes(x[:3]))
+
+    def test_only_small_propagators_hold_the_dense_basis(self):
+        n = evolution.FOLD_NODES
+        assert setup(n=n - 1)[0].basis.shape == (n - 1, n - 1)
+        prop = setup(n=n)[0]
+        assert prop.basis is None
+        for f in dataclasses.fields(prop):
+            value = getattr(prop, f.name)
+            if isinstance(value, np.ndarray):
+                assert value.shape != (n, n), f.name
+
+
 class TestStackedSweeps:
-    @pytest.mark.parametrize("n", [1, 2, 40, 41])
+    @pytest.mark.parametrize("n", [1, 2, 40, 41, evolution.FOLD_NODES])
     @pytest.mark.parametrize("stack", [1, 2, 7])
     def test_equal_single_sweeps_bitwise(self, n, stack):
         prop, grid, tgrid = setup(n=n, steps=6)
@@ -329,15 +393,16 @@ class TestStackedSweeps:
 
     @pytest.mark.parametrize("sweep", [solve_forward, solve_backward])
     def test_an_unstacked_operand_is_shared_by_every_entry(self, sweep):
-        prop, grid, tgrid = setup(n=41, steps=6)
-        rng = np.random.default_rng(3)
-        src = rng.normal(size=(4, tgrid.steps + 1, grid.n))
-        datum = rng.normal(size=(4, grid.n))
-        shared_source = sweep(prop, src[0], datum)
-        shared_datum = sweep(prop, src, datum[0])
-        for p in range(4):
-            assert np.array_equal(shared_source[p], sweep(prop, src[0], datum[p]))
-            assert np.array_equal(shared_datum[p], sweep(prop, src[p], datum[0]))
+        for n in (41, evolution.FOLD_NODES):  # a dense and a folded basis change
+            prop, grid, tgrid = setup(n=n, steps=6)
+            rng = np.random.default_rng(3)
+            src = rng.normal(size=(4, tgrid.steps + 1, grid.n))
+            datum = rng.normal(size=(4, grid.n))
+            shared_source = sweep(prop, src[0], datum)
+            shared_datum = sweep(prop, src, datum[0])
+            for p in range(4):
+                assert np.array_equal(shared_source[p], sweep(prop, src[0], datum[p]))
+                assert np.array_equal(shared_datum[p], sweep(prop, src[p], datum[0]))
 
     @pytest.mark.parametrize("sweep,datum", [(solve_forward, "initial datum"), (solve_backward, "terminal datum")])
     def test_stacks_of_different_lengths_are_rejected_with_the_shapes(self, sweep, datum):

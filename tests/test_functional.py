@@ -45,6 +45,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             dataclasses.replace(cfg, **{name: value})
 
+    @pytest.mark.parametrize("name", ["f", "z_d"])
+    def test_rejects_fields_whose_norm_overflows(self, name):
+        # every value is finite, but the sum of squares of the Q-norm overflows
+        cfg = make_problem()
+        value = np.full_like(getattr(cfg, name), 1e160)
+        with pytest.raises(lr.ParameterError, match=f"^{name}: its Q-norm overflows") as info:
+            dataclasses.replace(cfg, **{name: value})
+        assert info.value.field == name
+
+    @pytest.mark.parametrize("name", ["f", "z_d"])
+    def test_a_huge_initial_slice_is_not_in_the_norm(self, name):
+        # slice 0 is outside the Q-norm, so only its finiteness is checked
+        cfg = make_problem()
+        value = getattr(cfg, name).copy()
+        value[0] = 1e300
+        dataclasses.replace(cfg, **{name: value})
+
     def test_rejects_misshapen_fields(self):
         cfg = make_problem()
         with pytest.raises(ValueError):
