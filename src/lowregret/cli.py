@@ -2,7 +2,10 @@
 
 Subcommands: ``run`` (executes the scenario named in the config), ``audit``
 (identity checks on random probes), ``sweep`` (continuation over gamma) and
-``validate`` (parse and check the config, no solve).  Every run writes
+``validate`` (parse the config and build its problem, no solve).  Every
+subcommand checks a config the same way, by building its problem
+(``ScenarioConfig.problem``), so ``validate`` refuses what ``run`` refuses,
+and a refused config creates no output directory.  Every run writes
 ``report.json`` plus per-metric CSV plot data into the output directory;
 wall-clock timings go to a separate ``timings.json`` so that reports from
 identical config and seed are byte-identical.
@@ -14,26 +17,19 @@ scenario failure (non-convergence, an identity check out of tolerance, or a
 library refusal such as a non-finite sweep).
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .functional import (
-    Probe,
-    RegretConfig,
-    check_parameters,
-    solve_uncertainty_adjoint,
-    workspace,
-)
+from .functional import Probe, RegretConfig, solve_uncertainty_adjoint, workspace
 from .grids import (
     ParameterError,
     build_grid,
@@ -54,11 +50,13 @@ SCENARIOS = ("solve", "audit", "sweep")
 # 200 MB each at this size.
 MAX_NODES = 5000
 # Ceiling on nodes x (steps + 1): every space-time field (source, target,
-# each sweep's trajectory) holds that many floats, 80 MB each at this size.
+# each sweep's trajectory) holds that many floats, 80 MB each at this size;
+# also on probes x nodes, the sweep's membership probes.
 MAX_GRID_VALUES = 10**7
 
 # JSON objects that group ScenarioConfig fields: section -> its keys
 SECTIONS = {"domain": ("x_left", "x_right", "nodes"), "time": ("horizon", "steps")}
+_SECTION_OF = {key: section for section, keys in SECTIONS.items() for key in keys}
 
 # library parameter name -> JSON path, where the two differ
 _JSON_PATHS = {
@@ -71,11 +69,15 @@ class ConfigError(ParameterError):
     """Configuration problem; the message starts with the offending field."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    """Validated scenario description (one JSON file)."""
+    """Validated scenario description (one JSON file).
 
-    scenario: str
+    Each field's annotation is its JSON type and its default, if any, makes
+    it optional; ``SECTIONS`` names the JSON object that holds it.
+    """
+
+    scenario: str = "solve"
     x_left: float
     x_right: float
     nodes: int
@@ -84,15 +86,40 @@ class ScenarioConfig:
     s: float
     control_weight: float
     gamma: float
-    gammas: tuple[float, ...]
-    source: str
-    target: str
-    probes: int
-    probe_presets: tuple[str, ...]
-    seed: int
-    out_dir: str | None
-    cg_tol: float
-    cg_max_iters: int
+    gammas: tuple[float, ...] = DEFAULT_SWEEP_GAMMAS
+    source: str = "zero"
+    target: str = "zero"
+    probes: int = 5
+    probe_presets: tuple[str, ...] = ()
+    seed: int = 0
+    out_dir: str | None = None
+    cg_tol: float = 1e-12
+    cg_max_iters: int = 5000
+
+    @cached_property
+    def problem(self) -> RegretConfig:
+        """The scenario's problem at ``gamma``; a sweep re-gammas it per stage.
+
+        Raises ParameterError, named as in the library, on any number out of
+        range; the grid-size ceiling runs before a space-time field is made.
+        """
+        grid = build_grid(self.x_left, self.x_right, self.nodes)
+        if self.nodes * (self.steps + 1) > MAX_GRID_VALUES:
+            limit = MAX_GRID_VALUES // self.nodes - 1
+            raise ParameterError("steps", f"must be <= {limit} at {self.nodes} nodes, got {self.steps}")
+        tgrid = build_time_grid(self.horizon, self.steps)
+        f, z_d = (space_time_field(text, grid, tgrid) for text in (self.source, self.target))
+        return RegretConfig(
+            s=self.s,
+            control_weight=self.control_weight,
+            gamma=self.gamma,
+            f=f,
+            z_d=z_d,
+            grid=grid,
+            tgrid=tgrid,
+            cg_tol=self.cg_tol,
+            cg_max_iters=self.cg_max_iters,
+        )
 
     def echo(self) -> dict:
         """Everything that determines the report's numbers, normalized.
@@ -143,14 +170,6 @@ def _typed(name: str, value, expect):
     return value
 
 
-def _field(raw: dict, key: str, expect, path: str, default=...):
-    if key not in raw:
-        if default is ...:
-            raise ConfigError(f"{path}{key}", "required field is missing")
-        return default
-    return _typed(f"{path}{key}", raw[key], expect)
-
-
 def _reject_unknown(raw: dict, known, path: str = "") -> None:
     for key in raw:
         if key not in known:
@@ -171,92 +190,64 @@ def _checked_seed(name: str, value) -> int:
 
 
 def parse_scenario(raw: dict) -> ScenarioConfig:
-    """Build the scenario from a parsed JSON document.
+    """Build the scenario, and its problem, from a parsed JSON document.
 
-    The library checks the ranges of the problem's numbers; its
-    ParameterError is reported under the field's JSON path.
+    Types, defaults and sections come from ``ScenarioConfig``.  Building
+    the problem runs the library's range checks; its ParameterError is
+    reported under the field's JSON path.
     """
     if not isinstance(raw, dict):
         raise ConfigError("<config>", "top level must be a JSON object")
-    nested = {key for keys in SECTIONS.values() for key in keys}
-    _reject_unknown(raw, {f.name for f in fields(ScenarioConfig)} - nested | set(SECTIONS))
-
-    scenario = _checked_scenario(_field(raw, "scenario", str, "", default="solve"))
-
+    _reject_unknown(raw, {f.name for f in fields(ScenarioConfig)} - _SECTION_OF.keys() | set(SECTIONS))
     for section, keys in SECTIONS.items():
         if not isinstance(raw.get(section), dict):
             raise ConfigError(section, f"required object with {', '.join(keys)}")
         _reject_unknown(raw[section], keys, f"{section}.")
-    x_left = _field(raw["domain"], "x_left", float, "domain.")
-    x_right = _field(raw["domain"], "x_right", float, "domain.")
-    nodes = _field(raw["domain"], "nodes", int, "domain.")
+
+    values = {}
+    for f in fields(ScenarioConfig):
+        section = _SECTION_OF.get(f.name)
+        path = f"{section}.{f.name}" if section else f.name
+        holder = raw[section] if section else raw
+        if f.name in holder:
+            values[f.name] = _typed(path, holder[f.name], f.type)
+        elif f.default is MISSING:
+            raise ConfigError(path, "required field is missing")
+        else:
+            values[f.name] = f.default
+
+    _checked_scenario(values["scenario"])
+    nodes = values["nodes"]
     if nodes > MAX_NODES:
         raise ConfigError("domain.nodes", f"must be <= {MAX_NODES}, got {nodes}")
-    horizon = _field(raw["time"], "horizon", float, "time.")
-    steps = _field(raw["time"], "steps", int, "time.")
-
-    s = _field(raw, "s", float, "")
-    control_weight = _field(raw, "control_weight", float, "")
-    gamma = _field(raw, "gamma", float, "")
-    gammas_raw = raw.get("gammas", list(DEFAULT_SWEEP_GAMMAS))
-    if not isinstance(gammas_raw, list):
-        raise ConfigError("gammas", "must be a list of numbers")
-    gammas = [_typed(f"gammas[{idx}]", g, float) for idx, g in enumerate(gammas_raw)]
-
-    source = _field(raw, "source", str, "", default="zero")
-    target = _field(raw, "target", str, "", default="zero")
-    presets_raw = raw.get("probe_presets", [])
-    if not isinstance(presets_raw, list):
-        raise ConfigError("probe_presets", "must be a list of preset strings")
-    presets = [(f"probe_presets[{idx}]", text) for idx, text in enumerate(presets_raw)]
-    for field_name, text in [("source", source), ("target", target), *presets]:
+    for name, items in (("gammas", "numbers"), ("probe_presets", "preset strings")):
+        if not isinstance(values[name], (list, tuple)):
+            raise ConfigError(name, f"must be a list of {items}")
+    gammas = [_typed(f"gammas[{idx}]", g, float) for idx, g in enumerate(values["gammas"])]
+    presets = [(f"probe_presets[{idx}]", text) for idx, text in enumerate(values["probe_presets"])]
+    for name, text in [("source", values["source"]), ("target", values["target"]), *presets]:
         try:
             parse_profile(text)
         except ValueError as exc:
-            raise ConfigError(field_name, str(exc)) from None
-
-    probes = _field(raw, "probes", int, "", default=5)
+            raise ConfigError(name, str(exc)) from None
+    values["probe_presets"] = tuple(values["probe_presets"])
+    probes = values["probes"]
     if probes < 0:
         raise ConfigError("probes", f"must be >= 0, got {probes}")
-
-    seed = _checked_seed("seed", raw.get("seed", 0))
-    out_dir = raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out_dir", f"expected a string, got {out_dir!r}")
-    cg_tol = _field(raw, "cg_tol", float, "", default=1e-12)
-    cg_max_iters = _field(raw, "cg_max_iters", int, "", default=5000)
+    if probes * nodes > MAX_GRID_VALUES:
+        limit = MAX_GRID_VALUES // nodes
+        raise ConfigError("probes", f"must be <= {limit} at {nodes} nodes, got {probes}")
+    _checked_seed("seed", values["seed"])
+    if values["out_dir"] is not None and not isinstance(values["out_dir"], str):
+        raise ConfigError("out_dir", f"expected a string, got {values['out_dir']!r}")
 
     try:
-        build_grid(x_left, x_right, nodes)
-        if nodes * (steps + 1) > MAX_GRID_VALUES:
-            limit = MAX_GRID_VALUES // nodes - 1
-            raise ParameterError("steps", f"must be <= {limit} at {nodes} nodes, got {steps}")
-        build_time_grid(horizon, steps)
-        check_parameters(s, control_weight, gamma, cg_tol, cg_max_iters)
-        gammas = check_gammas(gammas)
+        values["gammas"] = check_gammas(gammas)
+        sc = ScenarioConfig(**values)
+        sc.problem  # built here, so the library checks every range
     except ParameterError as exc:
         raise ConfigError(_JSON_PATHS.get(exc.field, exc.field), exc.reason) from None
-
-    return ScenarioConfig(
-        scenario=scenario,
-        x_left=x_left,
-        x_right=x_right,
-        nodes=nodes,
-        horizon=horizon,
-        steps=steps,
-        s=s,
-        control_weight=control_weight,
-        gamma=gamma,
-        gammas=gammas,
-        source=source,
-        target=target,
-        probes=probes,
-        probe_presets=tuple(str(t) for t in presets_raw),
-        seed=seed,
-        out_dir=out_dir,
-        cg_tol=cg_tol,
-        cg_max_iters=cg_max_iters,
-    )
+    return sc
 
 
 def load_scenario(config_path) -> ScenarioConfig:
@@ -270,33 +261,14 @@ def load_scenario(config_path) -> ScenarioConfig:
     return parse_scenario(raw)
 
 
-def _build_problem(sc: ScenarioConfig, gamma: float):
-    grid = build_grid(sc.x_left, sc.x_right, sc.nodes)
-    tgrid = build_time_grid(sc.horizon, sc.steps)
-    try:
-        cfg = RegretConfig(
-            s=sc.s,
-            control_weight=sc.control_weight,
-            gamma=gamma,
-            f=space_time_field(sc.source, grid, tgrid),
-            z_d=space_time_field(sc.target, grid, tgrid),
-            grid=grid,
-            tgrid=tgrid,
-            cg_tol=sc.cg_tol,
-            cg_max_iters=sc.cg_max_iters,
-        )
-    except ParameterError as exc:  # a source or target whose Q-norm overflows
-        raise ConfigError(_JSON_PATHS.get(exc.field, exc.field), exc.reason) from None
-    return grid, tgrid, cfg
-
-
 def _format_row(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
 def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
     """Returns (metrics, CSV tables by name, success); so do the other two."""
-    grid, tgrid, cfg = _build_problem(sc, sc.gamma)
+    cfg = sc.problem
+    grid, tgrid = cfg.grid, cfg.tgrid
     say(f"solving at gamma={cfg.gamma:g} (n={grid.n}, M={tgrid.steps}, s={cfg.s:g})")
     bundle = solve_low_regret(cfg)
     residuals = optimality_residuals(bundle, cfg)
@@ -364,7 +336,8 @@ def _max(a, b):
 
 
 def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
-    grid, tgrid, cfg = _build_problem(sc, sc.gamma)
+    cfg = sc.problem
+    grid, tgrid = cfg.grid, cfg.tgrid
     ws = workspace(cfg)
     rng = np.random.default_rng(sc.seed)
     say(f"auditing identities on {sc.probes} random probes (seed {sc.seed})")
@@ -441,7 +414,8 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
 
 
 def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
-    grid, tgrid, cfg = _build_problem(sc, sc.gammas[0])
+    cfg = sc.problem
+    grid, tgrid = cfg.grid, cfg.tgrid
     say(f"sweeping gamma over {list(sc.gammas)} (n={grid.n}, M={tgrid.steps})")
 
     def progress(g, bundle):
@@ -585,8 +559,10 @@ def run_scenario(
         updates["scenario"] = _checked_scenario(scenario)
     if seed is not None:
         updates["seed"] = _checked_seed("--seed", seed)
-    if updates:
+    if updates:  # scenario and seed do not enter the problem: keep the one built
+        problem = sc.problem
         sc = replace(sc, **updates)
+        sc.__dict__["problem"] = problem
     target, origin = resolve_out_dir(out_dir, sc)
     try:
         os.makedirs(target, exist_ok=True)

@@ -212,6 +212,12 @@ class TestParseScenario:
             parse_scenario(raw)
         assert str(err.value) == "gamma: must be positive, got 0.0"
 
+    def test_probe_ceiling_admits_probes_up_to_it(self):
+        # the sweep draws its membership probes as one (probes, nodes) array
+        assert parse_scenario(config_dict(probes=MAX_GRID_VALUES // 12)).probes == 833333
+        with pytest.raises(ConfigError, match="^probes: must be <= 833333 at 12 nodes, got 833334$"):
+            parse_scenario(config_dict(probes=MAX_GRID_VALUES // 12 + 1))
+
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigError):
             parse_scenario([1, 2, 3])
@@ -230,7 +236,7 @@ BAD_VALUES = {
     "domain.nodes": NON_FINITE | st.integers(max_value=0) | st.integers(min_value=MAX_NODES + 1),
     "time.steps": NON_FINITE | st.integers(max_value=0) | st.integers(min_value=MAX_GRID_VALUES),
     "seed": NON_FINITE | st.integers(max_value=-1),
-    "probes": NON_FINITE | st.integers(max_value=-1),
+    "probes": NON_FINITE | st.integers(max_value=-1) | st.integers(min_value=MAX_GRID_VALUES // 12 + 1),
 }
 
 
@@ -368,13 +374,15 @@ class TestRunCommand:
     @pytest.mark.parametrize("field,preset", [("source", "gauss(0,0.3,{})"), ("target", "sine(1,{})")])
     def test_overflowing_data_exits_two(self, tmp_path, capsys, scenario, amplitude, field, preset):
         # every value of the field is finite, but its Q-norm overflows: the
-        # objective would be NaN, so the run is refused before it solves
-        raw = config_dict(scenario=scenario, **{field: preset.format(amplitude)})
+        # objective would be NaN, so the run is refused before it solves, and
+        # validate, which builds the same problem, refuses it too
+        path = write_config(tmp_path, config_dict(scenario=scenario, **{field: preset.format(amplitude)}))
         out = tmp_path / "out"
-        assert main(["run", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"config error: {field}: its Q-norm overflows the float range\n"
-        assert not (out / "report.json").exists()
+        for argv in (["validate", path], ["run", path, "--out", str(out)]):
+            assert main([*argv, "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: {field}: its Q-norm overflows the float range\n"
+        assert not out.exists()
 
     def test_overflowing_residuals_exit_three(self, tmp_path, capsys):
         # CG converges, but the equation residuals of the first-order system overflow
@@ -564,7 +572,8 @@ class TestAuditCommand:
         with open(out / "audit_probe_residuals.csv") as fh:
             rows = list(csv.DictReader(fh))
         sc = load_scenario(AUDIT_CONFIG)
-        grid, tgrid, cfg = cli._build_problem(sc, sc.gamma)
+        cfg = sc.problem
+        grid, tgrid = cfg.grid, cfg.tgrid
         ws = workspace(cfg)
         presets = [spatial_profile(text, grid) for text in sc.probe_presets]
         rng = np.random.default_rng(sc.seed)
@@ -641,6 +650,21 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert len((out / "sweep_control_distance.csv").read_text().splitlines()) == 3
         assert (out / "sweep_control_snapshots.csv").exists()
+
+    def test_sweep_does_not_depend_on_gamma(self, tmp_path):
+        # the problem is built at gamma, but every stage solves at its own
+        out = {}
+        for gamma in (1.0, 0.37):
+            path = write_config(tmp_path, config_dict(scenario="sweep", gamma=gamma), f"{gamma}.json")
+            out[gamma] = tmp_path / str(gamma)
+            assert main(["run", path, "--out", str(out[gamma]), "--quiet"]) == 0
+        a, b = (json.loads((out[g] / "report.json").read_text()) for g in (1.0, 0.37))
+        assert a["metrics"] == b["metrics"]
+        assert a["config_digest"] != b["config_digest"]
+        names = sorted(name for name in os.listdir(out[1.0]) if name.endswith(".csv"))
+        assert names == sorted(name for name in os.listdir(out[0.37]) if name.endswith(".csv"))
+        for name in names:
+            assert (out[1.0] / name).read_bytes() == (out[0.37] / name).read_bytes(), name
 
 
 def test_run_scenario_function_returns_the_report(tmp_path):
