@@ -46,7 +46,6 @@ from .evolution import (
 from .functional import (
     Probe,
     RegretConfig,
-    UncertaintyAdjoint,
     cost,
     cost_decomposition_residual,
     duality_residual,
@@ -91,7 +90,6 @@ __all__ = [
     "superposition_residual",
     "Probe",
     "RegretConfig",
-    "UncertaintyAdjoint",
     "cost",
     "relaxed_cost",
     "reduced_cost",

@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
+from .evolution import solve_backward, solve_forward
 from .functional import Probe, RegretConfig, solve_uncertainty_adjoint, workspace
 from .grids import (
     ParameterError,
@@ -267,7 +268,7 @@ def _format_row(values) -> str:
 
 def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
     """Returns (metrics, CSV tables by name, success); so do the other two."""
-    cfg = sc.problem
+    cfg = workspace(sc.problem)
     grid, tgrid = cfg.grid, cfg.tgrid
     say(f"solving at gamma={cfg.gamma:g} (n={grid.n}, M={tgrid.steps}, s={cfg.s:g})")
     bundle = solve_low_regret(cfg)
@@ -336,14 +337,14 @@ def _max(a, b):
 
 
 def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
-    cfg = sc.problem
+    cfg = workspace(sc.problem)
     grid, tgrid = cfg.grid, cfg.tgrid
-    ws = workspace(cfg)
     rng = np.random.default_rng(sc.seed)
     say(f"auditing identities on {sc.probes} random probes (seed {sc.seed})")
 
     preset_data = [spatial_profile(text, grid) for text in sc.probe_presets]
     shape = (tgrid.steps + 1, grid.n)
+    zero = np.zeros(grid.n)
     block = max(1, AUDIT_BLOCK_BYTES // (8 * shape[0] * shape[1]))
     columns = {name: [] for name in AUDIT_TOLERANCES}
     for start in range(0, sc.probes, block):
@@ -366,8 +367,8 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
             _, exponent = np.frexp(grid.h * tgrid.dt * np.vecdot(flat, flat))
             np.ldexp(x, -(exponent[:, None, None] // 2), out=x)
 
-        fa = ws.forward(a, ws.zero_g)
-        bb = ws.backward(b, ws.zero_g)
+        fa = solve_forward(cfg.propagator, a, zero)
+        bb = solve_backward(cfg.propagator, b, zero)
         lhs = inner_product_q(fa, b, grid, tgrid)
         rhs = inner_product_q(a, bb, grid, tgrid)
         # scaled by the norms, not by the pairing, which can nearly cancel
@@ -414,7 +415,7 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
 
 
 def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
-    cfg = sc.problem
+    cfg = workspace(sc.problem)
     grid, tgrid = cfg.grid, cfg.tgrid
     say(f"sweeping gamma over {list(sc.gammas)} (n={grid.n}, M={tgrid.steps})")
 
@@ -427,7 +428,7 @@ def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
     report = gamma_sweep(cfg, sc.gammas, callback=progress)
 
     rng = np.random.default_rng(sc.seed)
-    terminal_xi0 = solve_uncertainty_adjoint(report.controls[-1], cfg).initial_value
+    terminal_xi0 = solve_uncertainty_adjoint(report.controls[-1], cfg)[0]
     g = rng.standard_normal((max(sc.probes, 1), grid.n))
     ratios = abs(inner_product_omega(g, terminal_xi0, grid)) / norm_omega(g, grid)
     membership = max([0.0] + ratios.tolist())

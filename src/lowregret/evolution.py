@@ -335,10 +335,10 @@ def superposition_residual(prop: Propagator, f: np.ndarray, v: np.ndarray, g: np
     """``superposition_defect`` of the four solves with source f + v or f and
     initial value g or 0."""
     grid, tgrid = prop.operator.grid, prop.tgrid
-    zero_g = np.zeros(grid.n)
+    zero = np.zeros(grid.n)
     zero_v = np.zeros_like(_check_space_time(f, grid, tgrid))
     return superposition_defect(
-        solve_forward(prop, f + v, g), solve_forward(prop, f + v, zero_g),
-        solve_forward(prop, f + zero_v, g), solve_forward(prop, f + zero_v, zero_g),
+        solve_forward(prop, f + v, g), solve_forward(prop, f + v, zero),
+        solve_forward(prop, f + zero_v, g), solve_forward(prop, f + zero_v, zero),
         grid, tgrid,
     )

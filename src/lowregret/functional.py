@@ -18,6 +18,12 @@ by an adversarial initial datum.  Every identity connecting these objects
 holds at round-off level because the discrete solvers are exact transposes
 of one another.
 
+A ``RegretConfig`` is the whole problem: its data and, built on first use
+and kept, the sweeps' propagator, the background state q(0,0) with its
+relaxed cost, and the normal operator's modal factors.  ``workspace(cfg)``
+builds the propagator and background state, the set-up of every run, and
+``with_gamma`` shares all four with the same problem at another gamma.
+
 The identities (cost decomposition, duality pairing, Fenchel gap,
 superposition) are written once, on ``Probe``: a (v, g) pair whose
 trajectories q(v,g), q(v,0), q(0,g) and xi(.; v) are solved on first use
@@ -38,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolution import solve_backward, solve_forward, step_factor, superposition_defect
+from .evolution import Propagator, solve_backward, solve_forward, step_factor, superposition_defect
 from .grids import (
     ParameterError,
     SpatialGrid,
@@ -75,10 +81,10 @@ class RegretConfig:
     ``control_weight`` the quadratic penalty on the control itself.  ``f``
     and ``z_d`` are finite space-time fields (background source and tracking
     target) whose squared Q-norms do not overflow; a finite field whose
-    norm overflows raises ``ParameterError`` naming it.  Derived quantities
-    (assembled operator, time propagator, background state) are built on
-    first use and kept on the instance; ``with_gamma`` shares them with the
-    same problem at another gamma.
+    norm overflows raises ``ParameterError`` naming it.  The derived
+    ``propagator``, ``q_background``, ``relaxed_cost_00`` and ``modes`` are
+    built on first use and kept on the instance; ``with_gamma`` shares them
+    with the same problem at another gamma.
     """
 
     s: float
@@ -108,69 +114,52 @@ class RegretConfig:
                         raise ParameterError(name, "its Q-norm overflows the float range")
 
     @cached_property
-    def _workspace(self) -> "_Workspace":
-        return _Workspace(self)
+    def propagator(self) -> Propagator:
+        """The sweeps' modal propagator: the assembled operator and its one
+        eigendecomposition."""
+        return step_factor(assemble_operator(self.grid, self.s), self.tgrid)
 
-    def with_gamma(self, gamma: float) -> "RegretConfig":
-        """The same problem at relaxation weight ``gamma``.
+    @cached_property
+    def q_background(self) -> np.ndarray:
+        """The background state q(0,0): source f, zero initial datum."""
+        return solve_forward(self.propagator, self.f, np.zeros(self.grid.n))
 
-        gamma enters no derived quantity, so the returned config shares this
-        one's workspace (built here if it does not exist yet).
-        """
-        other = replace(self, gamma=gamma)
-        object.__setattr__(other, "_workspace", workspace(self))
-        return other
-
-
-@dataclass(frozen=True, eq=False)
-class UncertaintyAdjoint:
-    """Backward solution driven by the control-induced state perturbation.
-
-    ``initial_value`` is slice 0 of ``trajectory`` (of each one, for a
-    stack): the t=0 trace paired against candidate initial data in the
-    duality identities.
-    """
-
-    trajectory: np.ndarray
-    initial_value: np.ndarray
-
-
-class _Workspace:
-    """Derived state of one problem: the sweeps' modal propagator (which
-    holds the assembled operator and its one eigendecomposition), background
-    state, and (built on first use) the normal operator's modal factors.
-    Holds no reference to the config that owns it."""
-
-    def __init__(self, cfg: RegretConfig):
-        self.control_weight = cfg.control_weight
-        self.propagator = step_factor(assemble_operator(cfg.grid, cfg.s), cfg.tgrid)
-        self.zero_g = np.zeros(cfg.grid.n)
-        self.zero_field = np.zeros_like(np.asarray(cfg.f, dtype=float))
-        self.q_background = self.forward(cfg.f, self.zero_g)
-        self.relaxed_cost_00 = _misfit(self.q_background, cfg)
+    @cached_property
+    def relaxed_cost_00(self) -> float:
+        """relaxed_cost(0, 0), the tracking misfit of the background state."""
+        return _misfit(self.q_background, self)
 
     @cached_property
     def modes(self) -> NormalModes:
         """The gamma-independent factors of the normal operator's modal
         blocks, in the eigenbasis of ``propagator``.  Only solves need them,
-        so they are built on the first access, not with the workspace; every
-        gamma of a problem shares them."""
+        so ``workspace`` does not build them."""
         return NormalModes(self.propagator, self.control_weight)
 
-    def forward(self, source, initial) -> np.ndarray:
-        return solve_forward(self.propagator, source, initial)
+    def with_gamma(self, gamma: float) -> "RegretConfig":
+        """The same problem at relaxation weight ``gamma``.
 
-    def backward(self, source, terminal) -> np.ndarray:
-        return solve_backward(self.propagator, source, terminal)
+        gamma enters no derived quantity, so the returned config shares this
+        one's propagator, background state and modal factors (built here if
+        they do not exist yet).
+        """
+        other = replace(self, gamma=gamma)
+        for name in ("propagator", "q_background", "relaxed_cost_00", "modes"):
+            other.__dict__[name] = getattr(self, name)
+        return other
 
 
-def workspace(cfg: RegretConfig) -> _Workspace:
-    """The config's derived state, built on the first call."""
-    return cfg._workspace
+def workspace(cfg: RegretConfig) -> RegretConfig:
+    """``cfg`` with its propagator and background state built: the problem's
+    set-up, one eigendecomposition and one forward sweep."""
+    cfg.relaxed_cost_00  # builds q_background, and the propagator with it
+    return cfg
 
 
-def solve_uncertainty_adjoint(v: np.ndarray, cfg: RegretConfig) -> UncertaintyAdjoint:
-    """Backward solve with source q(v,0) - q(0,0) and zero terminal value.
+def solve_uncertainty_adjoint(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
+    """Trajectory xi(.; v) of the backward solve with source q(v,0) - q(0,0)
+    and zero terminal value; slice 0 is its t=0 trace xi(0; v), the one the
+    duality identities pair against candidate initial data.
 
     The source equals the zero-initial forward solve of v alone (linearity),
     which is how it is computed here; the superposition test covers the
@@ -178,10 +167,8 @@ def solve_uncertainty_adjoint(v: np.ndarray, cfg: RegretConfig) -> UncertaintyAd
     two stacked sweeps.
     """
     v = _check_space_time(v, cfg.grid, cfg.tgrid, stacked=True)
-    ws = workspace(cfg)
-    perturbation = ws.forward(v, ws.zero_g)
-    traj = ws.backward(perturbation, ws.zero_g)
-    return UncertaintyAdjoint(traj, traj[..., 0, :].copy())
+    zero = np.zeros(cfg.grid.n)
+    return solve_backward(cfg.propagator, solve_forward(cfg.propagator, v, zero), zero)
 
 
 def reduced_cost(v: np.ndarray, cfg: RegretConfig) -> float:
@@ -190,9 +177,8 @@ def reduced_cost(v: np.ndarray, cfg: RegretConfig) -> float:
     Strictly convex quadratic; zero at v = 0 and bounded below by
     -relaxed_cost(0, 0).
     """
-    ws = workspace(cfg)
-    p = Probe(v, ws.zero_g, cfg)
-    return p.cost - ws.relaxed_cost_00 + p.sup_value
+    p = Probe(v, np.zeros(cfg.grid.n), cfg)
+    return p.cost - cfg.relaxed_cost_00 + p.sup_value
 
 
 def _misfit(q: np.ndarray, cfg: RegretConfig) -> float:
@@ -208,7 +194,7 @@ class Probe:
 
     Each trajectory is solved on its first use and kept: q(v,g), q(v,0) and
     q(0,g) take one forward sweep each, the uncertainty adjoint xi(.; v) one
-    forward and one backward sweep, and q(0,0) is the workspace's background
+    forward and one backward sweep, and q(0,0) is the problem's background
     state.  Every cost, identity and scale of one probe thus costs at most
     five sweeps.  With v (P, M+1, n) and g (P, n) it is P probes, whose
     five stacked sweeps give one value per probe; an unstacked v or g is
@@ -228,21 +214,21 @@ class Probe:
 
     @cached_property
     def q_vg(self) -> np.ndarray:
-        return workspace(self.cfg).forward(self.cfg.f + self.v, self.g)
+        return solve_forward(self.cfg.propagator, self.cfg.f + self.v, self.g)
 
     @cached_property
     def q_v0(self) -> np.ndarray:
-        ws = workspace(self.cfg)
-        return ws.forward(self.cfg.f + self.v, ws.zero_g)
+        return solve_forward(self.cfg.propagator, self.cfg.f + self.v, np.zeros(self.cfg.grid.n))
 
     @cached_property
     def q_0g(self) -> np.ndarray:
-        return workspace(self.cfg).forward(self.cfg.f, self.g)
+        return solve_forward(self.cfg.propagator, self.cfg.f, self.g)
 
     @cached_property
     def xi0(self) -> np.ndarray:
-        """t=0 trace of the uncertainty adjoint xi(.; v)."""
-        return solve_uncertainty_adjoint(self.v, self.cfg).initial_value
+        """t=0 trace of the uncertainty adjoint xi(.; v), copied so that the
+        trajectory is freed."""
+        return solve_uncertainty_adjoint(self.v, self.cfg)[..., 0, :].copy()
 
     @cached_property
     def _penalty(self) -> float:
@@ -255,7 +241,7 @@ class Probe:
     @cached_property
     def _pairing(self) -> float:
         """<q(v,0) - q(0,0), q(0,g) - q(0,0)>_Q."""
-        q_00 = workspace(self.cfg).q_background
+        q_00 = self.cfg.q_background
         return inner_product_q(self.q_v0 - q_00, self.q_0g - q_00, self.cfg.grid, self.cfg.tgrid)
 
     @cached_property
@@ -286,7 +272,7 @@ class Probe:
         """
         lhs = self.relaxed_cost - (_misfit(self.q_0g, self.cfg) - self._credit)
         relaxed_v0 = _misfit(self.q_v0, self.cfg) + self._penalty
-        rhs = relaxed_v0 - workspace(self.cfg).relaxed_cost_00 + 2.0 * self._pairing
+        rhs = relaxed_v0 - self.cfg.relaxed_cost_00 + 2.0 * self._pairing
         return abs(lhs - rhs)
 
     @cached_property
@@ -310,7 +296,7 @@ class Probe:
     def superposition_residual(self) -> float:
         """Q-norm of q(v,g) - q(v,0) - q(0,g) + q(0,0); zero by linearity."""
         return superposition_defect(
-            self.q_vg, self.q_v0, self.q_0g, workspace(self.cfg).q_background,
+            self.q_vg, self.q_v0, self.q_0g, self.cfg.q_background,
             self.cfg.grid, self.cfg.tgrid,
         )
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import backward_defect, forward_defect
-from .functional import RegretConfig, reduced_cost, workspace
+from .evolution import backward_defect, forward_defect, solve_backward, solve_forward
+from .functional import RegretConfig, reduced_cost, solve_uncertainty_adjoint
 from .grids import (
     ParameterError, _check_positive, _check_space_time, inner_product_q, norm_omega, norm_q
 )
@@ -97,8 +97,7 @@ class GammaSweepReport:
 
 def normal_rhs(cfg: RegretConfig) -> np.ndarray:
     """Right-hand side b = -S*(q(0,0) - z_d), slice 0 pinned to zero."""
-    ws = workspace(cfg)
-    rhs = -ws.backward(ws.q_background - cfg.z_d, ws.zero_g)
+    rhs = -solve_backward(cfg.propagator, cfg.q_background - cfg.z_d, np.zeros(cfg.grid.n))
     rhs[0] = 0.0
     return rhs
 
@@ -106,11 +105,11 @@ def normal_rhs(cfg: RegretConfig) -> np.ndarray:
 def apply_normal_operator(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
     """Apply H to a control field (slice 0 of the result is zero)."""
     v = _check_space_time(v, cfg.grid, cfg.tgrid)
-    ws = workspace(cfg)
-    sv = ws.forward(v, ws.zero_g)
-    xi = ws.backward(sv, ws.zero_g)
-    propagated = ws.forward(ws.zero_field, xi[0])
-    out = ws.backward(sv + propagated / cfg.gamma, ws.zero_g)
+    prop, zero = cfg.propagator, np.zeros(cfg.grid.n)
+    sv = solve_forward(prop, v, zero)
+    xi = solve_backward(prop, sv, zero)
+    propagated = solve_forward(prop, np.zeros_like(v), xi[0])
+    out = solve_backward(prop, sv + propagated / cfg.gamma, zero)
     out += cfg.control_weight * v
     out[0] = 0.0
     return out
@@ -118,13 +117,12 @@ def apply_normal_operator(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
 
 def _first_order_system(v: np.ndarray, cfg: RegretConfig):
     """State, uncertainty adjoint, worst response and control adjoint at v."""
-    ws = workspace(cfg)
+    prop, zero = cfg.propagator, np.zeros(cfg.grid.n)
     root_gamma = math.sqrt(cfg.gamma)
-    state = ws.forward(cfg.f + v, ws.zero_g)
-    perturbation = ws.forward(v, ws.zero_g)
-    xi = ws.backward(perturbation, ws.zero_g)
-    psi = ws.forward(ws.zero_field, -xi[0] / root_gamma)
-    phi = ws.backward((state - cfg.z_d) - psi / root_gamma, ws.zero_g)
+    state = solve_forward(prop, cfg.f + v, zero)
+    xi = solve_uncertainty_adjoint(v, cfg)
+    psi = solve_forward(prop, np.zeros_like(state), -xi[0] / root_gamma)
+    phi = solve_backward(prop, (state - cfg.z_d) - psi / root_gamma, zero)
     return state, xi, psi, phi
 
 
@@ -148,7 +146,7 @@ def _preconditioned_cg(cfg: RegretConfig, initial_control):
     memory of a solve down.
     """
     b = normal_rhs(cfg)
-    modes = workspace(cfg).modes  # after normal_rhs, which builds the workspace
+    modes = cfg.modes
     tol = cfg.cg_tol * max(norm_q(b, cfg.grid, cfg.tgrid), np.finfo(float).tiny)
 
     if initial_control is None:
@@ -212,24 +210,23 @@ def optimality_residuals(bundle: OptimalityBundle, cfg: RegretConfig) -> dict[st
     their marching schemes; the stationarity residual is
     |control_weight * u + phi|_Q.  All five vanish at the minimizer.
     """
-    ws = workspace(cfg)
-    prop = ws.propagator
+    prop, zero = cfg.propagator, np.zeros(cfg.grid.n)
     root_gamma = math.sqrt(cfg.gamma)
     u = bundle.control
     xi0 = bundle.uncertainty_adjoint[0]
     return {
-        "state": forward_defect(prop, bundle.state, cfg.f + u, ws.zero_g),
+        "state": forward_defect(prop, bundle.state, cfg.f + u, zero),
         "uncertainty_adjoint": backward_defect(
-            prop, bundle.uncertainty_adjoint, bundle.state - ws.q_background, ws.zero_g
+            prop, bundle.uncertainty_adjoint, bundle.state - cfg.q_background, zero
         ),
         "worst_response": forward_defect(
-            prop, bundle.worst_response, ws.zero_field, -xi0 / root_gamma
+            prop, bundle.worst_response, np.zeros_like(bundle.state), -xi0 / root_gamma
         ),
         "control_adjoint": backward_defect(
             prop,
             bundle.control_adjoint,
             (bundle.state - cfg.z_d) - bundle.worst_response / root_gamma,
-            ws.zero_g,
+            zero,
         ),
         "stationarity": norm_q(
             cfg.control_weight * u + bundle.control_adjoint, cfg.grid, cfg.tgrid
@@ -257,8 +254,9 @@ def gamma_sweep(
     """Solve along a decreasing gamma sequence with warm starts.
 
     The problem data of ``cfg`` is reused at every gamma (its own gamma
-    value is ignored); each stage solves ``cfg.with_gamma(g)``, so assembled
-    operator and background state are shared across the sweep.
+    value is ignored); each stage solves ``cfg.with_gamma(g)``, so the
+    propagator, background state and modal factors are shared across the
+    sweep.
     ``callback(gamma, bundle)`` runs after each solve.
     """
     gammas = check_gammas(gammas)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import lowregret as lr
-from lowregret.functional import workspace
 
 settings.register_profile(
     "suite",
@@ -57,13 +56,19 @@ def small_cfg():
 def composed_identities(v, g, cfg):
     """Reference oracle for the identity residuals and their audit scales.
 
-    Each term is composed with its own ``ws.forward``/``ws.backward`` call,
+    Each term is composed with its own forward or backward sweep,
     the way the identities were written before a probe's trajectories were
     shared.  The sums and products are the same, so results must equal the
     library's bit for bit (compare with ``==``).
     """
-    ws = workspace(cfg)
     grid, tgrid = cfg.grid, cfg.tgrid
+    zero = np.zeros(grid.n)
+
+    def forward(source, initial):
+        return lr.solve_forward(cfg.propagator, source, initial)
+
+    def backward(source, terminal):
+        return lr.solve_backward(cfg.propagator, source, terminal)
 
     def inner_q(a, b):
         return lr.inner_product_q(a, b, grid, tgrid)
@@ -72,14 +77,14 @@ def composed_identities(v, g, cfg):
         return lr.inner_product_omega(a, b, grid)
 
     def cost(v, g):
-        diff = ws.forward(cfg.f + v, g) - cfg.z_d
+        diff = forward(cfg.f + v, g) - cfg.z_d
         return inner_q(diff, diff) + cfg.control_weight * inner_q(v, v)
 
     def relaxed_cost(v, g):
         return cost(v, g) - cfg.gamma * inner_omega(g, g)
 
     def xi0(v):
-        return ws.backward(ws.forward(v, ws.zero_g), ws.zero_g)[0].copy()
+        return backward(forward(v, zero), zero)[0].copy()
 
     def fenchel_gap(v, g):
         x = xi0(v)
@@ -87,22 +92,22 @@ def composed_identities(v, g, cfg):
         return sup_value - (2.0 * inner_omega(g, x) - cfg.gamma * inner_omega(g, g))
 
     lhs = relaxed_cost(v, g) - relaxed_cost(0 * v, g)
-    q_v0 = ws.forward(cfg.f + v, ws.zero_g)
-    q_0g = ws.forward(cfg.f, g)
-    cross = inner_q(q_0g - ws.q_background, q_v0 - ws.q_background)
-    rhs = relaxed_cost(v, ws.zero_g) - ws.relaxed_cost_00 + 2.0 * cross
+    q_v0 = forward(cfg.f + v, zero)
+    q_0g = forward(cfg.f, g)
+    cross = inner_q(q_0g - cfg.q_background, q_v0 - cfg.q_background)
+    rhs = relaxed_cost(v, zero) - cfg.relaxed_cost_00 + 2.0 * cross
     decomposition = abs(lhs - rhs)
 
-    q_v0 = ws.forward(cfg.f + v, ws.zero_g)
-    q_0g = ws.forward(cfg.f, g)
-    pairing = inner_q(q_v0 - ws.q_background, q_0g - ws.q_background)
+    q_v0 = forward(cfg.f + v, zero)
+    q_0g = forward(cfg.f, g)
+    pairing = inner_q(q_v0 - cfg.q_background, q_0g - cfg.q_background)
     duality = abs(inner_omega(g, xi0(v)) - pairing)
 
     zero_v = np.zeros_like(cfg.f)
-    q_vg = ws.forward(cfg.f + v, g)
-    q_v0 = ws.forward(cfg.f + v, ws.zero_g)
-    q_0g = ws.forward(cfg.f + zero_v, g)
-    q_00 = ws.forward(cfg.f + zero_v, ws.zero_g)
+    q_vg = forward(cfg.f + v, g)
+    q_v0 = forward(cfg.f + v, zero)
+    q_0g = forward(cfg.f + zero_v, g)
+    q_00 = forward(cfg.f + zero_v, zero)
     superposition = lr.norm_q(q_vg - q_v0 - q_0g + q_00, grid, tgrid)
 
     x = xi0(v)
@@ -114,5 +119,5 @@ def composed_identities(v, g, cfg):
         "superposition": superposition,
         "relaxed_cost": relaxed_cost(v, g),
         "xi0": x,
-        "q_vg_norm": lr.norm_q(ws.forward(cfg.f + v, g), grid, tgrid),
+        "q_vg_norm": lr.norm_q(forward(cfg.f + v, g), grid, tgrid),
     }

@@ -14,7 +14,6 @@ import pytest
 
 import lowregret as lr
 from lowregret.cli import main
-from lowregret.functional import workspace
 from lowregret.oracles import (
     benchmark_profile,
     dense_reduced_hessian,
@@ -133,7 +132,7 @@ def test_criterion_05_trace_duality_identity():
     for _ in range(20):
         v = random_control(cfg, rng)
         g = rng.standard_normal(cfg.grid.n)
-        xi0 = lr.solve_uncertainty_adjoint(v, cfg).initial_value
+        xi0 = lr.solve_uncertainty_adjoint(v, cfg)[0]
         scale = max(1.0, lr.norm_omega(g, cfg.grid) * lr.norm_omega(xi0, cfg.grid))
         worst = max(worst, lr.duality_residual(v, g, cfg) / scale)
     print(f"worst scaled duality residual over 20 pairs: {worst:.3e}")
@@ -144,7 +143,7 @@ def test_criterion_06_conjugate_transform_gap():
     cfg = calibrated_config(n=24, steps=16)
     rng = np.random.default_rng(606)
     v = random_control(cfg, rng)
-    xi0 = lr.solve_uncertainty_adjoint(v, cfg).initial_value
+    xi0 = lr.solve_uncertainty_adjoint(v, cfg)[0]
 
     lowest = math.inf
     for _ in range(100):
@@ -225,7 +224,7 @@ def test_criterion_11_continuation_converges_with_membership(sweep_result):
     ), report.distances
 
     terminal = report.controls[-1]
-    xi0 = lr.solve_uncertainty_adjoint(terminal, cfg).initial_value
+    xi0 = lr.solve_uncertainty_adjoint(terminal, cfg)[0]
     rng = np.random.default_rng(1111)
     worst = 0.0
     for _ in range(20):

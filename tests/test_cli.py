@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lowregret as lr
-from lowregret import ParameterError, build_grid, build_time_grid, cli, evolution
+from lowregret import ParameterError, build_grid, build_time_grid, cli, evolution, modal
 from lowregret.cli import (
     MAX_GRID_VALUES,
     MAX_NODES,
@@ -25,7 +25,7 @@ from lowregret.cli import (
     resolve_out_dir,
     run_scenario,
 )
-from lowregret.functional import check_parameters, workspace
+from lowregret.functional import check_parameters
 from lowregret.optimizer import check_gammas
 from lowregret.presets import parse_profile, space_time_field, spatial_profile
 
@@ -33,6 +33,7 @@ from conftest import composed_identities
 
 AUDIT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "audit.json")
 SOLVE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "solve.json")
+SWEEP_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "sweep.json")
 
 
 def config_dict(**overrides):
@@ -58,6 +59,30 @@ def write_config(tmp_path, raw, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def patch_everywhere(monkeypatch, home, name, wrap):
+    """Replace ``home.name`` by ``wrap(original)`` in every loaded lowregret
+    module that binds it, since the package binds names with ``from .x
+    import f``."""
+    original = getattr(home, name)
+    wrapped = wrap(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("lowregret") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapped)
+
+
+def count_calls(monkeypatch, home, names):
+    """Calls by name of the named functions of module ``home``, through every binding."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrap(original, _name=name):
+            def counted(*args, **kwargs):
+                calls[_name] += 1
+                return original(*args, **kwargs)
+            return counted
+        patch_everywhere(monkeypatch, home, name, wrap)
+    return calls
 
 
 class TestProfilePresets:
@@ -528,19 +553,15 @@ class TestAuditCommand:
         stack dimensions."""
         swept = {"solve_forward": 0, "solve_backward": 0}
         calls = dict.fromkeys(swept, 0)
-        modules = [mod for name, mod in sys.modules.items() if name.startswith("lowregret")]
         for name in swept:
-            original = getattr(evolution, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                out = _original(*args, **kwargs)
-                calls[_name] += 1
-                swept[_name] += math.prod(out.shape[:-2])
-                return out
-
-            for mod in modules:
-                if getattr(mod, name, None) is original:
-                    monkeypatch.setattr(mod, name, counted)
+            def wrap(original, _name=name):
+                def counted(*args, **kwargs):
+                    out = original(*args, **kwargs)
+                    calls[_name] += 1
+                    swept[_name] += math.prod(out.shape[:-2])
+                    return out
+                return counted
+            patch_everywhere(monkeypatch, evolution, name, wrap)
         return swept, calls
 
     @pytest.mark.parametrize("probes", [1, 4, 7])
@@ -574,7 +595,7 @@ class TestAuditCommand:
         sc = load_scenario(AUDIT_CONFIG)
         cfg = sc.problem
         grid, tgrid = cfg.grid, cfg.tgrid
-        ws = workspace(cfg)
+        zero = np.zeros(grid.n)
         presets = [spatial_profile(text, grid) for text in sc.probe_presets]
         rng = np.random.default_rng(sc.seed)
 
@@ -587,7 +608,7 @@ class TestAuditCommand:
             v = draw_space_time()
             g = rng.standard_normal(grid.n) + presets[k % len(presets)]
             a, b = draw_space_time(), draw_space_time()
-            fa, bb = ws.forward(a, ws.zero_g), ws.backward(b, ws.zero_g)
+            fa, bb = lr.solve_forward(cfg.propagator, a, zero), lr.solve_backward(cfg.propagator, b, zero)
             transpose = abs(lr.inner_product_q(fa, b, grid, tgrid) - lr.inner_product_q(a, bb, grid, tgrid)) / max(
                 lr.norm_q(fa, grid, tgrid) * lr.norm_q(b, grid, tgrid), np.finfo(float).tiny
             )
@@ -604,6 +625,34 @@ class TestAuditCommand:
             }
             assert int(row.pop("probe")) == k
             assert {name: float(text) for name, text in row.items()} == expected
+
+
+class TestSweepBudget:
+    """The sweeps, eigendecompositions and modal factorizations a solve and
+    a gamma sweep cost, by the counts the benchmark's traced self-check
+    encodes: one forward sweep for the background state q(0,0); per solve,
+    one for the right-hand side and eight after CG (five for the first-order
+    system, three for the objective); four per H-apply, one H-apply per CG
+    iteration and per warm start; and two for the sweep's terminal adjoint."""
+
+    def run(self, monkeypatch, config):
+        sweeps = count_calls(monkeypatch, evolution, ("solve_forward", "solve_backward"))
+        factors = count_calls(monkeypatch, evolution, ("step_factor",))
+        modes = count_calls(monkeypatch, modal, ("NormalModes",))
+        report = execute_scenario(load_scenario(config))
+        assert report.success
+        assert factors == {"step_factor": 1}
+        assert modes == {"NormalModes": 1}
+        return sum(sweeps.values()), report.metrics["cg_iterations"]
+
+    def test_solve(self, monkeypatch):
+        sweeps, iterations = self.run(monkeypatch, SOLVE_CONFIG)
+        assert sweeps == 1 + 1 + 8 + 4 * iterations
+
+    def test_gamma_sweep(self, monkeypatch):
+        sweeps, iterations = self.run(monkeypatch, SWEEP_CONFIG)
+        assert len(iterations) == 5
+        assert sweeps == 1 + 5 * (1 + 8) + 4 * (sum(iterations) + 4) + 2
 
 
 class TestAuditMemory:

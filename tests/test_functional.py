@@ -70,26 +70,35 @@ class TestConfigValidation:
             dataclasses.replace(cfg, z_d=cfg.z_d[:-1])
 
 
-class TestWorkspaceCache:
-    def test_same_instance_reuses_workspace(self, small_cfg):
-        assert workspace(small_cfg) is workspace(small_cfg)
+class TestDerivedState:
+    DERIVED = ("propagator", "q_background", "relaxed_cost_00", "modes")
 
-    def test_distinct_instances_get_distinct_workspaces(self):
+    def test_workspace_builds_the_set_up_on_the_problem(self, small_cfg):
+        assert workspace(small_cfg) is small_cfg
+        assert {"propagator", "q_background", "relaxed_cost_00"} <= vars(small_cfg).keys()
+
+    def test_same_instance_reuses_its_derived_state(self, small_cfg):
+        for name in self.DERIVED:
+            assert getattr(small_cfg, name) is getattr(small_cfg, name), name
+
+    def test_distinct_instances_get_distinct_derived_state(self):
         a, b = make_problem(), make_problem()
-        assert workspace(a) is not workspace(b)
+        assert a.propagator is not b.propagator
+        assert a.q_background is not b.q_background
 
-    def test_with_gamma_shares_the_workspace_and_keeps_other_fields(self, small_cfg):
+    def test_with_gamma_shares_the_derived_state_and_keeps_other_fields(self, small_cfg):
         other = small_cfg.with_gamma(0.003)
         assert other.gamma == 0.003
-        assert workspace(other) is workspace(small_cfg)
+        for name in self.DERIVED:
+            assert getattr(other, name) is getattr(small_cfg, name), name
         for f in dataclasses.fields(small_cfg):
             if f.name != "gamma":
                 assert getattr(other, f.name) is getattr(small_cfg, f.name), f.name
 
-    def test_workspace_dies_with_its_last_config(self):
+    def test_derived_state_dies_with_its_last_config(self):
         cfg = make_problem()
         other = cfg.with_gamma(0.5)
-        probe = weakref.ref(workspace(cfg))
+        probe = weakref.ref(cfg.propagator)
         gc.disable()
         try:
             del cfg
@@ -103,8 +112,7 @@ class TestWorkspaceCache:
 class TestCost:
     def test_perfect_tracking_costs_nothing(self):
         cfg = make_problem()
-        ws = workspace(cfg)
-        tracked = dataclasses.replace(cfg, z_d=ws.q_background)
+        tracked = dataclasses.replace(cfg, z_d=cfg.q_background)
         v0 = lr.zeros_space_time(cfg.grid, cfg.tgrid)
         assert lr.cost(v0, np.zeros(cfg.grid.n), tracked) == 0.0
 
@@ -142,39 +150,37 @@ class TestRelaxedCost:
         assert lr.relaxed_cost(v, g, small_cfg) == pytest.approx(expected, rel=1e-14)
 
     def test_rest_value_is_background_misfit(self, small_cfg):
-        ws = workspace(small_cfg)
         v0 = lr.zeros_space_time(small_cfg.grid, small_cfg.tgrid)
         rest = lr.relaxed_cost(v0, np.zeros(small_cfg.grid.n), small_cfg)
-        assert rest == pytest.approx(ws.relaxed_cost_00, rel=1e-14)
+        assert rest == pytest.approx(small_cfg.relaxed_cost_00, rel=1e-14)
 
 
 class TestUncertaintyAdjoint:
     def test_zero_control_zero_adjoint(self, small_cfg):
-        adj = lr.solve_uncertainty_adjoint(
+        xi = lr.solve_uncertainty_adjoint(
             lr.zeros_space_time(small_cfg.grid, small_cfg.tgrid), small_cfg
         )
-        assert np.array_equal(adj.trajectory, np.zeros_like(adj.trajectory))
-        assert np.array_equal(adj.initial_value, np.zeros(small_cfg.grid.n))
+        assert np.array_equal(xi, np.zeros_like(xi))
+        assert np.array_equal(xi[0], np.zeros(small_cfg.grid.n))
 
-    def test_initial_value_is_time_zero_trace(self, small_cfg):
+    def test_slice_zero_is_the_time_zero_trace(self, small_cfg):
         rng = np.random.default_rng(31)
-        adj = lr.solve_uncertainty_adjoint(random_control(small_cfg, rng), small_cfg)
-        assert np.array_equal(adj.initial_value, adj.trajectory[0])
-        assert np.array_equal(adj.trajectory[0], adj.trajectory[1])
+        xi = lr.solve_uncertainty_adjoint(random_control(small_cfg, rng), small_cfg)
+        assert xi.shape == (small_cfg.tgrid.steps + 1, small_cfg.grid.n)
+        assert np.array_equal(xi[0], xi[1])
 
     def test_linearity_in_the_control(self, small_cfg):
         rng = np.random.default_rng(37)
         v = random_control(small_cfg, rng)
-        a = lr.solve_uncertainty_adjoint(v, small_cfg).trajectory
-        b = lr.solve_uncertainty_adjoint(2.5 * v, small_cfg).trajectory
+        a = lr.solve_uncertainty_adjoint(v, small_cfg)
+        b = lr.solve_uncertainty_adjoint(2.5 * v, small_cfg)
         assert np.max(np.abs(b - 2.5 * a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
     def test_matches_dense_composition_oracle(self):
         # chain the one-step solves as explicit dense matrices on a tiny problem
         cfg = tiny_cfg()
-        ws = workspace(cfg)
         n, m_steps, dt = cfg.grid.n, cfg.tgrid.steps, cfg.tgrid.dt
-        k = np.linalg.inv(np.eye(n) + dt * ws.propagator.operator.matrix)
+        k = np.linalg.inv(np.eye(n) + dt * cfg.propagator.operator.matrix)
 
         rng = np.random.default_rng(41)
         v = random_control(cfg, rng)
@@ -190,7 +196,7 @@ class TestUncertaintyAdjoint:
         xi[0] = carry
 
         adj = lr.solve_uncertainty_adjoint(v, cfg)
-        assert np.max(np.abs(adj.trajectory - xi)) <= 1e-10 * max(1.0, np.max(np.abs(xi)))
+        assert np.max(np.abs(adj - xi)) <= 1e-10 * max(1.0, np.max(np.abs(xi)))
 
 
 class TestReducedCost:
@@ -199,28 +205,26 @@ class TestReducedCost:
         assert lr.reduced_cost(v0, small_cfg) == 0.0
 
     def test_bounded_below_by_negative_rest_value(self, small_cfg):
-        ws = workspace(small_cfg)
+        rest = small_cfg.relaxed_cost_00
         rng = np.random.default_rng(43)
         for _ in range(5):
             v = random_control(small_cfg, rng)
             val = lr.reduced_cost(v, small_cfg)
-            assert val >= -ws.relaxed_cost_00 - 1e-10 * max(1.0, ws.relaxed_cost_00)
+            assert val >= -rest - 1e-10 * max(1.0, rest)
 
     def test_large_gamma_limit_drops_uncertainty_term(self):
         cfg = make_problem(gamma=1e8)
-        ws = workspace(cfg)
         rng = np.random.default_rng(47)
         v = random_control(cfg, rng)
-        plain = lr.cost(v, np.zeros(cfg.grid.n), cfg) - ws.relaxed_cost_00
+        plain = lr.cost(v, np.zeros(cfg.grid.n), cfg) - cfg.relaxed_cost_00
         val = lr.reduced_cost(v, cfg)
         assert val == pytest.approx(plain, rel=1e-8, abs=1e-8)
 
     def test_uncertainty_term_matches_trace_norm(self, small_cfg):
         rng = np.random.default_rng(53)
         v = random_control(small_cfg, rng)
-        ws = workspace(small_cfg)
-        xi0 = lr.solve_uncertainty_adjoint(v, small_cfg).initial_value
-        plain = lr.cost(v, np.zeros(small_cfg.grid.n), small_cfg) - ws.relaxed_cost_00
+        xi0 = lr.solve_uncertainty_adjoint(v, small_cfg)[0]
+        plain = lr.cost(v, np.zeros(small_cfg.grid.n), small_cfg) - small_cfg.relaxed_cost_00
         expected = plain + lr.inner_product_omega(xi0, xi0, small_cfg.grid) / small_cfg.gamma
         assert lr.reduced_cost(v, small_cfg) == pytest.approx(expected, rel=1e-12)
 
@@ -280,14 +284,13 @@ class TestSharedTrajectories:
         v = v_scale * random_control(small_cfg, rng)
         g = g_scale * rng.standard_normal(small_cfg.grid.n)
         ref = composed_identities(v, g, small_cfg)
-        ws = workspace(small_cfg)
         assert lr.cost_decomposition_residual(v, g, small_cfg) == ref["cost_decomposition"]
         assert lr.duality_residual(v, g, small_cfg) == ref["duality"]
         assert lr.fenchel_gap(v, g, small_cfg) == ref["fenchel_gap"]
         g_star = ref["xi0"] / small_cfg.gamma
         assert lr.fenchel_gap(v, g_star, small_cfg) == ref["fenchel_gap_at_maximizer"]
         assert lr.relaxed_cost(v, g, small_cfg) == ref["relaxed_cost"]
-        superposition = lr.superposition_residual(ws.propagator, small_cfg.f, v, g)
+        superposition = lr.superposition_residual(small_cfg.propagator, small_cfg.f, v, g)
         assert superposition == ref["superposition"]
         assert lr.Probe(v, g, small_cfg).superposition_residual == ref["superposition"]
 
@@ -303,7 +306,7 @@ class TestFenchelGap:
     def test_vanishes_at_the_maximizer(self, small_cfg):
         rng = np.random.default_rng(79)
         v = random_control(small_cfg, rng)
-        xi0 = lr.solve_uncertainty_adjoint(v, small_cfg).initial_value
+        xi0 = lr.solve_uncertainty_adjoint(v, small_cfg)[0]
         g_star = xi0 / small_cfg.gamma
         scale = max(1.0, lr.inner_product_omega(xi0, xi0, small_cfg.grid) / small_cfg.gamma)
         assert abs(lr.fenchel_gap(v, g_star, small_cfg)) <= 1e-12 * scale
@@ -314,7 +317,7 @@ class TestFenchelGap:
         rng = np.random.default_rng(seed)
         v = random_control(cfg, rng)
         g = rng.standard_normal(cfg.grid.n)
-        xi0 = lr.solve_uncertainty_adjoint(v, cfg).initial_value
+        xi0 = lr.solve_uncertainty_adjoint(v, cfg)[0]
         scale = max(1.0, lr.inner_product_omega(xi0, xi0, cfg.grid) / cfg.gamma)
         assert lr.fenchel_gap(v, g, cfg) >= -1e-12 * scale
 
@@ -350,8 +353,7 @@ class TestStackedProbe:
         adjoint = lr.solve_uncertainty_adjoint(v, small_cfg)
         for p in range(3):
             single = lr.solve_uncertainty_adjoint(v[p], small_cfg)
-            assert np.array_equal(adjoint.trajectory[p], single.trajectory)
-            assert np.array_equal(adjoint.initial_value[p], single.initial_value)
+            assert np.array_equal(adjoint[p], single)
 
     def test_stacks_of_different_lengths_are_rejected_with_the_shapes(self, small_cfg):
         grid, tgrid = small_cfg.grid, small_cfg.tgrid

@@ -26,14 +26,14 @@ class TestModalInverse:
         # exact up to round-off times cond(H), which grows like 1/gamma
         cfg = make_problem(n=n, steps=steps, s=s, gamma=gamma)
         b = random_control(cfg, np.random.default_rng(29))
-        x = workspace(cfg).modes.solve(b, gamma)
+        x = cfg.modes.solve(b, gamma)
         assert np.array_equal(x[0], np.zeros(n))
         residual = lr.norm_q(b - apply_normal_operator(x, cfg), cfg.grid, cfg.tgrid)
         assert residual <= budget * lr.norm_q(b, cfg.grid, cfg.tgrid)
 
     def test_slice_zero_of_the_input_is_ignored(self, small_cfg):
         b = random_control(small_cfg, np.random.default_rng(31))
-        modes = workspace(small_cfg).modes
+        modes = small_cfg.modes
         shifted = b.copy()
         shifted[0] = 1.0
         assert np.array_equal(modes.solve(b, 0.1), modes.solve(shifted, 0.1))
@@ -61,10 +61,10 @@ class TestPreconditionedSolve:
 
 class TestModesOwnership:
     def test_workspace_builds_no_modes_until_a_solve(self, small_cfg):
-        ws = workspace(small_cfg)
-        assert "modes" not in vars(ws)
-        lr.solve_low_regret(small_cfg)
-        assert "modes" in vars(ws)
+        cfg = workspace(small_cfg)
+        assert "modes" not in vars(cfg)
+        lr.solve_low_regret(cfg)
+        assert "modes" in vars(cfg)
 
     def test_a_sweep_decomposes_the_operator_once(self, small_cfg, monkeypatch):
         calls = []
@@ -78,4 +78,4 @@ class TestModesOwnership:
 
     def test_with_gamma_shares_the_modes(self, small_cfg):
         other = small_cfg.with_gamma(1e-3)
-        assert workspace(other).modes is workspace(small_cfg).modes
+        assert other.modes is small_cfg.modes

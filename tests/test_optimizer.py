@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import lowregret as lr
-from lowregret.functional import workspace
 from lowregret.optimizer import apply_normal_operator, normal_rhs
 from lowregret.oracles import fd_gradient
 
@@ -75,8 +74,7 @@ class TestSolve:
 
     def test_zero_data_fixed_point(self):
         cfg = make_problem()
-        ws = workspace(cfg)
-        aligned = dataclasses.replace(cfg, z_d=ws.q_background)
+        aligned = dataclasses.replace(cfg, z_d=cfg.q_background)
         bundle = lr.solve_low_regret(aligned)
         assert bundle.converged
         assert bundle.cg_iterations == 0
@@ -171,8 +169,7 @@ class TestGammaSweep:
 
     def test_degenerate_problem_flags_nan_slope(self):
         cfg = make_problem()
-        ws = workspace(cfg)
-        aligned = dataclasses.replace(cfg, z_d=ws.q_background)
+        aligned = dataclasses.replace(cfg, z_d=cfg.q_background)
         report = lr.gamma_sweep(aligned, gammas=(1.0, 0.1, 0.01))
         assert report.degenerate
         assert np.isnan(report.slope)

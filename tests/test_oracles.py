@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import lowregret as lr
-from lowregret.functional import workspace
 from lowregret.oracles import (
     QuadratureError,
     QuadratureSpec,
@@ -176,8 +175,7 @@ class TestFrozenFixtures:
 class TestFdGradient:
     def test_zero_at_aligned_rest_point(self):
         cfg = make_problem(n=6, steps=4)
-        ws = workspace(cfg)
-        aligned = dataclasses.replace(cfg, z_d=ws.q_background)
+        aligned = dataclasses.replace(cfg, z_d=cfg.q_background)
         grad = fd_gradient(lr.zeros_space_time(cfg.grid, cfg.tgrid), aligned)
         assert np.max(np.abs(grad)) <= 1e-8
 
