@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
 
 from .grids import (
     SpatialGrid,
@@ -199,12 +198,11 @@ def _dense_basis(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK ``dsyevd`` on a C-ordered symmetric ``block``, which it
-    overwrites: the transpose is the same matrix in Fortran order."""
-    lam, vectors, info = dsyevd(block.T, overwrite_a=1)
-    if info:
-        raise ValueError(f"eigendecomposition failed (dsyevd info={info})")
-    return lam, vectors
+    """LAPACK dsyevd on the upper triangle of a C-ordered symmetric ``block``'s
+    transpose (the same matrix); the vectors keep the Fortran order dsyevd writes,
+    which the folded GEMMs' bits depend on.  Failure raises LinAlgError, a ValueError."""
+    lam, vectors = np.linalg.eigh(block.T, UPLO="U")
+    return lam, np.asfortranarray(vectors)
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:

@@ -102,10 +102,13 @@ def build_grid(x_l: float, x_r: float, n: int) -> SpatialGrid:
 
 
 def build_time_grid(horizon: float, steps: int) -> TimeGrid:
-    """Build the time grid; needs a finite ``horizon > 0``, an integer ``steps >= 1``."""
+    """Build the time grid; needs a finite ``horizon > 0``, an integer ``steps >= 1``
+    and ``dt = horizon/steps`` with ``dt*dt`` (the modal factors divide by it) above zero."""
     _check_positive("horizon", horizon)
     _check_count("steps", steps)
     dt = horizon / steps
+    if not dt * dt > 0.0:
+        raise ParameterError("horizon", f"gives time step dt = {dt}; dt*dt must be positive")
     times = dt * np.arange(steps + 1)
     times.flags.writeable = False
     return TimeGrid(float(horizon), int(steps), dt, times)

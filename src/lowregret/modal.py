@@ -19,9 +19,9 @@ down-shift), so with y = L x a block becomes
     (T + (dt/gamma) t t^T) y = L^{-T} b,   T = I + w L^{-T} L^{-1},
 
 where T is symmetric positive definite tridiagonal and does not depend on
-gamma.  All n tridiagonal blocks are factored together as one matrix of size
-n*M (mode-major, zero coupling between modes), and Sherman-Morrison removes
-the rank-one term.  This is the fast-diagonalization idea of Lynch, Rice and
+gamma.  Its n blocks are factored and solved together, one time step of all
+modes at a time (see ``NormalModes``), and Sherman-Morrison removes the
+rank-one term.  This is the fast-diagonalization idea of Lynch, Rice and
 Thomas (1964) applied in time.  It inverts H up to round-off times its
 condition number, which grows like 1/gamma; the optimizer therefore uses it
 as a preconditioner on the sweeps of ``evolution``, not as the solver.
@@ -30,7 +30,6 @@ as a preconditioner on the sweeps of ``evolution``, not as the solver.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .evolution import Propagator
 
@@ -38,47 +37,50 @@ from .evolution import Propagator
 class NormalModes:
     """The gamma-independent factors of H's modal blocks.
 
-    Holds the sweeps' ``propagator`` (whose ``to_modes`` and ``from_modes``
-    change basis), its r (``ratio``) and dt, the LDL^T pivots of the stacked
-    tridiagonal T (``pivots``, ``multipliers``), T^{-1} t (``t_solved``) and
-    t^T T^{-1} t (``t_energy``).
+    Holds the sweeps' ``propagator``, its r (``ratio``) and dt, T's LDL^T
+    ``pivots`` (M, n) and ``multipliers`` (M-1, n), time-major, in dpttrf's
+    operation order and so with its bits on the blocks stacked (they do not
+    couple), T^{-1} t (``t_solved``) and t^T T^{-1} t (``t_energy``).
     """
 
     def __init__(self, prop: Propagator, control_weight: float):
         self.propagator, self.ratio, self.dt = prop, prop.ratio, prop.tgrid.dt
-        n, steps, dt, r = prop.lam.size, prop.tgrid.steps, self.dt, self.ratio[:, None]
-        scale = control_weight / (dt * r) ** 2
-        diag = np.empty((n, steps))
-        diag[:, :-1] = 1.0 + scale * (1.0 + r * r)
-        diag[:, -1] = 1.0 + scale[:, 0]
-        off = np.empty((n, steps))
-        off[:, :-1] = -scale * r
-        off[:, -1] = 0.0  # no coupling from one mode's block into the next
-        # dpttrf's wrapper wants max(N - 1, 1) off-diagonal values; at N = 1
-        # the extra one is the zero coupling stored above
-        self.pivots, self.multipliers, info = dpttrf(
-            diag.reshape(-1), off.reshape(-1)[: max(diag.size - 1, 1)],
-            overwrite_d=1, overwrite_e=1,
-        )
-        if info:
-            raise ValueError(f"modal tridiagonal factorization failed (info={info})")
-        powers = np.arange(1, steps + 1)
-        self.t_solved = self._tridiagonal_solve(r**powers)
-        self.t_energy = np.einsum("km,km->k", r**powers, self.t_solved)
+        steps, dt, r = prop.tgrid.steps, self.dt, self.ratio
+        with np.errstate(all="ignore"):  # an overflow or a NaN ends in a pivot refused below
+            scale = control_weight / (dt * r) ** 2
+            self.pivots = pivots = np.tile(1.0 + scale * (1.0 + r * r), (steps, 1))
+            pivots[-1] = 1.0 + scale
+            self.multipliers = np.tile(-scale * r, (steps - 1, 1))
+            for d, d_next, e in zip(pivots, pivots[1:], self.multipliers):
+                d_next -= e / d * e  # the multiplier e_m / d_m times e_m
+            self.multipliers /= pivots[:-1]
+        if not ((0.0 < pivots) & (pivots < np.inf)).all():
+            raise ValueError("modal tridiagonal factor: a pivot is not positive and finite")
+        t = r[:, None] ** np.arange(1, steps + 1)
+        self.t_solved = self._tridiagonal_solve(t)
+        self.t_energy = np.einsum("km,km->k", t, self.t_solved)
 
     def _tridiagonal_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """T^{-1} rhs for an (n, M) array; overwrites ``rhs`` when it is C-ordered."""
-        x, info = dpttrs(self.pivots, self.multipliers, rhs.reshape(-1, 1), overwrite_b=1)
-        if info:
-            raise ValueError(f"illegal value in {-info}th argument of internal pttrs")
-        return x.reshape(rhs.shape)
+        """T^{-1} rhs for an (n, M) ``rhs``, with LAPACK dptts2's operations:
+        forward x_m -= e_{m-1} x_{m-1}, then backward x_m = x_m/d_m - e_m x_{m+1}.
+        Returns a new C-ordered (n, M) array, the layout ``solve``'s einsums need."""
+        if self.pivots.size == 1:  # dptts2 scales a 1 x 1 system by 1/d
+            return rhs * (1.0 / self.pivots[0, 0])
+        x = rhs.T.copy()  # time-major, so that each step is one contiguous row
+        steps, scratch = list(x), np.empty(len(rhs))
+        for prev, step, e in zip(steps, steps[1:], self.multipliers):
+            np.subtract(step, np.multiply(prev, e, scratch), step)
+        x /= self.pivots  # every division reads a value the forward pass left
+        for later, step, e in zip(steps[:0:-1], steps[-2::-1], self.multipliers[::-1]):
+            np.subtract(step, np.multiply(later, e, scratch), step)
+        return np.ascontiguousarray(x.T)
 
     def solve(self, rhs: np.ndarray, gamma: float) -> np.ndarray:
         """H^{-1} rhs for the normal operator at relaxation weight ``gamma``.
 
         ``rhs`` is a space-time field whose slice 0 is ignored; slice 0 of
-        the result is zero.  Works in place on one (n, M) array, so a solve
-        holds about two fields beyond its argument and result.
+        the result is zero.  A solve holds at most three (n, M) arrays beyond
+        its argument and result.
         """
         dt, r = self.dt, self.ratio[:, None]
         # (n, M), C-ordered: one time series per mode

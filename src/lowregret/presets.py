@@ -61,7 +61,9 @@ def spatial_profile(text: str, grid: SpatialGrid) -> np.ndarray:
         return np.zeros_like(x)
     if parsed[0] == "gauss":
         _, center, width, amp = parsed
-        return amp * np.exp(-(((x - center) / width) ** 2))
+        with np.errstate(over="ignore"):  # a square beyond the float range gives exp(-inf) = 0
+            exponent = -(((x - center) / width) ** 2)
+        return amp * np.exp(exponent)
     _, k, amp = parsed
     length = grid.x_r - grid.x_l
     return amp * np.sin(k * np.pi * (x - grid.x_l) / length)

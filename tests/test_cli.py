@@ -114,6 +114,12 @@ class TestProfilePresets:
             sine, 0.5 * np.sin(2.0 * np.pi * (grid.nodes + 1.0) / 2.0)
         )
 
+    def test_narrow_gauss_is_zero_off_its_centre_without_a_warning(self):
+        # ((x - c)/w)^2 overflows to inf off the centre, and exp(-inf) = 0 is right
+        grid = build_grid(-1.0, 1.0, 15)  # node 7 is x = 0
+        expected = np.where(grid.nodes == 0.0, 2.0, 0.0)
+        assert np.array_equal(spatial_profile("gauss(0,1e-300,2)", grid), expected)
+
     def test_space_time_field_tiles_all_slices(self):
         grid = build_grid(-1.0, 1.0, 9)
         tgrid = build_time_grid(1.0, 6)
@@ -393,6 +399,12 @@ class TestRunCommand:
         raw["domain"].update(x_left=0.0, x_right=1e-200)  # h*h underflows to zero
         assert main(["run", write_config(tmp_path, raw), "--quiet"]) == 2
         assert "config error: domain.x_right: gives spacing h" in capsys.readouterr().err
+
+    def test_vanishing_time_step_exits_two(self, tmp_path, capsys):
+        raw = config_dict()
+        raw["time"]["horizon"] = 5e-324  # dt = horizon / steps underflows to zero
+        assert main(["run", write_config(tmp_path, raw), "--quiet"]) == 2
+        assert "config error: time.horizon: gives time step dt = 0.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario", ["solve", "sweep"])
     @pytest.mark.parametrize("amplitude", ["1e154", "1e160"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dsyevd
 
 from lowregret import (
     Propagator,
@@ -324,6 +325,25 @@ class TestPropagator:
         assert np.max(np.abs(a @ basis - basis * lam)) <= 1e-13 * scale
         assert np.max(np.abs(basis.T @ basis - np.eye(n))) <= 1e-13
         assert np.array_equal(ratio, 1.0 / (1.0 + tgrid.dt * lam))
+
+
+class TestEigensolver:
+    """``_symmetric_eigh`` is LAPACK dsyevd bit for bit, vectors in its Fortran order."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 149, 150, 151, 400, 401])
+    def test_matches_dsyevd_on_the_half_blocks(self, monkeypatch, n, s):
+        blocks, eigh = [], evolution._symmetric_eigh
+        monkeypatch.setattr(evolution, "_symmetric_eigh", lambda b: blocks.append(b.copy()) or eigh(b))
+        evolution.centrosymmetric_eigh(assemble_operator(build_grid(-1.0, 1.0, n), s).matrix)
+        assert [len(block) for block in blocks] == [n - n // 2, n // 2]
+        for block in blocks:
+            lam, vectors = eigh(block.copy())
+            ref_lam, ref_vectors, info = dsyevd(block.T)
+            assert info == 0
+            assert np.array_equal(lam, ref_lam)
+            assert np.array_equal(vectors, ref_vectors)
+            assert vectors.flags.f_contiguous and ref_vectors.flags.f_contiguous
 
 
 class TestBasisChange:

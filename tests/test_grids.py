@@ -83,6 +83,8 @@ BAD_PARAMETERS = [
     (lambda v: build_grid(-1.0, 1.0, v), "n", 2.5, "expected an integer, got 2.5"),
     (lambda v: build_grid(-1.0, 1.0, v), "n", True, "expected an integer, got True"),
     (lambda v: build_time_grid(v, 4), "horizon", math.inf, "must be a finite float, got inf"),
+    (lambda v: build_time_grid(v, 4), "horizon", 5e-324,
+     "gives time step dt = 0.0; dt*dt must be positive"),
     (lambda v: build_time_grid(1.0, v), "steps", 2.5, "expected an integer, got 2.5"),
     (lambda v: _config(s=v), "s", math.nan, "must be a finite float, got nan"),
     (lambda v: _config(gamma=v), "gamma", math.inf, "must be a finite float, got inf"),

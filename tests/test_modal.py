@@ -5,11 +5,13 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 import lowregret as lr
 from lowregret import evolution
 from lowregret.cli import main
 from lowregret.functional import workspace
+from lowregret.modal import NormalModes
 from lowregret.optimizer import apply_normal_operator
 from lowregret.oracles import conjugate_gradient
 
@@ -37,6 +39,48 @@ class TestModalInverse:
         shifted = b.copy()
         shifted[0] = 1.0
         assert np.array_equal(modes.solve(b, 0.1), modes.solve(shifted, 0.1))
+
+
+class TestTridiagonalFactors:
+    """The LDL^T factor and solve of T against LAPACK dpttrf and dpttrs on all
+    of T's blocks stacked into one tridiagonal matrix, mode-major."""
+
+    @pytest.mark.parametrize("s", [0.1, 0.9])
+    @pytest.mark.parametrize("n,steps", [(1, 1), (1, 2), (2, 1), (3, 2), (16, 10), (41, 30), (120, 60)])
+    def test_match_dpttrf_and_dpttrs_bit_for_bit(self, n, steps, s):
+        cfg = make_problem(n=n, steps=steps, s=s)
+        modes, r = cfg.modes, cfg.modes.ratio[:, None]
+        scale = cfg.control_weight / (modes.dt * r) ** 2
+        diag = np.empty((n, steps))
+        diag[:, :-1] = 1.0 + scale * (1.0 + r * r)
+        diag[:, -1] = 1.0 + scale[:, 0]
+        off = np.zeros((n, steps))  # the last entry of each block: no coupling into the next
+        off[:, :-1] = -scale * r
+        size = max(n * steps - 1, 1)  # the wrapper wants max(N - 1, 1) off-diagonal values
+        pivots, multipliers, info = dpttrf(diag.ravel(), off.ravel()[:size])
+        assert info == 0
+        assert np.array_equal(modes.pivots.T.ravel(), pivots)
+        stacked = np.zeros((n, steps))
+        stacked[:, :-1] = modes.multipliers.T
+        assert np.array_equal(stacked.ravel()[:size], multipliers)
+        rhs = np.random.default_rng(n * steps).normal(size=(n, steps))
+        expected, info = dpttrs(pivots, multipliers, rhs.reshape(-1, 1))
+        assert info == 0
+        solved = modes._tridiagonal_solve(rhs)
+        assert np.array_equal(solved, expected.reshape(n, steps))
+        assert solved.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "horizon,control_weight",
+        [
+            (1e-160, 0.1),  # dt = 2.5e-161 passes the time grid, but w/(dt r)^2 overflows
+            (1.0, -10.0),  # T is not positive definite
+        ],
+    )
+    def test_refuses_a_pivot_that_is_not_positive_and_finite(self, horizon, control_weight):
+        prop = make_problem(n=8, steps=4, horizon=horizon).propagator
+        with pytest.raises(ValueError, match="pivot is not positive and finite"):
+            NormalModes(prop, control_weight)
 
 
 class TestPreconditionedSolve:
