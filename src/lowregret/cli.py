@@ -47,8 +47,8 @@ from .presets import parse_profile, space_time_field, spatial_profile
 
 SCENARIOS = ("solve", "audit", "sweep")
 
-# Ceiling on domain.nodes: assembly holds several dense n x n float arrays,
-# 200 MB each at this size.
+# Ceiling on domain.nodes: assembly builds A in one dense n x n float array,
+# 200 MB at this size, which the problem then keeps.
 MAX_NODES = 5000
 # Ceiling on nodes x (steps + 1): every space-time field (source, target,
 # each sweep's trajectory) holds that many floats, 80 MB each at this size;

@@ -111,19 +111,19 @@ class Propagator:
         From ``FOLD_NODES`` nodes on, x is folded into u = head + J tail
         (with the centre node of odd n) and w = head - J tail, head and tail
         being its leading and trailing k nodes, and the coefficients are
-        u @ even and w @ odd."""
+        u @ even and w @ odd, w taking u's buffer once u is used."""
         if self.basis is not None:
             return np.matmul(x, self.basis, out=out)
         k, c = len(self.odd), len(self.even)
         mirrored = x[..., ::-1][..., :k]  # J times the trailing k nodes
-        folded = np.empty(x.shape)
-        np.add(x[..., :k], mirrored, out=folded[..., :k])
-        folded[..., k:c] = x[..., k:c]
-        np.subtract(x[..., :k], mirrored, out=folded[..., c:])
+        half = np.empty(x.shape[:-1] + (c,))
+        np.add(x[..., :k], mirrored, out=half[..., :k])
+        half[..., k:] = x[..., k:c]
         if out is None:
             out = np.empty(x.shape)
-        np.matmul(folded[..., :c], self.even, out=out[..., :c])
-        np.matmul(folded[..., c:], self.odd, out=out[..., c:])
+        np.matmul(half, self.even, out=out[..., :c])
+        np.subtract(x[..., :k], mirrored, out=half[..., :k])
+        np.matmul(half[..., :k], self.odd, out=out[..., c:])
         return out
 
     def from_modes(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

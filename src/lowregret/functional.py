@@ -81,10 +81,11 @@ class RegretConfig:
     ``control_weight`` the quadratic penalty on the control itself.  ``f``
     and ``z_d`` are finite space-time fields (background source and tracking
     target) whose squared Q-norms do not overflow; a finite field whose
-    norm overflows raises ``ParameterError`` naming it.  The derived
-    ``propagator``, ``q_background``, ``relaxed_cost_00`` and ``modes`` are
-    built on first use and kept on the instance; ``with_gamma`` shares them
-    with the same problem at another gamma.
+    norm overflows raises ``ParameterError`` naming it, as does a time step
+    whose control_weight/dt^2 (the modal factors' scale) overflows, naming
+    ``horizon``.  The derived ``propagator``, ``q_background``,
+    ``relaxed_cost_00`` and ``modes`` are built on first use and kept on the
+    instance; ``with_gamma`` shares them with the same problem at another gamma.
     """
 
     s: float
@@ -99,7 +100,11 @@ class RegretConfig:
 
     def __post_init__(self):
         check_parameters(self.s, self.control_weight, self.gamma, self.cg_tol, self.cg_max_iters)
-        weight = self.grid.h * self.tgrid.dt
+        dt = self.tgrid.dt
+        # NormalModes scales mode k by control_weight/(dt r_k)^2 with r_k <= 1
+        if not math.isfinite(self.control_weight / (dt * dt)):
+            raise ParameterError("horizon", f"gives time step dt = {dt}; control_weight/dt^2 overflows")
+        weight = self.grid.h * dt
         with np.errstate(over="ignore"):  # an overflowing norm is refused below
             for name in ("f", "z_d"):
                 value = _check_space_time(getattr(self, name), self.grid, self.tgrid)

@@ -62,13 +62,16 @@ def assemble_operator(grid: SpatialGrid, s: float) -> FracOperator:
     c = normalization_constant(s)
     n, h, x = grid.n, grid.h, grid.nodes
 
-    diff = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(diff, 1.0)  # placeholder, diagonal handled below
-    kernel = h / diff ** (1.0 + 2.0 * s)
-    np.fill_diagonal(kernel, 0.0)
-
-    a = -kernel
-    np.fill_diagonal(a, kernel.sum(axis=1))
+    # one n x n array: distances, then the kernel h/|x_i - x_j|^(1+2s), then A
+    a = np.subtract.outer(x, x)
+    np.abs(a, out=a)
+    np.fill_diagonal(a, 1.0)  # placeholder, diagonal handled below
+    np.power(a, 1.0 + 2.0 * s, out=a)
+    np.divide(h, a, out=a)
+    np.fill_diagonal(a, 0.0)
+    row_sums = a.sum(axis=1)
+    np.negative(a, out=a)
+    np.fill_diagonal(a, row_sums)
 
     tail = ((x - grid.x_l) ** (-2.0 * s) + (grid.x_r - x) ** (-2.0 * s)) / (2.0 * s)
     a[np.arange(n), np.arange(n)] += tail

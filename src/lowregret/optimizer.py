@@ -107,9 +107,12 @@ def apply_normal_operator(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
     v = _check_space_time(v, cfg.grid, cfg.tgrid)
     prop, zero = cfg.propagator, np.zeros(cfg.grid.n)
     sv = solve_forward(prop, v, zero)
-    xi = solve_backward(prop, sv, zero)
-    propagated = solve_forward(prop, np.zeros_like(v), xi[0])
-    out = solve_backward(prop, sv + propagated / cfg.gamma, zero)
+    xi0 = solve_backward(prop, sv, zero)[0].copy()  # the trajectory is freed
+    source = solve_forward(prop, np.zeros_like(v), xi0)
+    source /= cfg.gamma
+    source += sv  # sv + propagated / gamma
+    del sv
+    out = solve_backward(prop, source, zero)
     out += cfg.control_weight * v
     out[0] = 0.0
     return out
@@ -143,7 +146,9 @@ def _preconditioned_cg(cfg: RegretConfig, initial_control):
 
     A function of its own so that its fields (b, r, p, hp, z) are freed
     before the post-solve allocates its trajectories, which keeps the peak
-    memory of a solve down.
+    memory of a solve down.  x, r and p are updated in place with the textbook
+    form's products and sums (hp takes alpha hp for r, then alpha p for x), so
+    an iteration allocates only z and the H-apply's fields.
     """
     b = normal_rhs(cfg)
     modes = cfg.modes
@@ -162,12 +167,17 @@ def _preconditioned_cg(cfg: RegretConfig, initial_control):
     while residuals[-1] > tol and len(residuals) <= cfg.cg_max_iters:
         z = modes.solve(r, cfg.gamma)
         rz_next = inner_product_q(r, z, cfg.grid, cfg.tgrid)
-        p = z if p is None else z + (rz_next / rz) * p
+        if p is None:
+            p = z
+        else:
+            p *= rz_next / rz
+            p += z
         rz = rz_next
         hp = apply_normal_operator(p, cfg)
         alpha = rz / inner_product_q(p, hp, cfg.grid, cfg.tgrid)
-        x += alpha * p
-        r -= alpha * hp
+        hp *= alpha
+        r -= hp
+        x += np.multiply(p, alpha, out=hp)
         residuals.append(math.sqrt(inner_product_q(r, r, cfg.grid, cfg.tgrid)))
     return x, tuple(residuals), tol
 
@@ -186,8 +196,8 @@ def solve_low_regret(
     """
     x, residuals, tol = _preconditioned_cg(cfg, initial_control)
     residual = residuals[-1]
+    value = reduced_cost(x, cfg)  # first: its sweeps' fields are freed before the bundle's
     state, xi, psi, phi = _first_order_system(x, cfg)
-    value = reduced_cost(x, cfg)
     return OptimalityBundle(
         control=x,
         state=state,

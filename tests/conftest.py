@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -46,6 +48,17 @@ def random_control(cfg, rng):
     v = lr.zeros_space_time(cfg.grid, cfg.tgrid)
     v[1:] = rng.standard_normal((cfg.tgrid.steps, cfg.grid.n))
     return v
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` holds at once, by tracemalloc, beyond what
+    was allocated before the call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

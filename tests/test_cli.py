@@ -406,6 +406,21 @@ class TestRunCommand:
         assert main(["run", write_config(tmp_path, raw), "--quiet"]) == 2
         assert "config error: time.horizon: gives time step dt = 0.0" in capsys.readouterr().err
 
+    def test_overflowing_modal_factors_exit_two(self, tmp_path, capsys):
+        # dt = 2.5e-161 passes the time grid, but control_weight/dt^2 overflows:
+        # validate, which builds the problem, refuses it as run does, before
+        # any directory is created
+        with open(SOLVE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["time"] = {"horizon": 1e-160, "steps": 4}
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        for argv in (["validate", path], ["run", path, "--out", str(out)]):
+            assert main([*argv, "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: time.horizon: gives time step dt = 2.5e-161;")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario", ["solve", "sweep"])
     @pytest.mark.parametrize("amplitude", ["1e154", "1e160"])
     @pytest.mark.parametrize("field,preset", [("source", "gauss(0,0.3,{})"), ("target", "sine(1,{})")])

@@ -375,6 +375,22 @@ class TestBasisChange:
         assert np.max(np.abs(folded.from_modes(modal) - x)) <= 1e-13 * scale
         assert np.max(np.abs(dense.from_modes(dense.to_modes(x)) - x)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 7)])
+    def test_fold_matches_the_full_buffer_fold_bit_for_bit(self, monkeypatch, n, shape):
+        # u and w folded side by side into one (..., n) buffer, then the two GEMMs
+        folded, _ = self.propagators(monkeypatch, n)
+        k, c = n // 2, n - n // 2
+        x = np.random.default_rng(n).normal(size=shape + (n,))
+        both = np.empty(x.shape)
+        both[..., :k] = x[..., :k] + x[..., ::-1][..., :k]
+        both[..., k:c] = x[..., k:c]
+        both[..., c:] = x[..., :k] - x[..., ::-1][..., :k]
+        expected = np.empty(x.shape)
+        np.matmul(both[..., :c], folded.even, out=expected[..., :c])
+        np.matmul(both[..., c:], folded.odd, out=expected[..., c:])
+        assert np.array_equal(folded.to_modes(x), expected)
+
     @pytest.mark.parametrize("n", [40, 41])
     def test_write_into_strided_views(self, monkeypatch, n):
         folded, _ = self.propagators(monkeypatch, n)

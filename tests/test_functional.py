@@ -54,6 +54,13 @@ class TestConfigValidation:
             dataclasses.replace(cfg, **{name: value})
         assert info.value.field == name
 
+    def test_rejects_a_time_step_whose_modal_scale_overflows(self):
+        # dt = 2.5e-161 passes the time grid, but control_weight/dt^2 overflows
+        with pytest.raises(lr.ParameterError, match="^horizon: gives time step dt = 2.5e-161") as info:
+            make_problem(n=8, steps=4, horizon=1e-160)
+        assert info.value.field == "horizon"
+        make_problem(n=8, steps=4, horizon=1e300)  # dt*dt overflows to inf: the scale is 0
+
     @pytest.mark.parametrize("name", ["f", "z_d"])
     def test_a_huge_initial_slice_is_not_in_the_norm(self, name):
         # slice 0 is outside the Q-norm, so only its finiteness is checked

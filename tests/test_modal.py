@@ -78,7 +78,9 @@ class TestTridiagonalFactors:
         ],
     )
     def test_refuses_a_pivot_that_is_not_positive_and_finite(self, horizon, control_weight):
-        prop = make_problem(n=8, steps=4, horizon=horizon).propagator
+        # built directly: RegretConfig itself refuses the first row's horizon
+        op = lr.assemble_operator(lr.build_grid(-1.0, 1.0, 8), 0.5)
+        prop = lr.step_factor(op, lr.build_time_grid(horizon, 4))
         with pytest.raises(ValueError, match="pivot is not positive and finite"):
             NormalModes(prop, control_weight)
 

@@ -16,7 +16,31 @@ from lowregret import (
 )
 from lowregret.oracles import benchmark_constant, benchmark_profile, load_oracle_table
 
+from conftest import traced_peak
+
 FIXTURE_DIR = "tests/fixtures"
+
+
+def assembled_with_temporaries(grid, s):
+    """The assembly written with a temporary per step (distances, kernel,
+    its negation): the oracle of the in-place assembly, whose ufuncs act on
+    the same values in the same order."""
+    n, h, x = grid.n, grid.h, grid.nodes
+    diff = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(diff, 1.0)
+    kernel = h / diff ** (1.0 + 2.0 * s)
+    np.fill_diagonal(kernel, 0.0)
+    a = -kernel
+    np.fill_diagonal(a, kernel.sum(axis=1))
+    tail = ((x - grid.x_l) ** (-2.0 * s) + (grid.x_r - x) ** (-2.0 * s)) / (2.0 * s)
+    a[np.arange(n), np.arange(n)] += tail
+    coef = h ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) / h**2
+    idx = np.arange(n)
+    a[idx, idx] += 2.0 * coef
+    a[idx[:-1], idx[:-1] + 1] -= coef
+    a[idx[1:], idx[1:] - 1] -= coef
+    a *= normalization_constant(s)
+    return a
 
 
 class TestNormalizationConstant:
@@ -85,6 +109,19 @@ class TestAssembly:
         a = assemble_operator(grid, 0.35).matrix
         b = assemble_operator(grid, 0.35).matrix
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 149, 150, 151, 400, 401])
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.9, 0.99])
+    def test_matches_the_assembly_with_temporaries_bit_for_bit(self, n, s):
+        grid = build_grid(-1.0, 1.0, n)
+        assert np.array_equal(assemble_operator(grid, s).matrix, assembled_with_temporaries(grid, s))
+
+    def test_peak_memory_is_one_matrix(self):
+        # distances, kernel and A share one n x n array
+        grid = build_grid(-1.0, 1.0, 200)
+        assemble_operator(grid, 0.5)  # first-call allocations stay out of the peak
+        peak = traced_peak(lambda: assemble_operator(grid, 0.5))
+        assert peak <= 2 * grid.n * grid.n * 8
 
 
 class TestBenchmarkIdentity:

@@ -9,7 +9,7 @@ import lowregret as lr
 from lowregret.optimizer import apply_normal_operator, normal_rhs
 from lowregret.oracles import fd_gradient
 
-from conftest import make_problem, random_control
+from conftest import make_problem, random_control, traced_peak
 
 
 class TestReducedGradient:
@@ -62,6 +62,19 @@ class TestNormalEquations:
         rhs = 2.0 * (apply_normal_operator(v, small_cfg) - normal_rhs(small_cfg))
         scale = max(1.0, np.max(np.abs(lhs)))
         assert np.max(np.abs(lhs - rhs)) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("n", [40, lr.evolution.FOLD_NODES])  # dense and folded basis
+    def test_apply_is_the_four_sweep_composition_bit_for_bit(self, n):
+        cfg = make_problem(n=n, steps=12)
+        v = random_control(cfg, np.random.default_rng(n))
+        prop, zero = cfg.propagator, np.zeros(n)
+        sv = lr.solve_forward(prop, v, zero)
+        xi = lr.solve_backward(prop, sv, zero)
+        propagated = lr.solve_forward(prop, np.zeros_like(v), xi[0])
+        expected = lr.solve_backward(prop, sv + propagated / cfg.gamma, zero)
+        expected += cfg.control_weight * v
+        expected[0] = 0.0
+        assert np.array_equal(apply_normal_operator(v, cfg), expected)
 
 
 class TestSolve:
@@ -137,6 +150,57 @@ class TestSolve:
         assert np.max(np.abs(bundle.worst_initial_datum - expected)) <= 1e-12 * max(
             1.0, np.max(np.abs(expected))
         )
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_in_place_updates_match_the_textbook_iteration_bit_for_bit(self, small_cfg, warm):
+        cfg, rng = small_cfg, np.random.default_rng(37)
+        start = random_control(cfg, rng) if warm else None
+        b = normal_rhs(cfg)
+        tol = cfg.cg_tol * lr.norm_q(b, cfg.grid, cfg.tgrid)
+        x = np.zeros_like(b) if start is None else start.copy()
+        x[0] = 0.0
+        r = b - apply_normal_operator(x, cfg) if warm else b
+        residuals, p = [lr.norm_q(r, cfg.grid, cfg.tgrid)], None
+        while residuals[-1] > tol:
+            z = cfg.modes.solve(r, cfg.gamma)
+            rz_next = lr.inner_product_q(r, z, cfg.grid, cfg.tgrid)
+            p = z if p is None else z + (rz_next / rz) * p
+            rz = rz_next
+            hp = apply_normal_operator(p, cfg)
+            alpha = rz / lr.inner_product_q(p, hp, cfg.grid, cfg.tgrid)
+            x = x + alpha * p
+            r = r - alpha * hp
+            residuals.append(lr.norm_q(r, cfg.grid, cfg.tgrid))
+        bundle = lr.solve_low_regret(cfg, initial_control=start)
+        assert bundle.cg_residuals == tuple(residuals)
+        assert np.array_equal(bundle.control, x)
+
+
+class TestMemoryBudget:
+    """Peak bytes a solve and an H-apply hold at once, in space-time fields,
+    on a built problem whose modal factors exist."""
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        # 200 nodes: the folded basis change (n >= evolution.FOLD_NODES)
+        cfg = make_problem(n=200, steps=100, gamma=1e-2)
+        cfg.modes, cfg.relaxed_cost_00  # built before any peak is traced
+        return cfg
+
+    @staticmethod
+    def fields(peak, cfg):
+        return peak / ((cfg.tgrid.steps + 1) * cfg.grid.n * 8)
+
+    def test_solve(self, cfg):
+        lr.solve_low_regret(cfg)  # first-call allocations stay out of the peak
+        # the bundle's five fields included
+        assert self.fields(traced_peak(lambda: lr.solve_low_regret(cfg)), cfg) <= 9.0
+
+    def test_normal_operator_apply(self, cfg):
+        v = random_control(cfg, np.random.default_rng(41))
+        apply_normal_operator(v, cfg)
+        # the result included, the argument not
+        assert self.fields(traced_peak(lambda: apply_normal_operator(v, cfg)), cfg) <= 6.0
 
 
 class TestGammaSweep:
