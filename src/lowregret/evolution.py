@@ -24,13 +24,15 @@ its even and odd half blocks, and below ``FOLD_NODES`` nodes the dense V.
 From ``FOLD_NODES`` on, a basis change folds the field about the centre and
 runs two half-size GEMMs, half the flops of one dense GEMM; below it, the
 dense GEMM is cheaper.  The defects keep the dense GEMM with A itself, an
-independent check of the fold.  ``solve_backward`` is the same forward
-march on a reversed view of the source.  Finiteness is checked once
-per value, not once per step: the propagator when it is built (it is then
-read-only), and each sweep the source slices it reads (1..M; slice 0 is
-never read) and its initial or terminal datum before the march, then its
-trajectory after it, so an overflow at any step, the last included, raises
-``ValueError``.
+independent check of the fold.  ``Propagator.in_modes`` is the same
+propagator with V = I, whose basis changes copy: on it the same sweeps
+march modal coefficients by the recurrence alone, the solver's route.
+``solve_backward`` is the same forward march on a reversed view of the
+source.  Finiteness is checked once per value, not once per step: the
+propagator when it is built (it is then read-only), and each sweep the
+source slices it reads (1..M; slice 0 is never read) and its initial or
+terminal datum before the march, then its trajectory after it, so an
+overflow at any step, the last included, raises ``ValueError``.
 
 Both sweeps also take a stack along a leading axis: a source (P, M+1, n)
 and a datum (P, n) give P trajectories (P, M+1, n) in one march, whose GEMMs
@@ -44,6 +46,7 @@ array.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +95,7 @@ class Propagator:
     even: np.ndarray = field(init=False, repr=False)
     odd: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray | None = field(default=None, init=False, repr=False)
+    identity: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         lam, even, odd = centrosymmetric_eigh(self.operator.matrix)
@@ -105,6 +109,13 @@ class Propagator:
             basis.flags.writeable = False
             object.__setattr__(self, "basis", basis)
 
+    def in_modes(self) -> "Propagator":
+        """This propagator with V = I (``identity``), for sweeps of modal
+        coefficients; its defects are meaningless, as ``operator`` is A."""
+        view = copy.copy(self)
+        object.__setattr__(view, "identity", True)
+        return view
+
     def to_modes(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """x @ V for fields x (..., n): their modal coefficients, even modes first.
 
@@ -112,6 +123,10 @@ class Propagator:
         (with the centre node of odd n) and w = head - J tail, head and tail
         being its leading and trailing k nodes, and the coefficients are
         u @ even and w @ odd, w taking u's buffer once u is used."""
+        if self.identity:  # V = I
+            out = np.empty(x.shape) if out is None else out
+            out[...] = x
+            return out
         if self.basis is not None:
             return np.matmul(x, self.basis, out=out)
         k, c = len(self.odd), len(self.even)
@@ -132,6 +147,8 @@ class Propagator:
         From ``FOLD_NODES`` nodes on, the even modes give the leading c
         nodes e = y_even @ even^T and the odd modes o = y_odd @ odd^T; the
         head is e + o and the tail J (e - o)."""
+        if self.identity:
+            return self.to_modes(y, out)
         if self.basis is not None:
             return np.matmul(y, self.basis.T, out=out)
         k, c = len(self.odd), len(self.even)

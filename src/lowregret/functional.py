@@ -38,6 +38,7 @@ each bit for bit the value of the single probe (a Python float).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -152,6 +153,20 @@ class RegretConfig:
         for name in ("propagator", "q_background", "relaxed_cost_00", "modes"):
             other.__dict__[name] = getattr(self, name)
         return other
+
+    def in_modes(self) -> "RegretConfig":
+        """This problem in A's eigenbasis, for the solver: the same grids,
+        weights and ``modes`` on ``propagator.in_modes()``, with f = 0, z_d =
+        (z_d - q(0,0)) V and so q(0,0) = 0.  Its costs are this problem's; its
+        fields map back by ``from_modes`` (plus q(0,0) for a state)."""
+        prop, zero = self.propagator, np.broadcast_to(0.0, (self.tgrid.steps + 1, self.grid.n))
+        view = copy.copy(self)  # not replace(): the data is checked already
+        view.__dict__.update(
+            f=zero, z_d=prop.to_modes(self.z_d - self.q_background),
+            propagator=prop.in_modes(), q_background=zero, modes=self.modes,
+        )
+        view.__dict__.pop("relaxed_cost_00", None)  # |z_d|_Q^2, on first use
+        return view
 
 
 def workspace(cfg: RegretConfig) -> RegretConfig:

@@ -2,14 +2,14 @@
 
 A is symmetric and time-invariant and dt is uniform, so with A = V diag(lam)
 V^T every sweep acts on each eigenmode k separately; ``evolution`` marches
-the sweeps themselves that way, and ``NormalModes`` takes lam and r from
-the sweeps' own ``evolution.Propagator`` and changes basis with its
-``to_modes`` and ``from_modes`` (two half-size GEMMs each on fine grids), so
-it never sees how V is stored.  With r = 1/(1 + dt lam_k) the forward sweep
-from zero initial data is, on slices 1..M, the lower-triangular Toeplitz
-matrix L with entries dt r^(i-j+1), the backward sweep is its transpose, and
-the t=0 trace of a backward solve is dt t^T, t_m = r^m.  The normal operator
-therefore splits into n blocks of size M
+the sweeps themselves that way, and ``NormalModes`` takes r from the sweeps'
+own ``evolution.Propagator``.  It never sees V: it takes and gives modal
+coefficients, the basis the optimizer solves in (``Propagator.to_modes``
+and ``from_modes`` map physical fields).  With r = 1/(1 + dt lam_k) the
+forward sweep from zero initial data is, on slices 1..M, the
+lower-triangular Toeplitz matrix L with entries dt r^(i-j+1), the backward
+sweep is its transpose, and the t=0 trace of a backward solve is dt t^T,
+t_m = r^m.  The normal operator therefore splits into n blocks of size M
 
     H_k = L^T (I + (dt/gamma) t t^T) L + w I,
 
@@ -37,14 +37,14 @@ from .evolution import Propagator
 class NormalModes:
     """The gamma-independent factors of H's modal blocks.
 
-    Holds the sweeps' ``propagator``, its r (``ratio``) and dt, T's LDL^T
-    ``pivots`` (M, n) and ``multipliers`` (M-1, n), time-major, in dpttrf's
-    operation order and so with its bits on the blocks stacked (they do not
-    couple), T^{-1} t (``t_solved``) and t^T T^{-1} t (``t_energy``).
+    Holds the sweeps' r (``ratio``) and dt, T's LDL^T ``pivots`` (M, n)
+    and ``multipliers`` (M-1, n), time-major, in dpttrf's operation order and
+    so with its bits on the blocks stacked (they do not couple), T^{-1} t
+    (``t_solved``) and t^T T^{-1} t (``t_energy``).
     """
 
     def __init__(self, prop: Propagator, control_weight: float):
-        self.propagator, self.ratio, self.dt = prop, prop.ratio, prop.tgrid.dt
+        self.ratio, self.dt = prop.ratio, prop.tgrid.dt
         steps, dt, r = prop.tgrid.steps, self.dt, self.ratio
         with np.errstate(all="ignore"):  # an overflow or a NaN ends in a pivot refused below
             scale = control_weight / (dt * r) ** 2
@@ -78,13 +78,13 @@ class NormalModes:
     def solve(self, rhs: np.ndarray, gamma: float) -> np.ndarray:
         """H^{-1} rhs for the normal operator at relaxation weight ``gamma``.
 
-        ``rhs`` is a space-time field whose slice 0 is ignored; slice 0 of
-        the result is zero.  A solve holds at most three (n, M) arrays beyond
-        its argument and result.
+        ``rhs`` holds the modal coefficients of a space-time field, whose
+        slice 0 is ignored; slice 0 of the result, also modal, is zero.  A
+        solve holds at most three (n, M) arrays beyond its argument and result.
         """
         dt, r = self.dt, self.ratio[:, None]
-        # (n, M), C-ordered: one time series per mode
-        work = np.ascontiguousarray(self.propagator.to_modes(rhs[1:]).T)
+        # (n, M), C-ordered: one time series per mode; a copy even where M or n is 1
+        work = np.array(rhs[1:].T, dtype=float, order="C")
         work[:, :-1] -= r * work[:, 1:]
         work /= dt * r  # L^{-T} b
         weight = dt / gamma
@@ -95,5 +95,5 @@ class NormalModes:
         work /= dt * r  # L^{-1} y
         out = np.empty_like(rhs, dtype=float)
         out[0] = 0.0
-        self.propagator.from_modes(work.T, out=out[1:])
+        out[1:] = work.T
         return out

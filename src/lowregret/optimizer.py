@@ -14,12 +14,13 @@ inner product) and T is the exact transpose of R.  H is symmetric positive
 definite in that inner product, so the system is solved by preconditioned
 conjugate gradients with matching inner products.  The preconditioner is the
 exact inverse of H in the eigenmodes of the operator (``modal.NormalModes``),
-so a solve takes one or two iterations at any gamma; the iteration itself
-applies H through the forward and backward sweeps, which keeps every
-identity on the sweeps.  Each iteration is one H-apply.  The residual
-b - H u equals -(control_weight * u + phi) for the control adjoint phi, and
-the stopping rule is on its Q-norm (the unpreconditioned recursive
-residual), hence it directly bounds the stationarity residual.
+so a solve takes one or two iterations at any gamma.  The loop, one H-apply
+per iteration, and the post-solve sweeps run through the same sweeps on
+``RegretConfig.in_modes()``, the problem in A's eigenbasis; the physical
+``optimality_residuals`` check the result.  The residual b - H u equals
+-(control_weight * u + phi) for the control adjoint phi, and the stopping
+rule is on its Q-norm (the unpreconditioned recursive residual), hence it
+directly bounds the stationarity residual.
 
 The first-order system itself splits the gamma factor symmetrically: the
 worst-response variable psi propagates -xi(0)/sqrt(gamma) forward and feeds
@@ -158,7 +159,7 @@ def _preconditioned_cg(cfg: RegretConfig, initial_control):
         x = np.zeros_like(b)
         r = b
     else:
-        x = _check_space_time(initial_control, cfg.grid, cfg.tgrid).astype(float).copy()
+        x = initial_control  # a new array, the warm start's modal coefficients
         x[0] = 0.0
         r = b - apply_normal_operator(x, cfg)
 
@@ -187,19 +188,26 @@ def solve_low_regret(
 ) -> OptimalityBundle:
     """Minimize the reduced objective by preconditioned CG on H u = b.
 
-    ``initial_control`` warm-starts the iteration (its slice 0 is ignored;
-    the start costs one H-apply).  Stops when |b - H u|_Q drops below
-    cg_tol * |b|_Q or after cg_max_iters iterations, whichever comes first;
-    ``cg_iterations`` counts the H-applies of the loop.
-    ``converged`` is false unless that tolerance, the final residual and the
-    objective are all finite (data large enough to overflow them).
+    It runs on ``cfg.in_modes()``; the warm start and the bundle's five fields
+    change basis once each.  ``initial_control`` warm-starts the iteration
+    (its slice 0 is ignored; the start costs one H-apply).  Stops when
+    |b - H u|_Q drops below cg_tol * |b|_Q or after cg_max_iters iterations,
+    whichever comes first; ``cg_iterations`` counts the H-applies of the
+    loop.  ``converged`` is false unless that tolerance, the final residual
+    and the objective are all finite (data large enough to overflow them).
     """
-    x, residuals, tol = _preconditioned_cg(cfg, initial_control)
+    prop, view = cfg.propagator, cfg.in_modes()
+    if initial_control is not None:
+        initial_control = prop.to_modes(_check_space_time(initial_control, cfg.grid, cfg.tgrid))
+    x, residuals, tol = _preconditioned_cg(view, initial_control)
     residual = residuals[-1]
-    value = reduced_cost(x, cfg)  # first: its sweeps' fields are freed before the bundle's
-    state, xi, psi, phi = _first_order_system(x, cfg)
+    value = reduced_cost(x, view)  # first: its sweeps' fields are freed before the bundle's
+    modal = [x, *_first_order_system(x, view)]
+    del x, view  # the view's target is freed, then each modal field as it is mapped back
+    control, state, xi, psi, phi = (prop.from_modes(modal.pop(0)) for _ in range(5))
+    state += cfg.q_background
     return OptimalityBundle(
-        control=x,
+        control=control,
         state=state,
         uncertainty_adjoint=xi,
         worst_response=psi,

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,30 @@ def traced_peak(fn) -> int:
 @pytest.fixture
 def small_cfg():
     return make_problem()
+
+
+def patch_everywhere(monkeypatch, home, name, wrap):
+    """Replace ``home.name`` by ``wrap(original)`` in every loaded lowregret
+    module that binds it, since the package binds names with ``from .x
+    import f``."""
+    original = getattr(home, name)
+    wrapped = wrap(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("lowregret") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapped)
+
+
+def count_calls(monkeypatch, home, names):
+    """Calls by name of the named functions of module ``home``, through every binding."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrap(original, _name=name):
+            def counted(*args, **kwargs):
+                calls[_name] += 1
+                return original(*args, **kwargs)
+            return counted
+        patch_everywhere(monkeypatch, home, name, wrap)
+    return calls
 
 
 def composed_identities(v, g, cfg):

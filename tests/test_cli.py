@@ -4,7 +4,6 @@ import csv
 import json
 import math
 import os
-import sys
 import tempfile
 import tracemalloc
 
@@ -29,7 +28,7 @@ from lowregret.functional import check_parameters
 from lowregret.optimizer import check_gammas
 from lowregret.presets import parse_profile, space_time_field, spatial_profile
 
-from conftest import composed_identities
+from conftest import composed_identities, count_calls, patch_everywhere
 
 AUDIT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "audit.json")
 SOLVE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "solve.json")
@@ -59,30 +58,6 @@ def write_config(tmp_path, raw, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
-
-
-def patch_everywhere(monkeypatch, home, name, wrap):
-    """Replace ``home.name`` by ``wrap(original)`` in every loaded lowregret
-    module that binds it, since the package binds names with ``from .x
-    import f``."""
-    original = getattr(home, name)
-    wrapped = wrap(original)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("lowregret") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, wrapped)
-
-
-def count_calls(monkeypatch, home, names):
-    """Calls by name of the named functions of module ``home``, through every binding."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def wrap(original, _name=name):
-            def counted(*args, **kwargs):
-                calls[_name] += 1
-                return original(*args, **kwargs)
-            return counted
-        patch_everywhere(monkeypatch, home, name, wrap)
-    return calls
 
 
 class TestProfilePresets:

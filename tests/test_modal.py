@@ -8,14 +8,14 @@ import pytest
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 import lowregret as lr
-from lowregret import evolution
+from lowregret import evolution, operator
 from lowregret.cli import main
-from lowregret.functional import workspace
+from lowregret.functional import RegretConfig, workspace
 from lowregret.modal import NormalModes
 from lowregret.optimizer import apply_normal_operator
 from lowregret.oracles import conjugate_gradient
 
-from conftest import make_problem, random_control
+from conftest import count_calls, make_problem, random_control
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -27,8 +27,9 @@ class TestModalInverse:
     def test_inverts_the_normal_operator_to_round_off(self, n, steps, s, gamma, budget):
         # exact up to round-off times cond(H), which grows like 1/gamma
         cfg = make_problem(n=n, steps=steps, s=s, gamma=gamma)
-        b = random_control(cfg, np.random.default_rng(29))
-        x = cfg.modes.solve(b, gamma)
+        b, prop = random_control(cfg, np.random.default_rng(29)), cfg.propagator
+        # the modal solve takes and gives modal coefficients
+        x = prop.from_modes(cfg.modes.solve(prop.to_modes(b), gamma))
         assert np.array_equal(x[0], np.zeros(n))
         residual = lr.norm_q(b - apply_normal_operator(x, cfg), cfg.grid, cfg.tgrid)
         assert residual <= budget * lr.norm_q(b, cfg.grid, cfg.tgrid)
@@ -125,3 +126,62 @@ class TestModesOwnership:
     def test_with_gamma_shares_the_modes(self, small_cfg):
         other = small_cfg.with_gamma(1e-3)
         assert other.modes is small_cfg.modes
+
+
+# the dense basis change (n < evolution.FOLD_NODES) and the folded one
+VIEW_NODES = [40, 160]
+
+
+class TestEigenbasisView:
+    """The solve runs on ``RegretConfig.in_modes()``, the same problem in
+    A's eigenbasis; these tie that route to the physical one."""
+
+    @pytest.mark.parametrize("n", VIEW_NODES)
+    def test_normal_operator_is_the_physical_one_in_modes(self, n):
+        cfg = make_problem(n=n, steps=20, gamma=1e-2)
+        view, prop = cfg.in_modes(), cfg.propagator
+        v = random_control(cfg, np.random.default_rng(43))
+        modal = apply_normal_operator(v, view)
+        physical = prop.to_modes(apply_normal_operator(prop.from_modes(v), cfg))
+        assert np.array_equal(modal[0], np.zeros(n))
+        diff = lr.norm_q(modal - physical, cfg.grid, cfg.tgrid)
+        assert diff <= 1e-13 * lr.norm_q(physical, cfg.grid, cfg.tgrid)
+
+    @pytest.mark.parametrize("n", VIEW_NODES)
+    def test_solve_matches_plain_conjugate_gradients(self, n):
+        # the reference runs on the physical sweeps, with no basis change
+        cfg = make_problem(n=n, steps=20, gamma=1e-2, control_weight=0.1)
+        bundle = lr.solve_low_regret(cfg)
+        reference, cg_iterations, _ = conjugate_gradient(cfg)
+        assert bundle.converged
+        assert bundle.cg_iterations <= 3 < cg_iterations
+        diff = lr.norm_q(bundle.control - reference, cfg.grid, cfg.tgrid)
+        assert diff <= 1e-10 * lr.norm_q(reference, cfg.grid, cfg.tgrid)
+
+    @pytest.mark.parametrize("n", VIEW_NODES)
+    def test_warm_started_sweep_converges_with_shrinking_steps(self, n):
+        # each stage maps the last control into the modes as its warm start
+        cfg = make_problem(n=n, steps=20)
+        report = lr.gamma_sweep(cfg, gammas=(1e-1, 1e-2, 1e-3, 1e-4))
+        assert all(report.converged)
+        assert all(b < a for a, b in zip(report.distances, report.distances[1:]))
+
+    @pytest.mark.parametrize("n", VIEW_NODES)
+    def test_building_the_view_costs_no_factor_and_no_sweep(self, monkeypatch, n):
+        cfg = workspace(make_problem(n=n, steps=20))
+        calls = count_calls(
+            monkeypatch, evolution,
+            ("step_factor", "centrosymmetric_eigh", "solve_forward", "solve_backward"),
+        )
+        calls.update(count_calls(monkeypatch, operator, ("assemble_operator",)))
+        view = cfg.in_modes()
+        assert set(calls.values()) == {0}
+        assert view.modes is cfg.modes
+        assert view.propagator.ratio is cfg.propagator.ratio
+
+    def test_workspace_builds_no_view(self, monkeypatch):
+        calls = []
+        real = RegretConfig.in_modes
+        monkeypatch.setattr(RegretConfig, "in_modes", lambda cfg: calls.append(1) or real(cfg))
+        workspace(make_problem())
+        assert calls == []
