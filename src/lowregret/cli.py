@@ -262,8 +262,10 @@ def load_scenario(config_path) -> ScenarioConfig:
     return parse_scenario(raw)
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def _format_rows(*columns) -> list[str]:
+    """One CSV line of ``repr`` floats per row of the given columns, which
+    are converted to Python floats at once."""
+    return [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
 
 
 def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
@@ -273,12 +275,8 @@ def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
     say(f"solving at gamma={cfg.gamma:g} (n={grid.n}, M={tgrid.steps}, s={cfg.s:g})")
     bundle = solve_low_regret(cfg)
     residuals = optimality_residuals(bundle, cfg)
-    scale = max(
-        1.0,
-        norm_q(bundle.state, grid, tgrid),
-        norm_q(cfg.z_d, grid, tgrid),
-        norm_q(bundle.control, grid, tgrid),
-    )
+    control_norm = norm_q(bundle.control, grid, tgrid)
+    scale = max(1.0, norm_q(bundle.state, grid, tgrid), norm_q(cfg.z_d, grid, tgrid), control_norm)
     xi0 = bundle.uncertainty_adjoint[0]
     say(
         f"done: {bundle.cg_iterations} CG iterations, objective {bundle.value:.6e}, "
@@ -291,17 +289,15 @@ def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         "converged": bundle.converged,
         "residuals": residuals,
         "residual_scale": scale,
-        "control_norm": norm_q(bundle.control, grid, tgrid),
+        "control_norm": control_norm,
         "xi0_norm": norm_omega(xi0, grid),
         "worst_datum_norm": norm_omega(bundle.worst_initial_datum, grid),
     }
     slices = sorted({1, tgrid.steps // 2, tgrid.steps})
     snapshots = ["x," + ",".join(f"control_t{tgrid.times[m]:g}" for m in slices)]
-    for i in range(grid.n):
-        snapshots.append(_format_row([grid.nodes[i]] + [bundle.control[m, i] for m in slices]))
+    snapshots += _format_rows(grid.nodes, *bundle.control[slices])
     worst = ["x,worst_initial_datum,uncertainty_trace"]
-    for i in range(grid.n):
-        worst.append(_format_row([grid.nodes[i], bundle.worst_initial_datum[i], xi0[i]]))
+    worst += _format_rows(grid.nodes, bundle.worst_initial_datum, xi0)
     residual_lines = ["identity,residual"]
     for name in sorted(residuals):
         residual_lines.append(f"{name},{float(residuals[name])!r}")
@@ -408,8 +404,8 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         )
     names = sorted(AUDIT_TOLERANCES)
     per_probe = ["probe," + ",".join(names)]
-    for k in range(sc.probes):
-        per_probe.append(str(k) + "," + _format_row([columns[n][k] for n in names]))
+    rows = _format_rows(*(columns[n] for n in names))
+    per_probe += [f"{k},{row}" for k, row in enumerate(rows)]
     tables = {"residuals": summary, "probe_residuals": per_probe}
     return metrics, tables, success
 
@@ -451,19 +447,12 @@ def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         "membership_probes": max(sc.probes, 1),
     }
     decay = ["gamma,xi0_norm,control_norm,objective,cg_iterations"]
-    for k, g in enumerate(report.gammas):
-        decay.append(
-            _format_row([g, report.xi0_norms[k], report.control_norms[k], report.values[k]])
-            + f",{report.cg_iterations[k]}"
-        )
+    rows = _format_rows(report.gammas, report.xi0_norms, report.control_norms, report.values)
+    decay += [f"{row},{its}" for row, its in zip(rows, report.cg_iterations)]
     distance = ["gamma_next,distance"]
-    for k, d in enumerate(report.distances):
-        distance.append(_format_row([report.gammas[k + 1], d]))
+    distance += _format_rows(report.gammas[1:], report.distances)
     snapshots = ["x," + ",".join(f"control_gamma{g:g}" for g in report.gammas)]
-    for i in range(grid.n):
-        snapshots.append(
-            _format_row([grid.nodes[i]] + [c[tgrid.steps, i] for c in report.controls])
-        )
+    snapshots += _format_rows(grid.nodes, *(c[tgrid.steps] for c in report.controls))
     tables = {
         "xi0_vs_gamma": decay,
         "control_distance": distance,

@@ -26,13 +26,20 @@ runs two half-size GEMMs, half the flops of one dense GEMM; below it, the
 dense GEMM is cheaper.  The defects keep the dense GEMM with A itself, an
 independent check of the fold.  ``Propagator.in_modes`` is the same
 propagator with V = I, whose basis changes copy: on it the same sweeps
-march modal coefficients by the recurrence alone, the solver's route.
+march modal coefficients by the recurrence alone, the solver's route; an
+unstacked sweep skips those copies and marches in its own trajectory.
 ``solve_backward`` is the same forward march on a reversed view of the
-source.  Finiteness is checked once per value, not once per step: the
-propagator when it is built (it is then read-only), and each sweep the
-source slices it reads (1..M; slice 0 is never read) and its initial or
-terminal datum before the march, then its trajectory after it, so an
-overflow at any step, the last included, raises ``ValueError``.
+source, written into a reversed view of its trajectory.  Finiteness is
+checked once per value, not once per step: the propagator when it is built
+(it is then read-only), and each sweep the source slices it reads (1..M;
+slice 0 is never read) and its initial or terminal datum before the march,
+then its trajectory after it, so an overflow at any step, the last
+included, raises ``ValueError``.
+
+The two half-size eigenproblems run as a pair, the second on a
+short-lived thread (``run_pair``), from ``PAIR_NODES`` nodes on where the
+process may run on two CPUs.  Each is the same LAPACK call on the same
+operands either way, so the bits do not depend on the route.
 
 Both sweeps also take a stack along a leading axis: a source (P, M+1, n)
 and a datum (P, n) give P trajectories (P, M+1, n) in one march, whose GEMMs
@@ -47,6 +54,8 @@ array.
 from __future__ import annotations
 
 import copy
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +79,19 @@ from .operator import FracOperator
 # 120 x 60, 1.06 at 128 x 60, 1.04 at 144 x 60, 0.98 at 152 x 60, 0.88 at
 # 160 x 80, 0.85 at 200 x 100 and 0.73 at 400 x 200.
 FOLD_NODES = 150
+
+# Nodes from which ``centrosymmetric_eigh`` runs its two half-size
+# eigenproblems as a pair (``run_pair``), where the process may run on two
+# CPUs: about 3 ms a side.  A pair waits for the idle core to wake: 0.4-0.6 ms
+# on two shared vCPUs, but 4-15 ms in 5 of 90 pairs timed after 0.4 s of
+# single-threaded work, and longer while the host steals time from the
+# vCPUs.  Paired time over sequential time, median of 10 to 30, 1 BLAS
+# thread, right after the work before it in a run: 0.84-1.00 at 160 nodes,
+# 0.82-0.94 at 200, 0.65 at 256, 0.68 at 300 and 0.61 at 400.  With
+# OpenBLAS's default of one BLAS thread per CPU (two) the pair oversubscribes
+# the CPUs and is slower: 1.05 at 300 and 1.03-1.15 at 400 (medians of 30 and
+# 60).  The gate sees the CPU affinity only, not the BLAS's thread count.
+PAIR_NODES = 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +189,44 @@ def step_factor(op: FracOperator, tgrid: TimeGrid) -> Propagator:
     return Propagator(op, tgrid)
 
 
+def pair_pays(nodes: int) -> bool:
+    """Whether the eigendecomposition of an operator on ``nodes`` nodes runs
+    its halves as a pair (``run_pair``): ``nodes`` reaches ``PAIR_NODES`` and
+    the process may run on two CPUs or more."""
+    return nodes >= PAIR_NODES and _usable_cpus() >= 2
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def run_pair(first, second):
+    """``(first(), second())``, ``second`` on a short-lived thread while
+    ``first`` runs here.  The thread is joined before the return, and an
+    exception from either call is raised here, ``first``'s before
+    ``second``'s.  ``second`` calls no function the benchmark's tracer wraps
+    (its span stack is one thread's) and allocates no field: the thread's
+    allocations land in a second malloc arena."""
+    outcome = {}
+
+    def work():
+        try:
+            outcome["value"] = second()
+        except BaseException as exc:  # raised in the caller below
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=work, name="lowregret-pair")
+    worker.start()
+    try:
+        result = first()
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return result, outcome["value"]
+
+
 _HALF_ROOT = 0.5 ** 0.5
 
 
@@ -182,7 +242,8 @@ def centrosymmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     those of A11 - A12 J: two symmetric problems of half size (Cantoni and
     Butler 1976).  For odd n the even block gains the centre node,
     x = (y, sqrt(2) w, Jy)/sqrt(2), which couples to the rest with weight
-    sqrt(2).  Only the leading rows of A are read.  Returns lam (even modes
+    sqrt(2).  Only the leading rows of A are read; the two halves run as a
+    pair (``run_pair``) from ``PAIR_NODES`` on.  Returns lam (even modes
     first), V[:c, :c] and V[:k, c:] with c = n - k; the trailing rows are
     their mirror images, V[c:, :c] = J V[:k, :c] and V[c:, c:] = -J V[:k, c:],
     and the centre row of the odd modes is zero.
@@ -196,8 +257,11 @@ def centrosymmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     if c > k:  # the centre row and column of the sum hold 2 a and 2 A_cc
         even[k] *= _HALF_ROOT
         even[:, k] *= _HALF_ROOT
-    lam_even, y = _symmetric_eigh(even)
-    lam_odd, z = _symmetric_eigh(odd)
+    halves = (lambda: _symmetric_eigh(even)), (lambda: _symmetric_eigh(odd))
+    if pair_pays(n):
+        (lam_even, y), (lam_odd, z) = run_pair(*halves)
+    else:
+        (lam_even, y), (lam_odd, z) = (half() for half in halves)
     y[:k] *= _HALF_ROOT  # the centre row, if any, is already V[k, :c]
     z *= _HALF_ROOT
     return np.concatenate((lam_even, lam_odd)), y, z
@@ -227,34 +291,50 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def _march(prop: Propagator, rows: np.ndarray, datum: np.ndarray) -> np.ndarray:
-    """Trajectory (M+1, n) of q_m = (I + dt*A)^{-1} (q_{m-1} + dt*rows[m-1])
-    from q_0 = ``datum``, in the eigenbasis: ``to_modes`` on the rows and
-    the datum, the diagonal recurrence y_m = ratio * (y_{m-1} + dt*s_m) in
-    place, ``from_modes`` on the result.
+def _march(prop: Propagator, rows: np.ndarray, datum: np.ndarray, out: np.ndarray) -> None:
+    """Slices 1..M of the trajectory q_m = (I + dt*A)^{-1} (q_{m-1} + dt*rows[m-1])
+    from q_0 = ``datum``, written into ``out`` (..., M, n).  The march runs
+    in the eigenbasis: ``to_modes`` on the rows and the datum, the diagonal
+    recurrence y_m = ratio * (y_{m-1} + dt*s_m) in place, ``from_modes``
+    into ``out``.  On ``Propagator.in_modes`` (V = I) an unstacked march
+    runs in ``out`` itself, which may be a reversed view.
 
-    Rows (P, M, n) or a datum (P, n) march a stack (P, M+1, n), stored
-    step-major so that each step updates contiguous (P, n) rows.  Each entry
-    keeps the bits of its single march: 3-D matmul is one GEMM per entry,
-    and a datum's one-row product is the single march's GEMV."""
-    ratio, n = prop.ratio, prop.ratio.size
+    Rows (P, M, n) or a datum (P, n) march a stack, stored step-major so
+    that each step updates contiguous (P, n) rows.  Each entry keeps the
+    bits of its single march: 3-D matmul is one GEMM per entry, and a
+    datum's one-row product is the single march's GEMV."""
+    ratio, dt = prop.ratio, prop.tgrid.dt
     if rows.ndim == 2 and datum.ndim == 1:
-        steps = modal = prop.to_modes(rows)  # row m-1 holds V^T s_m
+        if prop.identity:  # row m-1 holds dt * s_m
+            steps = modal = np.multiply(rows, dt, out=out)
+            carry = datum
+        else:
+            steps = modal = prop.to_modes(rows)  # row m-1 holds V^T s_m
+            steps *= dt
+            carry = prop.to_modes(datum)
     else:
         size = len(rows) if rows.ndim == 3 else len(datum)
-        steps = np.empty((rows.shape[-2], size, n))
+        steps = np.empty((rows.shape[-2], size, ratio.size))
         modal = steps.transpose(1, 0, 2)
         prop.to_modes(rows, out=modal)
-    steps *= prop.tgrid.dt
-    carry = prop.to_modes(datum) if datum.ndim == 1 else prop.to_modes(datum[:, None, :])[:, 0]
+        steps *= dt
+        carry = prop.to_modes(datum) if datum.ndim == 1 else prop.to_modes(datum[:, None, :])[:, 0]
     for row in steps:
         row += carry
         row *= ratio
         carry = row
-    out = np.empty(modal.shape[:-2] + (modal.shape[-2] + 1, n))
-    out[..., 0, :] = datum
-    prop.from_modes(modal, out=out[..., 1:, :])
-    return out
+    if modal is out:
+        return
+    if out.strides[-2] < 0:  # a GEMM writes ascending rows only
+        out[...] = prop.from_modes(modal)
+    else:
+        prop.from_modes(modal, out=out)
+
+
+def _trajectory(rows: np.ndarray, datum: np.ndarray) -> np.ndarray:
+    """An empty trajectory (..., M+1, n) for a march of ``rows`` from ``datum``."""
+    stack = rows.shape[:-2] if rows.ndim == 3 else datum.shape[:-1]
+    return np.empty(stack + (rows.shape[-2] + 1, rows.shape[-1]))
 
 
 def _checked_data(prop: Propagator, source, datum, what: str):
@@ -272,33 +352,48 @@ def _checked_data(prop: Propagator, source, datum, what: str):
 
 def solve_forward(prop: Propagator, source: np.ndarray, initial: np.ndarray) -> np.ndarray:
     rows, init = _checked_data(prop, source, initial, "initial datum")
-    q = _march(prop, rows, init)
+    q = _trajectory(rows, init)
+    q[..., 0, :] = init
+    _march(prop, rows, init, q[..., 1:, :])
     _require_finite(q, "forward trajectory")  # slice 0 is the checked datum
     return q
 
 
 def solve_backward(prop: Propagator, source: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     rows, terminal = _checked_data(prop, source, terminal, "terminal datum")
-    # the forward march on the reversed source; its slice j is time M+1-j
-    marched = _march(prop, rows[..., ::-1, :], terminal)
-    xi = np.empty_like(marched)
-    xi[..., 1:, :] = marched[..., :0:-1, :]
+    # the forward march on the reversed source, whose step j is time M+1-j
+    xi = _trajectory(rows, terminal)
+    _march(prop, rows[..., ::-1, :], terminal, xi[..., :0:-1, :])
     xi[..., 0, :] = xi[..., 1, :]  # t=0 trace
     _require_finite(xi, "backward trajectory")  # slice 0 copies slice 1
     return xi
 
 
-def _step_residual(prop: Propagator, traj: np.ndarray, src: np.ndarray):
-    """Field whose slices 1..M are traj_m + dt*A traj_m - dt*src_m (slice 0 zero),
+# Bytes of dt * source that a defect subtracts at a time, so that a defect
+# holds no field beyond its own.
+_DEFECT_BLOCK_BYTES = 16384
+
+
+def _step_residual(prop: Propagator, traj: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Slices 1..M of traj_m + dt*A traj_m - dt*src_m in one (M, n) array,
     the step's left-hand side minus its source; A is symmetric, so all M
     products are the one GEMM traj[1:] @ A."""
-    out = np.zeros_like(traj)
-    step = out[1:]
-    np.matmul(traj[1:], prop.operator.matrix, out=step)
-    step *= prop.tgrid.dt
+    dt = prop.tgrid.dt
+    step = np.matmul(traj[1:], prop.operator.matrix)
+    step *= dt
     step += traj[1:]
-    step -= prop.tgrid.dt * src[1:]
-    return out
+    rows = max(1, _DEFECT_BLOCK_BYTES // (8 * step.shape[-1]))
+    for start in range(0, len(step), rows):
+        step[start:start + rows] -= dt * src[1 + start:1 + start + rows]
+    return step
+
+
+def _defect_norm(step: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid) -> float:
+    """``norm_q`` of a field whose slices 1..M are ``step``, which is squared
+    in place: the same reduction over the same contiguous block, so the same
+    bits, and no second field."""
+    np.multiply(step, step, out=step)
+    return float(grid.h * tgrid.dt * np.add.reduce(step, axis=(-2, -1))) ** 0.5
 
 
 def forward_defect(prop: Propagator, traj: np.ndarray, source: np.ndarray, initial: np.ndarray) -> float:
@@ -312,8 +407,8 @@ def forward_defect(prop: Propagator, traj: np.ndarray, source: np.ndarray, initi
     src = _check_space_time(source, grid, tgrid)
     init = _check_spatial(initial, grid)
     defect = _step_residual(prop, traj, src)
-    defect[1:] -= traj[:-1]
-    res = norm_q(defect, grid, tgrid)
+    defect -= traj[:-1]
+    res = _defect_norm(defect, grid, tgrid)
     init_res = grid.h ** 0.5 * float(np.linalg.norm(traj[0] - init))
     return res + init_res
 
@@ -324,9 +419,9 @@ def backward_defect(prop: Propagator, traj: np.ndarray, source: np.ndarray, term
     traj = _check_space_time(traj, grid, tgrid)
     src = _check_space_time(source, grid, tgrid)
     defect = _step_residual(prop, traj, src)
-    defect[1:-1] -= traj[2:]
+    defect[:-1] -= traj[2:]
     defect[-1] -= _check_spatial(terminal, grid)  # ghost slot at the terminal time
-    res = norm_q(defect, grid, tgrid)
+    res = _defect_norm(defect, grid, tgrid)
     trace_res = grid.h ** 0.5 * float(np.linalg.norm(traj[0] - traj[1]))
     return res + trace_res
 

@@ -232,7 +232,7 @@ def optimality_residuals(bundle: OptimalityBundle, cfg: RegretConfig) -> dict[st
     root_gamma = math.sqrt(cfg.gamma)
     u = bundle.control
     xi0 = bundle.uncertainty_adjoint[0]
-    return {
+    residuals = {
         "state": forward_defect(prop, bundle.state, cfg.f + u, zero),
         "uncertainty_adjoint": backward_defect(
             prop, bundle.uncertainty_adjoint, bundle.state - cfg.q_background, zero
@@ -240,16 +240,15 @@ def optimality_residuals(bundle: OptimalityBundle, cfg: RegretConfig) -> dict[st
         "worst_response": forward_defect(
             prop, bundle.worst_response, np.zeros_like(bundle.state), -xi0 / root_gamma
         ),
-        "control_adjoint": backward_defect(
-            prop,
-            bundle.control_adjoint,
-            (bundle.state - cfg.z_d) - bundle.worst_response / root_gamma,
-            zero,
-        ),
-        "stationarity": norm_q(
-            cfg.control_weight * u + bundle.control_adjoint, cfg.grid, cfg.tgrid
-        ),
     }
+    # (state - z_d) - psi/sqrt(gamma), formed in place and freed before the
+    # last residual, so that no step holds more than two fields
+    source = bundle.state - cfg.z_d
+    source -= bundle.worst_response / root_gamma
+    residuals["control_adjoint"] = backward_defect(prop, bundle.control_adjoint, source, zero)
+    del source
+    residuals["stationarity"] = norm_q(cfg.control_weight * u + bundle.control_adjoint, cfg.grid, cfg.tgrid)
+    return residuals
 
 
 def check_gammas(gammas) -> tuple[float, ...]:

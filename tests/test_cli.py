@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -655,6 +656,80 @@ class TestSweepBudget:
         sweeps, iterations = self.run(monkeypatch, SWEEP_CONFIG)
         assert len(iterations) == 5
         assert sweeps == 1 + 5 * (1 + 8) + 4 * (sum(iterations) + 4) + 2
+
+
+class TestPairedRoutes:
+    """From ``evolution.PAIR_NODES`` nodes the eigendecomposition's halves run
+    as a pair on a short-lived thread (``evolution.run_pair``); each is the
+    same LAPACK call on the same operands either way."""
+
+    @staticmethod
+    def use(monkeypatch, route):
+        """Pair at every size ("paired"), run the pair's calls in sequence
+        ("sequential"), or pair nowhere ("ungated")."""
+        monkeypatch.setattr(evolution, "pair_pays", lambda nodes: route != "ungated")
+        if route == "sequential":
+            monkeypatch.setattr(evolution, "run_pair", lambda first, second: (first(), second()))
+
+    def test_routes_are_bit_identical(self, tmp_path):
+        path = write_config(tmp_path, config_dict(
+            domain={"x_left": -1.0, "x_right": 1.0, "nodes": 41}, time={"horizon": 1.0, "steps": 12},
+        ))
+        matrix = lr.assemble_operator(build_grid(-1.0, 1.0, 41), 0.5).matrix
+        results = {}
+        for route in ("paired", "sequential", "ungated"):
+            with pytest.MonkeyPatch.context() as mp:
+                self.use(mp, route)
+                halves = evolution.centrosymmetric_eigh(matrix)
+                cfg = load_scenario(path).problem
+                residuals = lr.optimality_residuals(lr.solve_low_regret(cfg), cfg)
+                out = tmp_path / route
+                assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"}
+            results[route] = halves, residuals, files
+        paired = results.pop("paired")
+        for halves, residuals, files in results.values():
+            assert all(np.array_equal(a, b) for a, b in zip(halves, paired[0]))
+            assert residuals == paired[1]
+            assert files == paired[2] and "report.json" in files
+
+    def test_no_thread_outlives_a_run_above_the_gate(self, monkeypatch, tmp_path):
+        pairs = count_calls(monkeypatch, evolution, ("run_pair",))
+        path = write_config(tmp_path, config_dict(
+            domain={"x_left": -1.0, "x_right": 1.0, "nodes": evolution.PAIR_NODES},
+            time={"horizon": 1.0, "steps": 20},
+        ))
+        threads = threading.active_count()
+        assert run_scenario(path, out_dir=str(tmp_path / "out")).success
+        assert threading.active_count() == threads
+        assert pairs == {"run_pair": 1 if evolution._usable_cpus() >= 2 else 0}
+
+    def test_only_the_400_node_benchmark_workload_pairs(self, monkeypatch):
+        pairs = count_calls(monkeypatch, evolution, ("run_pair",))
+        for scenario, nodes, steps in (("sweep", 120, 60), ("audit", 40, 30), ("solve", 400, 200)):
+            execute_scenario(parse_scenario(config_dict(
+                scenario=scenario,
+                domain={"x_left": -1.0, "x_right": 1.0, "nodes": nodes},
+                time={"horizon": 1.0, "steps": steps},
+            )))
+        assert pairs == {"run_pair": 1 if evolution._usable_cpus() >= 2 else 0}
+
+    def test_an_error_on_the_thread_reaches_the_cli_as_exit_3(self, monkeypatch, tmp_path, capsys):
+        eigh, raised = evolution._symmetric_eigh, []
+
+        def failing_off_the_main_thread(block):
+            if threading.current_thread() is threading.main_thread():
+                return eigh(block)
+            raised.append(len(block))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(evolution, "_symmetric_eigh", failing_off_the_main_thread)
+        self.use(monkeypatch, "paired")
+        threads = threading.active_count()
+        assert main(["run", write_config(tmp_path, config_dict()), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        assert raised == [6]  # the odd half of 12 nodes
+        assert threading.active_count() == threads
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestAuditMemory:

@@ -1,6 +1,7 @@
 """Forward/backward implicit Euler: recursions, transpose and duality identities."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -204,6 +205,30 @@ class TestDefects:
         assert backward_defect(prop, bad_mid, src, terminal) > 1e-3
 
 
+    @pytest.mark.parametrize("n, steps", [(24, 12), (400, 30)])  # 400: dt * source in 6 blocks
+    def test_defects_are_the_full_field_formula_bit_for_bit(self, n, steps):
+        prop, grid, tgrid = setup(n=n, steps=steps)
+        rng = np.random.default_rng(45)
+        traj, src, datum = random_field(grid, tgrid, rng), random_field(grid, tgrid, rng), rng.normal(size=n)
+
+        def reference(forward):
+            defect = np.zeros_like(traj)
+            np.matmul(traj[1:], prop.operator.matrix, out=defect[1:])
+            defect[1:] *= tgrid.dt
+            defect[1:] += traj[1:]
+            defect[1:] -= tgrid.dt * src[1:]
+            if forward:
+                defect[1:] -= traj[:-1]
+                mismatch = traj[0] - datum
+            else:
+                defect[1:-1] -= traj[2:]
+                defect[-1] -= datum
+                mismatch = traj[0] - traj[1]
+            return norm_q(defect, grid, tgrid) + grid.h ** 0.5 * float(np.linalg.norm(mismatch))
+
+        assert forward_defect(prop, traj, src, datum) == reference(True)
+        assert backward_defect(prop, traj, src, datum) == reference(False)
+
 def cho_solve_reference(op, tgrid, src, datum, backward=False):
     """The sweeps as a plain loop over ``scipy.linalg.cho_solve``."""
     factor = cho_factor(np.eye(op.grid.n) + tgrid.dt * op.matrix)
@@ -309,6 +334,57 @@ class TestDirectLapackSweeps:
                 prop.ratio = np.ones_like(prop.ratio)
 
 
+class TestEigenbasisSweeps:
+    """On ``Propagator.in_modes`` (V = I) an unstacked sweep marches in its
+    own trajectory, the backward one in a reversed view of it."""
+
+    @pytest.mark.parametrize("sweep", ["forward", "backward"])
+    def test_is_the_modal_recurrence_bit_for_bit(self, sweep):
+        prop, grid, tgrid = setup()
+        view = prop.in_modes()
+        rng = np.random.default_rng(47)
+        src, datum = random_field(grid, tgrid, rng), rng.normal(size=grid.n)
+        expected = [datum]
+        for row in src[1:] if sweep == "forward" else src[:0:-1]:
+            expected.append(view.ratio * (expected[-1] + tgrid.dt * row))
+        if sweep == "backward":  # slices M..1, then the t=0 trace copies slice 1
+            expected = expected[-1:] + expected[:0:-1]
+        assert np.array_equal(run_sweep(sweep, view, src, datum), np.array(expected))
+
+
+class TestRunPair:
+    """``run_pair`` runs its second call on a thread it joins before returning."""
+
+    def test_runs_the_second_call_on_a_joined_thread(self):
+        threads = threading.active_count()
+        first, second = evolution.run_pair(threading.get_ident, threading.get_ident)
+        assert first == threading.get_ident() != second
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", [("first",), ("second",), ("first", "second")])
+    def test_an_exception_from_either_call_is_raised_in_the_caller(self, failing):
+        threads = threading.active_count()
+
+        def call(name):
+            def run():
+                if name in failing:
+                    raise KeyError(name)
+                return name
+            return run
+
+        with pytest.raises(KeyError) as raised:
+            evolution.run_pair(call("first"), call("second"))
+        assert raised.value.args == (failing[0],)
+        assert threading.active_count() == threads
+
+    def test_pairs_from_the_gate_on_two_cpus_or_more(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        assert evolution.pair_pays(evolution.PAIR_NODES)
+        assert not evolution.pair_pays(evolution.PAIR_NODES - 1)
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 1)
+        assert not evolution.pair_pays(100 * evolution.PAIR_NODES)
+
+
 class TestPropagator:
     @pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.3, 2.9)])
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
@@ -336,7 +412,8 @@ class TestEigensolver:
         blocks, eigh = [], evolution._symmetric_eigh
         monkeypatch.setattr(evolution, "_symmetric_eigh", lambda b: blocks.append(b.copy()) or eigh(b))
         evolution.centrosymmetric_eigh(assemble_operator(build_grid(-1.0, 1.0, n), s).matrix)
-        assert [len(block) for block in blocks] == [n - n // 2, n // 2]
+        # the two halves may run as a pair, so in either order
+        assert sorted(len(block) for block in blocks) == sorted([n - n // 2, n // 2])
         for block in blocks:
             lam, vectors = eigh(block.copy())
             ref_lam, ref_vectors, info = dsyevd(block.T)

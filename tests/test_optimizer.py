@@ -204,6 +204,13 @@ class TestMemoryBudget:
         # the result included, the argument not
         assert self.fields(traced_peak(lambda: apply_normal_operator(v, cfg)), cfg) <= 6.0
 
+    def test_optimality_residuals(self, cfg):
+        bundle = lr.solve_low_regret(cfg)
+        lr.optimality_residuals(bundle, cfg)
+        # the bundle not included: one defect's source and the defect, which
+        # subtracts dt * source in blocks and is squared in place
+        assert self.fields(traced_peak(lambda: lr.optimality_residuals(bundle, cfg)), cfg) <= 2.2
+
 
 class TestGammaSweep:
     def test_rejects_bad_schedules(self, small_cfg):
