@@ -25,9 +25,9 @@ From ``FOLD_NODES`` on, a basis change folds the field about the centre and
 runs two half-size GEMMs, half the flops of one dense GEMM; below it, the
 dense GEMM is cheaper.  The defects keep the dense GEMM with A itself, an
 independent check of the fold.  ``Propagator.in_modes`` is the same
-propagator with V = I, whose basis changes copy: on it the same sweeps
-march modal coefficients by the recurrence alone, the solver's route; an
-unstacked sweep skips those copies and marches in its own trajectory.
+propagator with V = I, the solver's route: on it every sweep, single or
+stacked, marches modal coefficients by the recurrence alone in its own
+trajectory and changes no basis.
 ``solve_backward`` is the same forward march on a reversed view of the
 source, written into a reversed view of its trajectory.  Finiteness is
 checked once per value, not once per step: the propagator when it is built
@@ -74,10 +74,14 @@ from .operator import FracOperator
 # Node count from which a basis change runs on the even and odd half blocks
 # of V (two half-size GEMMs, n^2 M flops) instead of the dense n x n V
 # (2 n^2 M flops); below it the fold's extra numpy calls cost more than the
-# flops they save.  One forward sweep, folded time over dense time, median of
-# five, 1 BLAS thread on two shared vCPUs (n x M): 1.34 at 80 x 30, 1.16 at
-# 120 x 60, 1.06 at 128 x 60, 1.04 at 144 x 60, 0.98 at 152 x 60, 0.88 at
-# 160 x 80, 0.85 at 200 x 100 and 0.73 at 400 x 200.
+# flops they save.  One physical forward sweep, folded time over dense time,
+# median of five, 1 BLAS thread on two shared vCPUs (n x M): 1.34 at 80 x 30,
+# 1.16 at 120 x 60, 1.06 at 128 x 60, 1.04 at 144 x 60, 0.98 at 152 x 60, 0.88
+# at 160 x 80, 0.85 at 200 x 100 and 0.73 at 400 x 200.  The solve's sweeps
+# change no basis, so the dense path pays only for the audit's stacked sweeps
+# at 40 nodes: folded at every size, ``cli.main`` took 1.20 times as long on
+# the audit at 40 x 30 and 0.99 on the gamma sweep at 120 x 60 (medians of 50
+# interleaved in-process pairs).
 FOLD_NODES = 150
 
 # Nodes from which ``centrosymmetric_eigh`` runs its two half-size
@@ -133,7 +137,8 @@ class Propagator:
 
     def in_modes(self) -> "Propagator":
         """This propagator with V = I (``identity``), for sweeps of modal
-        coefficients; its defects are meaningless, as ``operator`` is A."""
+        coefficients.  Only the sweeps read ``identity``: its basis changes
+        (with V) and defects (with A) are meaningless."""
         view = copy.copy(self)
         object.__setattr__(view, "identity", True)
         return view
@@ -145,10 +150,6 @@ class Propagator:
         (with the centre node of odd n) and w = head - J tail, head and tail
         being its leading and trailing k nodes, and the coefficients are
         u @ even and w @ odd, w taking u's buffer once u is used."""
-        if self.identity:  # V = I
-            out = np.empty(x.shape) if out is None else out
-            out[...] = x
-            return out
         if self.basis is not None:
             return np.matmul(x, self.basis, out=out)
         k, c = len(self.odd), len(self.even)
@@ -169,8 +170,6 @@ class Propagator:
         From ``FOLD_NODES`` nodes on, the even modes give the leading c
         nodes e = y_even @ even^T and the odd modes o = y_odd @ odd^T; the
         head is e + o and the tail J (e - o)."""
-        if self.identity:
-            return self.to_modes(y, out)
         if self.basis is not None:
             return np.matmul(y, self.basis.T, out=out)
         k, c = len(self.odd), len(self.even)
@@ -296,35 +295,30 @@ def _march(prop: Propagator, rows: np.ndarray, datum: np.ndarray, out: np.ndarra
     from q_0 = ``datum``, written into ``out`` (..., M, n).  The march runs
     in the eigenbasis: ``to_modes`` on the rows and the datum, the diagonal
     recurrence y_m = ratio * (y_{m-1} + dt*s_m) in place, ``from_modes``
-    into ``out``.  On ``Propagator.in_modes`` (V = I) an unstacked march
-    runs in ``out`` itself, which may be a reversed view.
+    into ``out``.  On ``Propagator.in_modes`` (V = I) every march runs in
+    ``out`` itself, which may be a reversed view, and changes no basis.
 
-    Rows (P, M, n) or a datum (P, n) march a stack, stored step-major so
-    that each step updates contiguous (P, n) rows.  Each entry keeps the
-    bits of its single march: 3-D matmul is one GEMM per entry, and a
-    datum's one-row product is the single march's GEMV."""
+    Rows (P, M, n) or a datum (P, n) march a stack.  Its steps are taken
+    step-major, so on V each step updates contiguous (P, n) rows.  Each
+    entry keeps the bits of its single march: 3-D matmul is one GEMM per
+    entry, and a datum's one-row product is the single march's GEMV."""
     ratio, dt = prop.ratio, prop.tgrid.dt
-    if rows.ndim == 2 and datum.ndim == 1:
-        if prop.identity:  # row m-1 holds dt * s_m
-            steps = modal = np.multiply(rows, dt, out=out)
-            carry = datum
-        else:
-            steps = modal = prop.to_modes(rows)  # row m-1 holds V^T s_m
-            steps *= dt
-            carry = prop.to_modes(datum)
+    steps = out.swapaxes(0, -2)  # step m-1 holds dt * s_m in the modes
+    if prop.identity:
+        np.multiply(rows, dt, out=out)
+        carry = datum
     else:
-        size = len(rows) if rows.ndim == 3 else len(datum)
-        steps = np.empty((rows.shape[-2], size, ratio.size))
-        modal = steps.transpose(1, 0, 2)
-        prop.to_modes(rows, out=modal)
+        steps = np.empty(steps.shape)
+        prop.to_modes(rows, out=steps.swapaxes(0, -2))
         steps *= dt
         carry = prop.to_modes(datum) if datum.ndim == 1 else prop.to_modes(datum[:, None, :])[:, 0]
     for row in steps:
         row += carry
         row *= ratio
         carry = row
-    if modal is out:
+    if prop.identity:
         return
+    modal = steps.swapaxes(0, -2)
     if out.strides[-2] < 0:  # a GEMM writes ascending rows only
         out[...] = prop.from_modes(modal)
     else:
@@ -446,9 +440,8 @@ def superposition_residual(prop: Propagator, f: np.ndarray, v: np.ndarray, g: np
     initial value g or 0."""
     grid, tgrid = prop.operator.grid, prop.tgrid
     zero = np.zeros(grid.n)
-    zero_v = np.zeros_like(_check_space_time(f, grid, tgrid))
     return superposition_defect(
         solve_forward(prop, f + v, g), solve_forward(prop, f + v, zero),
-        solve_forward(prop, f + zero_v, g), solve_forward(prop, f + zero_v, zero),
+        solve_forward(prop, f, g), solve_forward(prop, f, zero),
         grid, tgrid,
     )

@@ -335,8 +335,8 @@ class TestDirectLapackSweeps:
 
 
 class TestEigenbasisSweeps:
-    """On ``Propagator.in_modes`` (V = I) an unstacked sweep marches in its
-    own trajectory, the backward one in a reversed view of it."""
+    """On ``Propagator.in_modes`` (V = I) every sweep marches in its own
+    trajectory, the backward one in a reversed view of it."""
 
     @pytest.mark.parametrize("sweep", ["forward", "backward"])
     def test_is_the_modal_recurrence_bit_for_bit(self, sweep):
@@ -491,31 +491,33 @@ class TestBasisChange:
 
 
 class TestStackedSweeps:
-    @pytest.mark.parametrize("n", [1, 2, 40, 41, evolution.FOLD_NODES])
+    @pytest.mark.parametrize("n", [1, 2, 40, 41, evolution.FOLD_NODES, evolution.FOLD_NODES + 1])
     @pytest.mark.parametrize("stack", [1, 2, 7])
     def test_equal_single_sweeps_bitwise(self, n, stack):
-        prop, grid, tgrid = setup(n=n, steps=6)
+        physical, grid, tgrid = setup(n=n, steps=6)
         rng = np.random.default_rng(10 * n + stack)
         src = rng.normal(size=(stack, tgrid.steps + 1, grid.n))
         datum = rng.normal(size=(stack, grid.n))
-        for sweep in (solve_forward, solve_backward):
-            marched = sweep(prop, src, datum)
-            assert marched.shape == src.shape
-            for p in range(stack):
-                assert np.array_equal(marched[p], sweep(prop, src[p], datum[p]))
+        for prop in (physical, physical.in_modes()):  # on V, and on V = I
+            for sweep in (solve_forward, solve_backward):
+                marched = sweep(prop, src, datum)
+                assert marched.shape == src.shape
+                for p in range(stack):
+                    assert np.array_equal(marched[p], sweep(prop, src[p], datum[p]))
 
     @pytest.mark.parametrize("sweep", [solve_forward, solve_backward])
     def test_an_unstacked_operand_is_shared_by_every_entry(self, sweep):
         for n in (41, evolution.FOLD_NODES):  # a dense and a folded basis change
-            prop, grid, tgrid = setup(n=n, steps=6)
+            physical, grid, tgrid = setup(n=n, steps=6)
             rng = np.random.default_rng(3)
             src = rng.normal(size=(4, tgrid.steps + 1, grid.n))
             datum = rng.normal(size=(4, grid.n))
-            shared_source = sweep(prop, src[0], datum)
-            shared_datum = sweep(prop, src, datum[0])
-            for p in range(4):
-                assert np.array_equal(shared_source[p], sweep(prop, src[0], datum[p]))
-                assert np.array_equal(shared_datum[p], sweep(prop, src[p], datum[0]))
+            for prop in (physical, physical.in_modes()):  # on V, and on V = I
+                shared_source = sweep(prop, src[0], datum)
+                shared_datum = sweep(prop, src, datum[0])
+                for p in range(4):
+                    assert np.array_equal(shared_source[p], sweep(prop, src[0], datum[p]))
+                    assert np.array_equal(shared_datum[p], sweep(prop, src[p], datum[0]))
 
     @pytest.mark.parametrize("sweep,datum", [(solve_forward, "initial datum"), (solve_backward, "terminal datum")])
     def test_stacks_of_different_lengths_are_rejected_with_the_shapes(self, sweep, datum):

@@ -179,6 +179,20 @@ class TestEigenbasisView:
         assert view.modes is cfg.modes
         assert view.propagator.ratio is cfg.propagator.ratio
 
+    @pytest.mark.parametrize("n", VIEW_NODES)
+    def test_no_basis_change_runs_on_the_view(self, monkeypatch, n):
+        # on the view V = I, so its to_modes and from_modes are meaningless
+        cfg = make_problem(n=n, steps=20)
+        views = []
+        for name in ("to_modes", "from_modes"):
+            def spy(prop, *args, _real=getattr(lr.Propagator, name), **kwargs):
+                views.append(prop.identity)
+                return _real(prop, *args, **kwargs)
+            monkeypatch.setattr(lr.Propagator, name, spy)
+        lr.solve_low_regret(cfg)
+        lr.gamma_sweep(cfg, gammas=(1e-1, 1e-2))
+        assert views and not any(views)
+
     def test_workspace_builds_no_view(self, monkeypatch):
         calls = []
         real = RegretConfig.in_modes
