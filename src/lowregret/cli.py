@@ -3,7 +3,8 @@
 Subcommands: ``run`` (executes the scenario named in the config), ``audit``
 (identity checks on random probes), ``sweep`` (continuation over gamma) and
 ``validate`` (parse the config and build its problem, no solve).  Every
-subcommand checks a config the same way, by building its problem
+subcommand checks a config the same way: it applies ``--seed`` (and
+``audit`` or ``sweep`` its scenario) to the parse, then builds the problem
 (``ScenarioConfig.problem``), so ``validate`` refuses what ``run`` refuses,
 and a refused config creates no output directory.  Every run writes
 ``report.json`` plus per-metric CSV plot data into the output directory;
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -177,25 +178,13 @@ def _reject_unknown(raw: dict, known, path: str = "") -> None:
             raise ConfigError(f"{path}{key}", "unknown field")
 
 
-def _checked_scenario(value) -> str:
-    if value not in SCENARIOS:
-        raise ConfigError("scenario", f"must be one of {', '.join(SCENARIOS)}, got {value!r}")
-    return value
-
-
-def _checked_seed(name: str, value) -> int:
-    seed = _typed(name, value, int)
-    if seed < 0:
-        raise ConfigError(name, f"must be >= 0, got {seed}")
-    return seed
-
-
-def parse_scenario(raw: dict) -> ScenarioConfig:
+def parse_scenario(raw: dict, scenario: str | None = None, seed: int | None = None) -> ScenarioConfig:
     """Build the scenario, and its problem, from a parsed JSON document.
 
-    Types, defaults and sections come from ``ScenarioConfig``.  Building
-    the problem runs the library's range checks; its ParameterError is
-    reported under the field's JSON path.
+    Types, defaults and sections come from ``ScenarioConfig``; ``scenario``
+    and ``seed`` (the command line's, named ``--seed``) replace the
+    document's before any check.  Building the problem runs the library's
+    range checks; its ParameterError is reported under the field's JSON path.
     """
     if not isinstance(raw, dict):
         raise ConfigError("<config>", "top level must be a JSON object")
@@ -216,8 +205,13 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             raise ConfigError(path, "required field is missing")
         else:
             values[f.name] = f.default
+    if scenario is not None:
+        values["scenario"] = scenario
+    if seed is not None:
+        values["seed"] = _typed("--seed", seed, int)
 
-    _checked_scenario(values["scenario"])
+    if values["scenario"] not in SCENARIOS:
+        raise ConfigError("scenario", f"must be one of {', '.join(SCENARIOS)}, got {values['scenario']!r}")
     nodes = values["nodes"]
     if nodes > MAX_NODES:
         raise ConfigError("domain.nodes", f"must be <= {MAX_NODES}, got {nodes}")
@@ -238,7 +232,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     if probes * nodes > MAX_GRID_VALUES:
         limit = MAX_GRID_VALUES // nodes
         raise ConfigError("probes", f"must be <= {limit} at {nodes} nodes, got {probes}")
-    _checked_seed("seed", values["seed"])
+    if values["seed"] < 0:
+        raise ConfigError("seed" if seed is None else "--seed", f"must be >= 0, got {values['seed']}")
     if values["out_dir"] is not None and not isinstance(values["out_dir"], str):
         raise ConfigError("out_dir", f"expected a string, got {values['out_dir']!r}")
 
@@ -248,10 +243,13 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         sc.problem  # built here, so the library checks every range
     except ParameterError as exc:
         raise ConfigError(_JSON_PATHS.get(exc.field, exc.field), exc.reason) from None
+    for name, text in presets:
+        if not np.isfinite(spatial_profile(text, sc.problem.grid)).all():
+            raise ConfigError(name, "must be finite on the grid")
     return sc
 
 
-def load_scenario(config_path) -> ScenarioConfig:
+def load_scenario(config_path, scenario: str | None = None, seed: int | None = None) -> ScenarioConfig:
     try:
         with open(config_path) as fh:
             raw = json.load(fh)
@@ -259,7 +257,7 @@ def load_scenario(config_path) -> ScenarioConfig:
         raise ConfigError(str(config_path), f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(str(config_path), f"not valid JSON: {exc}") from None
-    return parse_scenario(raw)
+    return parse_scenario(raw, scenario, seed)
 
 
 def _format_rows(*columns) -> list[str]:
@@ -543,16 +541,7 @@ def run_scenario(
     are echoed in the report.  Raises ConfigError on invalid input, and on an
     output directory that cannot be created, before any computation.
     """
-    sc = load_scenario(config_path)
-    updates = {}
-    if scenario is not None:
-        updates["scenario"] = _checked_scenario(scenario)
-    if seed is not None:
-        updates["seed"] = _checked_seed("--seed", seed)
-    if updates:  # scenario and seed do not enter the problem: keep the one built
-        problem = sc.problem
-        sc = replace(sc, **updates)
-        sc.__dict__["problem"] = problem
+    sc = load_scenario(config_path, scenario, seed)
     target, origin = resolve_out_dir(out_dir, sc)
     try:
         os.makedirs(target, exist_ok=True)
@@ -591,7 +580,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            sc = load_scenario(args.config)
+            sc = load_scenario(args.config, seed=args.seed)
             if not args.quiet:
                 print(json.dumps(sc.echo(), indent=2, sort_keys=True))
             return 0

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -81,12 +81,12 @@ class RegretConfig:
     ``gamma`` is the relaxation weight on the unknown initial datum and
     ``control_weight`` the quadratic penalty on the control itself.  ``f``
     and ``z_d`` are finite space-time fields (background source and tracking
-    target) whose squared Q-norms do not overflow; a finite field whose
-    norm overflows raises ``ParameterError`` naming it, as does a time step
-    whose control_weight/dt^2 (the modal factors' scale) overflows, naming
-    ``horizon``.  The derived ``propagator``, ``q_background``,
-    ``relaxed_cost_00`` and ``modes`` are built on first use and kept on the
-    instance; ``with_gamma`` shares them with the same problem at another gamma.
+    target) whose squared Q-norms do not overflow; a field that is not
+    finite or whose norm overflows raises ``ParameterError`` naming it, as
+    does a time step whose control_weight/dt^2 (the modal factors' scale)
+    overflows, naming ``horizon``.  The derived ``propagator``,
+    ``q_background``, ``relaxed_cost_00`` and ``modes`` are built on first
+    use and kept on the instance, and shared by ``with_gamma``'s copies.
     """
 
     s: float
@@ -114,7 +114,7 @@ class RegretConfig:
                 # not overflow; only a field that fails it is looked at again
                 if not math.isfinite(weight * np.vdot(value, value)):
                     if not np.isfinite(value).all():
-                        raise ValueError(f"{name} must be finite")
+                        raise ParameterError(name, "must be finite")
                     rows = value[1:]
                     if not math.isfinite(weight * np.vdot(rows, rows)):
                         raise ParameterError(name, "its Q-norm overflows the float range")
@@ -145,13 +145,14 @@ class RegretConfig:
     def with_gamma(self, gamma: float) -> "RegretConfig":
         """The same problem at relaxation weight ``gamma``.
 
-        gamma enters no derived quantity, so the returned config shares this
-        one's propagator, background state and modal factors (built here if
-        they do not exist yet).
+        gamma enters no derived quantity, so the returned copy shares this
+        one's data, propagator, background state and modal factors (built
+        here if they do not exist yet), and only ``gamma`` is checked.
         """
-        other = replace(self, gamma=gamma)
-        for name in ("propagator", "q_background", "relaxed_cost_00", "modes"):
-            other.__dict__[name] = getattr(self, name)
+        _check_positive("gamma", gamma)
+        self.relaxed_cost_00, self.modes  # built, so that the copy shares them
+        other = copy.copy(self)
+        object.__setattr__(other, "gamma", gamma)
         return other
 
     def in_modes(self) -> "RegretConfig":
@@ -160,7 +161,7 @@ class RegretConfig:
         (z_d - q(0,0)) V and so q(0,0) = 0.  Its costs are this problem's; its
         fields map back by ``from_modes`` (plus q(0,0) for a state)."""
         prop, zero = self.propagator, np.broadcast_to(0.0, (self.tgrid.steps + 1, self.grid.n))
-        view = copy.copy(self)  # not replace(): the data is checked already
+        view = copy.copy(self)  # as in with_gamma: the data is checked already
         view.__dict__.update(
             f=zero, z_d=prop.to_modes(self.z_d - self.q_background),
             propagator=prop.in_modes(), q_background=zero, modes=self.modes,

@@ -278,25 +278,17 @@ def gamma_sweep(
     """
     gammas = check_gammas(gammas)
 
-    controls: list[np.ndarray] = []
-    xi0_norms: list[float] = []
-    control_norms: list[float] = []
-    values: list[float] = []
-    iters: list[int] = []
-    converged: list[bool] = []
-
-    warm = None
+    stages = []
     for g in gammas:
-        bundle = solve_low_regret(cfg.with_gamma(g), initial_control=warm)
-        warm = bundle.control
-        controls.append(bundle.control)
-        xi0_norms.append(norm_omega(bundle.uncertainty_adjoint[0], cfg.grid))
-        control_norms.append(norm_q(bundle.control, cfg.grid, cfg.tgrid))
-        values.append(bundle.value)
-        iters.append(bundle.cg_iterations)
-        converged.append(bundle.converged)
+        bundle = solve_low_regret(cfg.with_gamma(g), initial_control=stages[-1][0] if stages else None)
+        stages.append((
+            bundle.control, norm_omega(bundle.uncertainty_adjoint[0], cfg.grid),
+            norm_q(bundle.control, cfg.grid, cfg.tgrid),
+            bundle.value, bundle.cg_iterations, bundle.converged,
+        ))
         if callback is not None:
             callback(g, bundle)
+    controls, xi0_norms, control_norms, values, iters, converged = zip(*stages)
 
     distances = tuple(
         norm_q(a - b, cfg.grid, cfg.tgrid) for a, b in zip(controls, controls[1:])
@@ -309,13 +301,13 @@ def gamma_sweep(
 
     return GammaSweepReport(
         gammas=gammas,
-        controls=tuple(controls),
-        xi0_norms=tuple(xi0_norms),
-        control_norms=tuple(control_norms),
-        values=tuple(values),
+        controls=controls,
+        xi0_norms=xi0_norms,
+        control_norms=control_norms,
+        values=values,
         distances=distances,
-        cg_iterations=tuple(iters),
-        converged=tuple(converged),
+        cg_iterations=iters,
+        converged=converged,
         slope=slope,
         degenerate=degenerate,
     )

@@ -66,7 +66,8 @@ def spatial_profile(text: str, grid: SpatialGrid) -> np.ndarray:
         return amp * np.exp(exponent)
     _, k, amp = parsed
     length = grid.x_r - grid.x_l
-    return amp * np.sin(k * np.pi * (x - grid.x_l) / length)
+    with np.errstate(over="ignore", invalid="ignore"):  # sin(inf) = NaN, refused by the caller
+        return amp * np.sin(k * np.pi * (x - grid.x_l) / length)
 
 
 def space_time_field(text: str, grid: SpatialGrid, tgrid: TimeGrid) -> np.ndarray:

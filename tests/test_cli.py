@@ -155,6 +155,10 @@ class TestParseScenario:
             (lambda r: r.update(cg_tol=float("inf")), "cg_tol: must be a finite float"),
             (lambda r: r["time"].update(horizon=float("inf")), "time.horizon: must be a finite float"),
             (lambda r: r.update(seed=-1), "seed:"),
+            # k*pi*(x - x_l) overflows, so the preset's values are NaN
+            (lambda r: r.update(source="sine(1e308,1)"), "source: must be finite"),
+            (lambda r: r.update(target="sine(1e308,1)"), "target: must be finite"),
+            (lambda r: r.update(probe_presets=["zero", "sine(1e308,1)"]), "probe_presets[1]: must be finite"),
             (lambda r: r["domain"].update(nodes=20000), "domain.nodes: must be <= 5000"),
             (lambda r: r["time"].update(steps=10**12), "time.steps: must be <= 833332 at 12 nodes"),
         ],
@@ -462,10 +466,15 @@ class TestRunCommand:
         assert main(["run", path, "--quiet", *argv]) == 2
         assert f"config error: {origin}: cannot create output directory" in capsys.readouterr().err
 
-    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["validate", "run", "audit"])
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys, command):
         path = write_config(tmp_path, config_dict())
-        assert main(["audit", path, "--seed", "-1", "--quiet"]) == 2
-        assert "config error: --seed:" in capsys.readouterr().err
+        assert main([command, path, "--seed", "-1", "--quiet"]) == 2
+        assert "config error: --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_validate_echoes_the_seed_flag(self, capsys):
+        assert main(["validate", SOLVE_CONFIG, "--seed", "7"]) == 0  # the config's seed is 42
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
 
     @pytest.mark.parametrize(
         "override,field",

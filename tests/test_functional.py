@@ -42,7 +42,7 @@ class TestConfigValidation:
         cfg = make_problem()
         value = getattr(cfg, name).copy()
         value[2, 3] = bad
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name}: must be finite"):
             dataclasses.replace(cfg, **{name: value})
 
     @pytest.mark.parametrize("name", ["f", "z_d"])
@@ -101,6 +101,23 @@ class TestDerivedState:
         for f in dataclasses.fields(small_cfg):
             if f.name != "gamma":
                 assert getattr(other, f.name) is getattr(small_cfg, f.name), f.name
+
+    @pytest.mark.parametrize("gamma", [0.0, float("nan")])
+    def test_with_gamma_checks_gamma(self, small_cfg, gamma):
+        with pytest.raises(lr.ParameterError) as info:
+            small_cfg.with_gamma(gamma)
+        assert info.value.field == "gamma"
+
+    def test_a_sweep_checks_the_data_no_more(self, monkeypatch):
+        # each stage copies the built problem: f and z_d are not checked again
+        cfg = make_problem(n=12, steps=6)
+        calls = []
+        post_init = lr.RegretConfig.__post_init__
+        monkeypatch.setattr(
+            lr.RegretConfig, "__post_init__", lambda self: calls.append(1) or post_init(self)
+        )
+        report = lr.gamma_sweep(cfg)
+        assert len(report.gammas) == 5 and calls == []
 
     def test_derived_state_dies_with_its_last_config(self):
         cfg = make_problem()
