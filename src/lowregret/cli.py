@@ -9,7 +9,11 @@ subcommand checks a config the same way: it applies ``--seed`` (and
 and a refused config creates no output directory.  Every run writes
 ``report.json`` plus per-metric CSV plot data into the output directory;
 wall-clock timings go to a separate ``timings.json`` so that reports from
-identical config and seed are byte-identical.
+identical config and seed are byte-identical.  Threads: on two CPUs, an
+audit of two probe blocks or more draws each next block on a short-lived
+thread (``evolution.run_ahead``), and a problem of ``evolution.PAIR_NODES``
+nodes or more pairs its eigendecomposition (``evolution.run_pair``); both
+are joined before the call that started them returns or raises.
 
 Output directory resolution: ``--out`` flag, else the config's ``out_dir``
 field, else ``$LOWREGRET_OUT/<scenario>`` (current directory when the
@@ -30,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .evolution import solve_backward, solve_forward
+from .evolution import run_ahead, solve_backward, solve_forward
 from .functional import Probe, RegretConfig, solve_uncertainty_adjoint, workspace
 from .grids import (
     ParameterError,
@@ -336,54 +340,62 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
     rng = np.random.default_rng(sc.seed)
     say(f"auditing identities on {sc.probes} random probes (seed {sc.seed})")
 
-    preset_data = [spatial_profile(text, grid) for text in sc.probe_presets]
+    preset_data = np.array([spatial_profile(text, grid) for text in sc.probe_presets])
     shape = (tgrid.steps + 1, grid.n)
+    cut = tgrid.steps * grid.n  # values in one probe's v, a or b
     zero = np.zeros(grid.n)
     block = max(1, AUDIT_BLOCK_BYTES // (8 * shape[0] * shape[1]))
+    # one bulk draw per block, into one buffer: each row is one probe's v, g,
+    # a and b in turn, the stream order of one call per field
+    buf = np.empty((min(block, sc.probes), 3 * cut + grid.n))
+    rows = [buf[:min(block, sc.probes - start)] for start in range(0, sc.probes, block)]
+
+    def take(k):
+        v, a, b = (np.zeros((len(rows[k]),) + shape) for _ in range(3))
+        for x, at in ((v, 0), (a, cut + grid.n), (b, 2 * cut + grid.n)):
+            x[:, 1:] = rows[k][:, at:at + cut].reshape(x[:, 1:].shape)
+        g = rows[k][:, cut:cut + grid.n].copy()
+        if len(preset_data):
+            g += preset_data.take(range(k * block, k * block + len(g)), axis=0, mode="wrap")
+        return v, g, a, b
+
     columns = {name: [] for name in AUDIT_TOLERANCES}
-    for start in range(0, sc.probes, block):
-        size = min(block, sc.probes - start)
-        v, a, b = (np.zeros((size,) + shape) for _ in range(3))
-        g = np.empty((size, grid.n))
-        for i in range(size):  # each probe draws v, g, a, b in turn
-            v[i, 1:] = rng.standard_normal((tgrid.steps, grid.n))
-            g[i] = rng.standard_normal(grid.n)
-            if preset_data:
-                g[i] += preset_data[(start + i) % len(preset_data)]
-            a[i, 1:] = rng.standard_normal((tgrid.steps, grid.n))
-            b[i, 1:] = rng.standard_normal((tgrid.steps, grid.n))
-        # the identity is linear: scale each a and b by a power of two, which
-        # is exact, to about unit Q-norm, so that the norms below cannot
-        # underflow; the power is half the exponent of the squared norm, one
-        # dot product per probe (slice 0 is zero, so it runs over all slices)
-        for x in (a, b):
-            flat = x.reshape(size, -1)
-            _, exponent = np.frexp(grid.h * tgrid.dt * np.vecdot(flat, flat))
-            np.ldexp(x, -(exponent[:, None, None] // 2), out=x)
+    # the next block is drawn while this one is marched (evolution.run_ahead)
+    with run_ahead(lambda k: rng.standard_normal(out=rows[k]), take, len(rows)) as blocks:
+        for v, g, a, b in blocks:
+            # the identity is linear: scale each a and b by a power of two,
+            # which is exact, to about unit Q-norm, so that the norms below
+            # cannot underflow; the power is half the exponent of the squared
+            # norm, one dot product per probe (slice 0 is zero, so it runs
+            # over all slices)
+            for x in (a, b):
+                flat = x.reshape(len(x), -1)
+                _, exponent = np.frexp(grid.h * tgrid.dt * np.vecdot(flat, flat))
+                np.ldexp(x, -(exponent[:, None, None] // 2), out=x)
 
-        fa = solve_forward(cfg.propagator, a, zero)
-        bb = solve_backward(cfg.propagator, b, zero)
-        lhs = inner_product_q(fa, b, grid, tgrid)
-        rhs = inner_product_q(a, bb, grid, tgrid)
-        # scaled by the norms, not by the pairing, which can nearly cancel
-        transpose = abs(lhs - rhs) / _max(
-            norm_q(fa, grid, tgrid) * norm_q(b, grid, tgrid), np.finfo(float).tiny
-        )
+            fa = solve_forward(cfg.propagator, a, zero)
+            bb = solve_backward(cfg.propagator, b, zero)
+            lhs = inner_product_q(fa, b, grid, tgrid)
+            rhs = inner_product_q(a, bb, grid, tgrid)
+            # scaled by the norms, not by the pairing, which can nearly cancel
+            transpose = abs(lhs - rhs) / _max(
+                norm_q(fa, grid, tgrid) * norm_q(b, grid, tgrid), np.finfo(float).tiny
+            )
 
-        probe = Probe(v, g, cfg)
-        duality_scale = norm_omega(probe.g, grid) * norm_omega(probe.xi0, grid)
-        gap_scale = _max(1.0, probe.sup_value)
-        block_columns = {
-            "transpose": transpose,
-            "cost_decomposition": probe.decomposition_residual / _max(1.0, abs(probe.relaxed_cost)),
-            "duality": probe.duality_residual / _max(1.0, duality_scale),
-            "fenchel_nonnegative": _max(0.0, -(probe.fenchel_gap() / gap_scale)),
-            "fenchel_at_maximizer": abs(probe.fenchel_gap(probe.xi0 / cfg.gamma)) / gap_scale,
-            "superposition": probe.superposition_residual
-            / _max(1.0, norm_q(probe.q_vg, grid, tgrid)),
-        }
-        for name, values in block_columns.items():
-            columns[name].extend(values.tolist())
+            probe = Probe(v, g, cfg)
+            duality_scale = norm_omega(probe.g, grid) * norm_omega(probe.xi0, grid)
+            gap_scale = _max(1.0, probe.sup_value)
+            block_columns = {
+                "transpose": transpose,
+                "cost_decomposition": probe.decomposition_residual / _max(1.0, abs(probe.relaxed_cost)),
+                "duality": probe.duality_residual / _max(1.0, duality_scale),
+                "fenchel_nonnegative": _max(0.0, -(probe.fenchel_gap() / gap_scale)),
+                "fenchel_at_maximizer": abs(probe.fenchel_gap(probe.xi0 / cfg.gamma)) / gap_scale,
+                "superposition": probe.superposition_residual
+                / _max(1.0, norm_q(probe.q_vg, grid, tgrid)),
+            }
+            for name, values in block_columns.items():
+                columns[name].extend(values.tolist())
 
     identities = {}
     for name, tol in AUDIT_TOLERANCES.items():
@@ -581,6 +593,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             sc = load_scenario(args.config, seed=args.seed)
+            # the output directory run would create, or refuse; none is created
+            target, origin = resolve_out_dir(args.out, sc)
+            path = os.path.abspath(target)
+            while not os.path.lexists(path):  # the nearest existing ancestor
+                path = os.path.dirname(path)
+            writable = path == os.path.abspath(target) or os.access(path, os.W_OK | os.X_OK)
+            if not (os.path.isdir(path) and writable):
+                reason = f"{path!r} is not a writable directory"
+                raise ConfigError(origin, f"cannot create output directory {target!r}: {reason}")
             if not args.quiet:
                 print(json.dumps(sc.echo(), indent=2, sort_keys=True))
             return 0

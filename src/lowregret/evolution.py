@@ -39,7 +39,10 @@ included, raises ``ValueError``.
 The two half-size eigenproblems run as a pair, the second on a
 short-lived thread (``run_pair``), from ``PAIR_NODES`` nodes on where the
 process may run on two CPUs.  Each is the same LAPACK call on the same
-operands either way, so the bits do not depend on the route.
+operands either way, so the bits do not depend on the route.  The
+audit's blocks of probe draws run one ahead on such a thread (``run_ahead``)
+from two blocks on, at any size; the gate counts the affinity mask's CPUs,
+capped by a cgroup v2 CPU quota.
 
 Both sweeps also take a stack along a leading axis: a source (P, M+1, n)
 and a datum (P, n) give P trajectories (P, M+1, n) in one march, whose GEMMs
@@ -53,6 +56,7 @@ array.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import os
 import threading
@@ -94,7 +98,8 @@ FOLD_NODES = 150
 # 0.82-0.94 at 200, 0.65 at 256, 0.68 at 300 and 0.61 at 400.  With
 # OpenBLAS's default of one BLAS thread per CPU (two) the pair oversubscribes
 # the CPUs and is slower: 1.05 at 300 and 1.03-1.15 at 400 (medians of 30 and
-# 60).  The gate sees the CPU affinity only, not the BLAS's thread count.
+# 60).  The gate sees the CPU affinity and a cgroup v2 CPU quota, not the
+# BLAS's thread count.
 PAIR_NODES = 300
 
 
@@ -195,9 +200,19 @@ def pair_pays(nodes: int) -> bool:
     return nodes >= PAIR_NODES and _usable_cpus() >= 2
 
 
-def _usable_cpus() -> int:
+def _usable_cpus(root: str = "/") -> int:
+    """The affinity mask's CPU count, capped at floor(quota/period) of the
+    cgroup v2 ``cpu.max`` (under ``root``) of the process, if it has one."""
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    try:
+        with open(os.path.join(root, "proc/self/cgroup")) as fh:
+            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(os.path.join(root, "sys/fs/cgroup", group.lstrip("/"), "cpu.max")) as fh:
+            quota, period = fh.read().split()
+        return max(1, min(cpus, int(quota) // int(period)))
+    except (OSError, StopIteration, ValueError):  # int("max") is a ValueError
+        return cpus
 
 
 def run_pair(first, second):
@@ -224,6 +239,51 @@ def run_pair(first, second):
     if "error" in outcome:
         raise outcome["error"]
     return result, outcome["value"]
+
+
+@contextlib.contextmanager
+def run_ahead(fill, take, count):
+    """Yields the iterator of ``take(k)`` after ``fill(k)`` for k < ``count``.
+    From two fills on, under ``run_pair``'s gate and rules (``fill`` as its
+    ``second``), ``fill(k + 1)`` runs on a short-lived thread from the return
+    of ``take(k)``, which copies out what ``fill(k)`` left (``fill(0)`` runs
+    here); an error in a fill is raised at its take, and the thread is joined
+    when the ``with`` block exits."""
+    if count < 2 or _usable_cpus() < 2:
+        yield ((fill(k), take(k))[1] for k in range(count))
+        return
+    state, wanted, filled = {}, threading.Semaphore(0), threading.Semaphore(0)
+
+    def produce():
+        for k in range(1, count):
+            wanted.acquire()
+            if "stop" in state:
+                return
+            try:
+                fill(k)
+            except BaseException as exc:  # raised in the caller, at its take
+                state["error"] = exc
+            filled.release()
+
+    def consume(k):
+        if k:
+            filled.acquire()
+            if "error" in state:
+                raise state["error"]
+        value = take(k)
+        if k + 1 < count:
+            wanted.release()
+        return value
+
+    worker = threading.Thread(target=produce, name="lowregret-ahead")
+    worker.start()
+    try:
+        fill(0)  # here, while the thread starts
+        yield map(consume, range(count))
+    finally:
+        state["stop"] = True
+        wanted.release()
+        worker.join()
 
 
 _HALF_ROOT = 0.5 ** 0.5

@@ -313,6 +313,33 @@ class TestValidateCommand:
         assert main(["validate", path]) == 2
         assert "config error: gamma:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("origin", ["--out", "out_dir", "LOWREGRET_OUT"])
+    def test_refuses_the_output_directory_run_refuses(self, monkeypatch, tmp_path, capsys, origin):
+        # a directory under a regular file cannot be created; validate names
+        # the setting it came from, as run does, and creates nothing
+        (tmp_path / "plain").write_text("")
+        target = str(tmp_path / "plain" / "out")
+        path = write_config(tmp_path, config_dict(out_dir=target if origin == "out_dir" else None))
+        flag = ["--out", target] if origin == "--out" else []
+        monkeypatch.setenv("LOWREGRET_OUT", target if origin == "LOWREGRET_OUT" else str(tmp_path / "env"))
+        before = sorted(tmp_path.rglob("*"))
+        for command in ("validate", "run"):
+            assert main([command, path, *flag, "--quiet"]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {origin}: cannot create output directory")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_accepts_a_directory_run_can_create_and_creates_nothing(self, monkeypatch, tmp_path):
+        path = write_config(tmp_path, config_dict())
+        before = sorted(tmp_path.rglob("*"))
+        for out in (tmp_path / "new" / "deeper", tmp_path):
+            assert main(["validate", path, "--out", str(out), "--quiet"]) == 0
+        assert sorted(tmp_path.rglob("*")) == before
+        # an existing directory need not be writable to pass, as for run's
+        # os.makedirs; a new one needs a writable ancestor
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        assert main(["validate", path, "--out", str(tmp_path), "--quiet"]) == 0
+        assert main(["validate", path, "--out", str(tmp_path / "new"), "--quiet"]) == 2
+
 
 class TestRunCommand:
     def test_solve_writes_report_and_plot_data(self, tmp_path):
@@ -598,6 +625,104 @@ class TestAuditCommand:
         monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 1)  # one probe per block
         single = execute_scenario(parse_scenario(raw))
         assert (single.metrics, single.tables) == (blocked.metrics, blocked.tables)
+
+    @staticmethod
+    def record_blocks(monkeypatch, fail_fill_at=None):
+        """Wrap ``cli.run_ahead`` to keep a copy of each block's unpacked v, g,
+        a and b and whether each fill ran on the main thread; a fill of block
+        ``fail_fill_at`` raises instead."""
+        blocks, fills_on_main = [], []
+        run_ahead = cli.run_ahead
+
+        def recording(fill, take, count):
+            def checked_fill(k):
+                fills_on_main.append(threading.current_thread() is threading.main_thread())
+                if k == fail_fill_at:
+                    raise ValueError(f"draw of block {k} failed")
+                return fill(k)
+
+            def copied_take(k):
+                fields = take(k)
+                blocks.append([x.copy() for x in fields])
+                return fields
+
+            return run_ahead(checked_fill, copied_take, count)
+
+        monkeypatch.setattr(cli, "run_ahead", recording)
+        return blocks, fills_on_main
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_block_draws_equal_the_per_probe_draws(self, monkeypatch, cpus):
+        # one bulk draw per block, each row a probe's v, g, a and b, gives the
+        # bits of drawing each field of each probe in turn
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 3 * 8 * 9 * 12)  # 3 probes at 12 x 8
+        blocks, fills_on_main = self.record_blocks(monkeypatch)
+        presets = ["sine(2,0.5)", "gauss(0,0.3,1)"]
+        sc = parse_scenario(config_dict(scenario="audit", probes=8, probe_presets=presets))
+        assert execute_scenario(sc).success
+        assert [len(block[0]) for block in blocks] == [3, 3, 2]
+        assert fills_on_main == [True] + [cpus == 1] * 2
+        grid, tgrid = sc.problem.grid, sc.problem.tgrid
+        preset_data = [spatial_profile(text, grid) for text in presets]
+        rng = np.random.default_rng(sc.seed)
+        probes = [probe for block in blocks for probe in zip(*block)]
+        for k, (v, g, a, b) in enumerate(probes):
+            expected = {}
+            for name in ("v", "g", "a", "b"):
+                if name == "g":
+                    expected[name] = rng.standard_normal(grid.n)
+                    expected[name] += preset_data[k % len(preset_data)]
+                else:
+                    expected[name] = np.zeros((tgrid.steps + 1, grid.n))
+                    expected[name][1:] = rng.standard_normal((tgrid.steps, grid.n))
+            assert all(np.array_equal(x, expected[name]) for x, name in zip((v, g, a, b), "vgab"))
+
+    def test_reports_do_not_depend_on_the_drawing_route(self, monkeypatch):
+        raw = config_dict(scenario="audit", probes=7, probe_presets=["sine(2,0.5)", "gauss(0,0.3,1)"])
+        reports = {}
+        for route in ("ahead", "inline", "single"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "AUDIT_BLOCK_BYTES", 1 if route == "single" else 2 * 8 * 9 * 12)
+                mp.setattr(evolution, "_usable_cpus", lambda: 1 if route == "inline" else 2)
+                report = execute_scenario(parse_scenario(raw))
+            reports[route] = report.metrics, report.tables
+        assert reports["ahead"] == reports["inline"] == reports["single"]
+
+    def test_no_thread_outlives_an_audit_run(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        _, fills_on_main = self.record_blocks(monkeypatch)
+        threads = threading.active_count()
+        assert run_scenario(AUDIT_CONFIG, scenario="audit", out_dir=str(tmp_path / "out")).success
+        assert threading.active_count() == threads
+        assert False in fills_on_main  # the configs/audit.json run drew ahead
+
+    @pytest.mark.parametrize("failing", ["sweep", "fill"])
+    def test_an_error_in_block_2_reaches_main_as_exit_3(self, monkeypatch, tmp_path, capsys, failing):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 2 * 8 * 9 * 12)  # 2 probes at 12 x 8
+        _, fills_on_main = self.record_blocks(monkeypatch, fail_fill_at=1 if failing == "fill" else None)
+        backward, calls = cli.solve_backward, []
+
+        def failing_in_block_2(*args):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise ValueError("backward trajectory must be finite")
+            return backward(*args)
+
+        if failing == "sweep":
+            monkeypatch.setattr(cli, "solve_backward", failing_in_block_2)
+        threads = threading.active_count()
+        path = write_config(tmp_path, config_dict(probes=7))
+        assert main(["audit", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err
+        if failing == "sweep":
+            assert "run failed: backward trajectory must be finite" in err
+            assert len(calls) == 2
+        else:
+            assert "run failed: draw of block 1 failed" in err
+            assert fills_on_main[1] is False  # raised on the thread, reported by main
 
     def test_probe_columns_equal_the_composed_oracle(self, tmp_path):
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Forward/backward implicit Euler: recursions, transpose and duality identities."""
 
 import dataclasses
+import sys
 import threading
 
 import numpy as np
@@ -383,6 +384,134 @@ class TestRunPair:
         assert not evolution.pair_pays(evolution.PAIR_NODES - 1)
         monkeypatch.setattr(evolution, "_usable_cpus", lambda: 1)
         assert not evolution.pair_pays(100 * evolution.PAIR_NODES)
+
+
+class TestUsableCpus:
+    """The gate's CPU count: the affinity mask, capped by a cgroup v2 quota."""
+
+    @staticmethod
+    def cgroup(root, cpu_max=None, line="0::/box"):
+        (root / "proc" / "self").mkdir(parents=True)
+        (root / "proc" / "self" / "cgroup").write_text(f"4:memory:/other\n{line}\n")
+        (root / "sys" / "fs" / "cgroup" / "box").mkdir(parents=True)
+        if cpu_max is not None:
+            (root / "sys" / "fs" / "cgroup" / "box" / "cpu.max").write_text(cpu_max + "\n")
+        return str(root)
+
+    @pytest.mark.parametrize("cpu_max, cpus", [
+        ("max 100000", 4), ("50000 100000", 1), ("250000 100000", 2), ("800000 100000", 4),
+    ])
+    def test_the_quota_caps_the_affinity_count(self, monkeypatch, tmp_path, cpu_max, cpus):
+        monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert evolution._usable_cpus(self.cgroup(tmp_path, cpu_max)) == cpus
+
+    @pytest.mark.parametrize("layout", ["no cpu.max", "no v2 line", "no cgroup file"])
+    def test_no_quota_file_is_no_cap(self, monkeypatch, tmp_path, layout):
+        monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+        if layout == "no cpu.max":
+            root = self.cgroup(tmp_path)
+        elif layout == "no v2 line":
+            root = self.cgroup(tmp_path, "50000 100000", line="1:cpu:/box")
+        else:
+            root = str(tmp_path)
+        assert evolution._usable_cpus(root) == 3
+
+    def test_this_process_counts_at_least_one_cpu(self):
+        assert 1 <= evolution._usable_cpus() <= len(evolution.os.sched_getaffinity(0))
+
+
+class TestRunAhead:
+    """``run_ahead`` fills each next block on a thread it joins on exit."""
+
+    def test_one_bulk_draw_continues_the_stream_of_per_field_draws(self):
+        # the audit draws a block of probes in one call where it drew each
+        # field of each probe in turn; a Generator continues one stream
+        sizes = [24, 3, 24, 24, 7, 1, 5]
+        rng = np.random.default_rng(11)
+        separate = np.concatenate([rng.standard_normal(size) for size in sizes])
+        bulk = np.empty(sum(sizes))
+        np.random.default_rng(11).standard_normal(out=bulk)
+        assert np.array_equal(separate, bulk)
+
+    @staticmethod
+    def record(count, fail_in=None):
+        """fill and take over ``count`` blocks, logging each call's block,
+        thread and the value the fill left."""
+        log, slot = [], {}
+
+        def fill(k):
+            log.append(("fill", k, threading.get_ident()))
+            if k == fail_in:
+                raise KeyError(k)
+            slot["value"] = 10 * k
+
+        def take(k):
+            log.append(("take", k, threading.get_ident()))
+            return slot.pop("value")
+
+        return fill, take, log
+
+    @pytest.mark.parametrize("cpus, count, threaded", [(2, 5, True), (1, 5, False), (2, 1, False), (2, 0, False)])
+    def test_takes_come_in_order_and_the_thread_is_joined(self, monkeypatch, cpus, count, threaded):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        fill, take, log = self.record(count)
+        threads = threading.active_count()
+        with evolution.run_ahead(fill, take, count) as blocks:
+            assert list(blocks) == [10 * k for k in range(count)]
+        assert threading.active_count() == threads
+        order = [(kind, k) for kind, k, _ in log]
+        assert [k for kind, k in order if kind == "fill"] == list(range(count))
+        for k in range(count):  # fill(k) before take(k), and fill(k + 1) after it
+            assert order.index(("fill", k)) < order.index(("take", k))
+            if k + 1 < count:
+                assert order.index(("take", k)) < order.index(("fill", k + 1))
+        main = threading.get_ident()
+        on_thread = [ident != main for kind, _, ident in log if kind == "fill"]
+        assert on_thread == [k > 0 and threaded for k in range(count)]  # fill(0) runs here
+        assert all(ident == main for kind, _, ident in log if kind == "take")
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_an_error_in_a_fill_is_raised_at_its_take(self, monkeypatch, cpus):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        fill, take, log = self.record(4, fail_in=2)
+        threads = threading.active_count()
+        taken = []
+        with pytest.raises(KeyError) as raised:
+            with evolution.run_ahead(fill, take, 4) as blocks:
+                for value in blocks:
+                    taken.append(value)
+        assert raised.value.args == (2,)
+        assert taken == [0, 10]
+        assert threading.active_count() == threads
+        assert ("fill", 3) not in [(kind, k) for kind, k, _ in log]
+
+    def test_every_take_sees_its_own_fill_under_fast_switching(self, monkeypatch):
+        # one buffer shared by the two threads: a take that overlapped the
+        # next fill would copy a mix of two blocks
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        buf = np.empty(4096)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with evolution.run_ahead(lambda k: buf.fill(k), lambda k: buf.copy(), 500) as blocks:
+                copies = list(blocks)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(copy, np.full(buf.shape, k)) for k, copy in enumerate(copies))
+        assert not [t for t in threading.enumerate() if t.name == "lowregret-ahead"]
+
+    def test_an_error_in_the_caller_joins_the_thread(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        fill, take, log = self.record(6)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="block 1"):
+            with evolution.run_ahead(fill, take, 6) as blocks:
+                for k, value in enumerate(blocks):
+                    if k == 1:
+                        raise ValueError("block 1")
+        assert threading.active_count() == threads
+        # the block after the failing one may have been drawn, no later one
+        assert max(k for kind, k, _ in log if kind == "fill") <= 2
 
 
 class TestPropagator:
