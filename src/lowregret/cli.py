@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
@@ -540,6 +541,24 @@ def resolve_out_dir(flag_value, sc: ScenarioConfig) -> tuple[str, str]:
     return os.path.join(os.environ.get("LOWREGRET_OUT", "."), sc.scenario), "LOWREGRET_OUT"
 
 
+def check_out_dir(target: str, origin: str, create: bool = False) -> None:
+    """Raise ConfigError naming ``origin`` unless the output directory
+    ``target`` takes a file, one ``tempfile`` created and removed (a directory
+    such as /proc/self takes none).  ``create`` creates it first; otherwise a
+    ``target`` that does not exist is probed in its nearest existing ancestor."""
+    path = os.path.abspath(target)
+    while not os.path.lexists(path):  # the nearest existing ancestor
+        path = os.path.dirname(path)
+    exists = path == os.path.abspath(target)
+    try:
+        if create:
+            os.makedirs(target, exist_ok=True)
+        tempfile.NamedTemporaryFile(dir=target if create else path).close()
+    except OSError as exc:
+        action = "write into" if exists else "create"
+        raise ConfigError(origin, f"cannot {action} output directory {target!r}: {exc}") from None
+
+
 def run_scenario(
     config_path,
     scenario: str | None = None,
@@ -551,17 +570,18 @@ def run_scenario(
 
     ``scenario`` and ``seed`` override the config file; the effective values
     are echoed in the report.  Raises ConfigError on invalid input, and on an
-    output directory that cannot be created, before any computation.
+    output directory that cannot be created or takes no files, before any
+    computation; also on a report file that cannot be written.
     """
     sc = load_scenario(config_path, scenario, seed)
     target, origin = resolve_out_dir(out_dir, sc)
-    try:
-        os.makedirs(target, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(origin, f"cannot create output directory {target!r}: {exc}") from None
+    check_out_dir(target, origin, create=True)
     report = execute_scenario(sc, quiet=quiet)
-    paths = write_report_files(report, target)
-    paths += emit_plot_data(report, target)
+    try:
+        paths = write_report_files(report, target)
+        paths += emit_plot_data(report, target)
+    except OSError as exc:
+        raise ConfigError(origin, f"cannot write the report into {target!r}: {exc}") from None
     if not quiet:
         for path in paths:
             print(f"wrote {path}", flush=True)
@@ -593,15 +613,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             sc = load_scenario(args.config, seed=args.seed)
-            # the output directory run would create, or refuse; none is created
-            target, origin = resolve_out_dir(args.out, sc)
-            path = os.path.abspath(target)
-            while not os.path.lexists(path):  # the nearest existing ancestor
-                path = os.path.dirname(path)
-            writable = path == os.path.abspath(target) or os.access(path, os.W_OK | os.X_OK)
-            if not (os.path.isdir(path) and writable):
-                reason = f"{path!r} is not a writable directory"
-                raise ConfigError(origin, f"cannot create output directory {target!r}: {reason}")
+            check_out_dir(*resolve_out_dir(args.out, sc))  # refused as run refuses it; creates no directory
             if not args.quiet:
                 print(json.dumps(sc.echo(), indent=2, sort_keys=True))
             return 0

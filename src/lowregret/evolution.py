@@ -28,6 +28,10 @@ independent check of the fold.  ``Propagator.in_modes`` is the same
 propagator with V = I, the solver's route: on it every sweep, single or
 stacked, marches modal coefficients by the recurrence alone in its own
 trajectory and changes no basis.
+``solve_forward(prop, None, initial)`` (every H-apply's propagated term and
+the worst response) is a zero source: one ``multiply.accumulate`` takes
+y_m = y_{m-1} r from y_1 = (y_0 + 0) r, and as (+-0 + 0) r = +0, each entry
+after a +-0 is made +0, so its bits are the march of zeros', signed zeros too.
 ``solve_backward`` is the same forward march on a reversed view of the
 source, written into a reversed view of its trajectory.  Finiteness is
 checked once per value, not once per step: the propagator when it is built
@@ -350,13 +354,14 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def _march(prop: Propagator, rows: np.ndarray, datum: np.ndarray, out: np.ndarray) -> None:
+def _march(prop: Propagator, rows: np.ndarray | None, datum: np.ndarray, out: np.ndarray) -> None:
     """Slices 1..M of the trajectory q_m = (I + dt*A)^{-1} (q_{m-1} + dt*rows[m-1])
     from q_0 = ``datum``, written into ``out`` (..., M, n).  The march runs
     in the eigenbasis: ``to_modes`` on the rows and the datum, the diagonal
     recurrence y_m = ratio * (y_{m-1} + dt*s_m) in place, ``from_modes``
     into ``out``.  On ``Propagator.in_modes`` (V = I) every march runs in
     ``out`` itself, which may be a reversed view, and changes no basis.
+    ``rows`` None is a zero source, marched by the accumulate and +0 rule above.
 
     Rows (P, M, n) or a datum (P, n) march a stack.  Its steps are taken
     step-major, so on V each step updates contiguous (P, n) rows.  Each
@@ -365,17 +370,26 @@ def _march(prop: Propagator, rows: np.ndarray, datum: np.ndarray, out: np.ndarra
     ratio, dt = prop.ratio, prop.tgrid.dt
     steps = out.swapaxes(0, -2)  # step m-1 holds dt * s_m in the modes
     if prop.identity:
-        np.multiply(rows, dt, out=out)
         carry = datum
     else:
         steps = np.empty(steps.shape)
-        prop.to_modes(rows, out=steps.swapaxes(0, -2))
-        steps *= dt
         carry = prop.to_modes(datum) if datum.ndim == 1 else prop.to_modes(datum[:, None, :])[:, 0]
-    for row in steps:
-        row += carry
-        row *= ratio
-        carry = row
+    if rows is None:
+        steps[1:] = ratio
+        np.multiply(carry + 0.0, ratio, out=steps[0])
+        np.multiply.accumulate(steps, axis=0, out=steps)
+        if not steps[-1].all():  # a zero stays zero, so only then is there one
+            steps[1:][steps[:-1] == 0] = 0.0
+    else:
+        if prop.identity:
+            np.multiply(rows, dt, out=out)
+        else:
+            prop.to_modes(rows, out=steps.swapaxes(0, -2))
+            steps *= dt
+        for row in steps:
+            row += carry
+            row *= ratio
+            carry = row
     if prop.identity:
         return
     modal = steps.swapaxes(0, -2)
@@ -385,28 +399,31 @@ def _march(prop: Propagator, rows: np.ndarray, datum: np.ndarray, out: np.ndarra
         prop.from_modes(modal, out=out)
 
 
-def _trajectory(rows: np.ndarray, datum: np.ndarray) -> np.ndarray:
+def _trajectory(prop: Propagator, rows: np.ndarray | None, datum: np.ndarray) -> np.ndarray:
     """An empty trajectory (..., M+1, n) for a march of ``rows`` from ``datum``."""
-    stack = rows.shape[:-2] if rows.ndim == 3 else datum.shape[:-1]
-    return np.empty(stack + (rows.shape[-2] + 1, rows.shape[-1]))
+    stack = rows.shape[:-2] if rows is not None and rows.ndim == 3 else datum.shape[:-1]
+    return np.empty(stack + (prop.tgrid.steps + 1, prop.operator.grid.n))
 
 
 def _checked_data(prop: Propagator, source, datum, what: str):
-    """The source's slices 1..M (the rows a march reads) and the datum,
-    checked for shape and finiteness."""
+    """The source's slices 1..M (the rows a march reads, None for a zero
+    source) and the datum, checked for shape and finiteness."""
     grid, tgrid = prop.operator.grid, prop.tgrid
-    src = _check_space_time(source, grid, tgrid, stacked=True)
     datum = _check_spatial(datum, grid, stacked=True)
-    _check_stacks("source", src, 2, what, datum, 1)
-    rows = src[..., 1:, :]
-    _require_finite(rows, "source slices 1..M")
+    rows = None
+    if source is not None:
+        src = _check_space_time(source, grid, tgrid, stacked=True)
+        _check_stacks("source", src, 2, what, datum, 1)
+        rows = src[..., 1:, :]
+        _require_finite(rows, "source slices 1..M")
     _require_finite(datum, what)
     return rows, datum
 
 
-def solve_forward(prop: Propagator, source: np.ndarray, initial: np.ndarray) -> np.ndarray:
+def solve_forward(prop: Propagator, source: np.ndarray | None, initial: np.ndarray) -> np.ndarray:
+    """The forward trajectory from ``initial``; ``source`` None is a zero source."""
     rows, init = _checked_data(prop, source, initial, "initial datum")
-    q = _trajectory(rows, init)
+    q = _trajectory(prop, rows, init)
     q[..., 0, :] = init
     _march(prop, rows, init, q[..., 1:, :])
     _require_finite(q, "forward trajectory")  # slice 0 is the checked datum
@@ -416,7 +433,7 @@ def solve_forward(prop: Propagator, source: np.ndarray, initial: np.ndarray) -> 
 def solve_backward(prop: Propagator, source: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     rows, terminal = _checked_data(prop, source, terminal, "terminal datum")
     # the forward march on the reversed source, whose step j is time M+1-j
-    xi = _trajectory(rows, terminal)
+    xi = _trajectory(prop, rows, terminal)
     _march(prop, rows[..., ::-1, :], terminal, xi[..., :0:-1, :])
     xi[..., 0, :] = xi[..., 1, :]  # t=0 trace
     _require_finite(xi, "backward trajectory")  # slice 0 copies slice 1
@@ -428,17 +445,19 @@ def solve_backward(prop: Propagator, source: np.ndarray, terminal: np.ndarray) -
 _DEFECT_BLOCK_BYTES = 16384
 
 
-def _step_residual(prop: Propagator, traj: np.ndarray, src: np.ndarray) -> np.ndarray:
+def _step_residual(prop: Propagator, traj: np.ndarray, src: np.ndarray | None) -> np.ndarray:
     """Slices 1..M of traj_m + dt*A traj_m - dt*src_m in one (M, n) array,
-    the step's left-hand side minus its source; A is symmetric, so all M
-    products are the one GEMM traj[1:] @ A."""
+    the step's left-hand side minus its source (None: zero, which subtracts
+    nothing, as x - (+0) = x); A is symmetric, so all M products are the one
+    GEMM traj[1:] @ A."""
     dt = prop.tgrid.dt
     step = np.matmul(traj[1:], prop.operator.matrix)
     step *= dt
     step += traj[1:]
-    rows = max(1, _DEFECT_BLOCK_BYTES // (8 * step.shape[-1]))
-    for start in range(0, len(step), rows):
-        step[start:start + rows] -= dt * src[1 + start:1 + start + rows]
+    if src is not None:
+        rows = max(1, _DEFECT_BLOCK_BYTES // (8 * step.shape[-1]))
+        for start in range(0, len(step), rows):
+            step[start:start + rows] -= dt * src[1 + start:1 + start + rows]
     return step
 
 
@@ -450,15 +469,16 @@ def _defect_norm(step: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid) -> float:
     return float(grid.h * tgrid.dt * np.add.reduce(step, axis=(-2, -1))) ** 0.5
 
 
-def forward_defect(prop: Propagator, traj: np.ndarray, source: np.ndarray, initial: np.ndarray) -> float:
+def forward_defect(prop: Propagator, traj: np.ndarray, source: np.ndarray | None, initial: np.ndarray) -> float:
     """Q-norm of the stepping defect plus the initial-condition mismatch.
 
     Re-substitutes the trajectory into the discrete recursion; a trajectory
-    produced by ``solve_forward`` comes back at round-off level.
+    produced by ``solve_forward`` comes back at round-off level.  ``source``
+    None is a zero source, as in ``solve_forward``.
     """
     grid, tgrid = prop.operator.grid, prop.tgrid
     traj = _check_space_time(traj, grid, tgrid)
-    src = _check_space_time(source, grid, tgrid)
+    src = None if source is None else _check_space_time(source, grid, tgrid)
     init = _check_spatial(initial, grid)
     defect = _step_residual(prop, traj, src)
     defect -= traj[:-1]

@@ -31,7 +31,8 @@ bounded as gamma shrinks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,19 +58,32 @@ class OptimalityBundle:
     uncertainty problem.  ``cg_residuals`` holds |b - H u|_Q at the start
     and after each iteration, so it has ``cg_iterations + 1`` entries and
     ends with ``cg_residual``.
+
+    The solve maps ``control`` back to nodes; each trajectory stays modal in
+    ``_modal`` until its first read maps it back with ``problem``'s
+    propagator (``state`` gains q(0,0)) and drops it from there.
     """
 
     control: np.ndarray
-    state: np.ndarray
-    uncertainty_adjoint: np.ndarray
-    worst_response: np.ndarray
-    control_adjoint: np.ndarray
-    worst_initial_datum: np.ndarray
     value: float
     cg_iterations: int
     cg_residual: float
     cg_residuals: tuple[float, ...]
     converged: bool
+    problem: RegretConfig = field(repr=False)
+    _modal: dict = field(repr=False)
+
+    def _mapped(self, name: str) -> np.ndarray:
+        mapped = self.problem.propagator.from_modes(self._modal.pop(name))
+        if name == "state":
+            mapped += self.problem.q_background
+        return mapped
+
+    state = cached_property(lambda self: self._mapped("state"))
+    uncertainty_adjoint = cached_property(lambda self: self._mapped("uncertainty_adjoint"))
+    worst_response = cached_property(lambda self: self._mapped("worst_response"))
+    control_adjoint = cached_property(lambda self: self._mapped("control_adjoint"))
+    worst_initial_datum = cached_property(lambda self: self.uncertainty_adjoint[0] / self.problem.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +123,7 @@ def apply_normal_operator(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
     prop, zero = cfg.propagator, np.zeros(cfg.grid.n)
     sv = solve_forward(prop, v, zero)
     xi0 = solve_backward(prop, sv, zero)[0].copy()  # the trajectory is freed
-    source = solve_forward(prop, np.zeros_like(v), xi0)
+    source = solve_forward(prop, None, xi0)
     source /= cfg.gamma
     source += sv  # sv + propagated / gamma
     del sv
@@ -125,7 +139,7 @@ def _first_order_system(v: np.ndarray, cfg: RegretConfig):
     root_gamma = math.sqrt(cfg.gamma)
     state = solve_forward(prop, cfg.f + v, zero)
     xi = solve_uncertainty_adjoint(v, cfg)
-    psi = solve_forward(prop, np.zeros_like(state), -xi[0] / root_gamma)
+    psi = solve_forward(prop, None, -xi[0] / root_gamma)
     phi = solve_backward(prop, (state - cfg.z_d) - psi / root_gamma, zero)
     return state, xi, psi, phi
 
@@ -188,8 +202,9 @@ def solve_low_regret(
 ) -> OptimalityBundle:
     """Minimize the reduced objective by preconditioned CG on H u = b.
 
-    It runs on ``cfg.in_modes()``; the warm start and the bundle's five fields
-    change basis once each.  ``initial_control`` warm-starts the iteration
+    It runs on ``cfg.in_modes()``; the warm start and ``control`` change
+    basis here, and the bundle's four trajectories on their first read (see
+    ``OptimalityBundle``).  ``initial_control`` warm-starts the iteration
     (its slice 0 is ignored; the start costs one H-apply).  Stops when
     |b - H u|_Q drops below cg_tol * |b|_Q or after cg_max_iters iterations,
     whichever comes first; ``cg_iterations`` counts the H-applies of the
@@ -202,22 +217,19 @@ def solve_low_regret(
     x, residuals, tol = _preconditioned_cg(view, initial_control)
     residual = residuals[-1]
     value = reduced_cost(x, view)  # first: its sweeps' fields are freed before the bundle's
-    modal = [x, *_first_order_system(x, view)]
-    del x, view  # the view's target is freed, then each modal field as it is mapped back
-    control, state, xi, psi, phi = (prop.from_modes(modal.pop(0)) for _ in range(5))
-    state += cfg.q_background
+    modal = dict(zip(
+        ("state", "uncertainty_adjoint", "worst_response", "control_adjoint"), _first_order_system(x, view)
+    ))
+    del view  # the view's target is freed before the control is mapped back
     return OptimalityBundle(
-        control=control,
-        state=state,
-        uncertainty_adjoint=xi,
-        worst_response=psi,
-        control_adjoint=phi,
-        worst_initial_datum=xi[0] / cfg.gamma,
+        control=prop.from_modes(x),
         value=value,
         cg_iterations=len(residuals) - 1,
         cg_residual=residual,
         cg_residuals=residuals,
         converged=bool(residual <= tol) and all(map(math.isfinite, (tol, residual, value))),
+        problem=cfg,
+        _modal=modal,
     )
 
 
@@ -231,23 +243,21 @@ def optimality_residuals(bundle: OptimalityBundle, cfg: RegretConfig) -> dict[st
     prop, zero = cfg.propagator, np.zeros(cfg.grid.n)
     root_gamma = math.sqrt(cfg.gamma)
     u = bundle.control
-    xi0 = bundle.uncertainty_adjoint[0]
+    # every field is mapped back, if it is not yet, before a defect allocates
+    state, xi = bundle.state, bundle.uncertainty_adjoint
+    psi, phi = bundle.worst_response, bundle.control_adjoint
     residuals = {
-        "state": forward_defect(prop, bundle.state, cfg.f + u, zero),
-        "uncertainty_adjoint": backward_defect(
-            prop, bundle.uncertainty_adjoint, bundle.state - cfg.q_background, zero
-        ),
-        "worst_response": forward_defect(
-            prop, bundle.worst_response, np.zeros_like(bundle.state), -xi0 / root_gamma
-        ),
+        "state": forward_defect(prop, state, cfg.f + u, zero),
+        "uncertainty_adjoint": backward_defect(prop, xi, state - cfg.q_background, zero),
+        "worst_response": forward_defect(prop, psi, None, -xi[0] / root_gamma),
     }
     # (state - z_d) - psi/sqrt(gamma), formed in place and freed before the
     # last residual, so that no step holds more than two fields
-    source = bundle.state - cfg.z_d
-    source -= bundle.worst_response / root_gamma
-    residuals["control_adjoint"] = backward_defect(prop, bundle.control_adjoint, source, zero)
+    source = state - cfg.z_d
+    source -= psi / root_gamma
+    residuals["control_adjoint"] = backward_defect(prop, phi, source, zero)
     del source
-    residuals["stationarity"] = norm_q(cfg.control_weight * u + bundle.control_adjoint, cfg.grid, cfg.tgrid)
+    residuals["stationarity"] = norm_q(cfg.control_weight * u + phi, cfg.grid, cfg.tgrid)
     return residuals
 
 

@@ -334,11 +334,15 @@ class TestValidateCommand:
         for out in (tmp_path / "new" / "deeper", tmp_path):
             assert main(["validate", path, "--out", str(out), "--quiet"]) == 0
         assert sorted(tmp_path.rglob("*")) == before
-        # an existing directory need not be writable to pass, as for run's
-        # os.makedirs; a new one needs a writable ancestor
-        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
-        assert main(["validate", path, "--out", str(tmp_path), "--quiet"]) == 0
+        # a new directory needs an existing ancestor that takes a file, as
+        # run's os.makedirs needs a writable one; an existing one must take
+        # a file itself
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.tempfile, "NamedTemporaryFile", refuse)
         assert main(["validate", path, "--out", str(tmp_path / "new"), "--quiet"]) == 2
+        assert main(["validate", path, "--out", str(tmp_path), "--quiet"]) == 2
 
 
 class TestRunCommand:
@@ -492,6 +496,60 @@ class TestRunCommand:
         path = write_config(tmp_path, raw)
         assert main(["run", path, "--quiet", *argv]) == 2
         assert f"config error: {origin}: cannot create output directory" in capsys.readouterr().err
+
+    @staticmethod
+    def _aimed_at(tmp_path, monkeypatch, origin, target):
+        """(config, extra argv) whose output directory ``origin`` resolves to
+        ``target``; LOWREGRET_OUT reaches it through a link named after the
+        scenario."""
+        raw, argv = config_dict(), []
+        if origin == "--out":
+            argv = ["--out", target]
+        elif origin == "out_dir":
+            raw["out_dir"] = target
+        else:
+            (tmp_path / "env").mkdir()
+            (tmp_path / "env" / "solve").symlink_to(target)
+            monkeypatch.setenv("LOWREGRET_OUT", str(tmp_path / "env"))
+        return write_config(tmp_path, raw), argv
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs a Linux /proc")
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("origin", ["--out", "out_dir", "LOWREGRET_OUT"])
+    def test_an_existing_directory_that_takes_no_files_exits_two_before_computing(
+        self, tmp_path, capsys, monkeypatch, command, origin
+    ):
+        # /proc/self is a directory, and creating a file in it fails
+        path, argv = self._aimed_at(tmp_path, monkeypatch, origin, "/proc/self")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("scenario executed before the output check")
+
+        monkeypatch.setattr(cli, "execute_scenario", must_not_run)
+        assert main([command, path, "--quiet", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {origin}: cannot write into output directory ")
+
+    @pytest.mark.parametrize("origin", ["--out", "out_dir", "LOWREGRET_OUT"])
+    def test_a_report_that_cannot_be_written_exits_two(self, tmp_path, capsys, monkeypatch, origin):
+        out = tmp_path / "out"
+        out.mkdir()
+        path, argv = self._aimed_at(tmp_path, monkeypatch, origin, str(out))
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_report_files", full_disk)
+        assert main(["run", path, "--quiet", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {origin}: cannot write the report into ")
+        assert "No space left on device" in err
+
+    def test_the_probe_leaves_no_file(self, tmp_path):
+        path = write_config(tmp_path, config_dict())
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["validate", path, "--out", str(out), "--quiet"]) == 0
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["validate", "run", "audit"])
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys, command):

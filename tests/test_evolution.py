@@ -669,3 +669,53 @@ class TestStackedSweeps:
         datum[2, 0] = np.inf
         with pytest.raises(ValueError, match="datum must be finite"):
             run_sweep(sweep, prop, np.zeros((3, tgrid.steps + 1, grid.n)), datum)
+
+
+class TestZeroSourceSweeps:
+    """``solve_forward(prop, None, datum)`` is the forward sweep of an
+    all-zero source, bit for bit with its signed zeros (compared by
+    ``tobytes``): one ``multiply.accumulate`` and the +0 rule after a zero."""
+
+    CASES = [(40, 12, 0.5), (200, 12, 0.5), (201, 12, 0.5), (400, 200, 0.99)]
+
+    @staticmethod
+    def datum(rng, shape):
+        d = rng.normal(size=shape)
+        d[..., ::7] = -0.0
+        d[..., 1::9] = 0.0
+        return d
+
+    @pytest.mark.parametrize("n,steps,s", CASES)
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_equals_the_sweep_of_a_zero_source_bit_for_bit(self, n, steps, s, stack, identity):
+        prop, grid, tgrid = setup(n=n, steps=steps, s=s)
+        prop = prop.in_modes() if identity else prop
+        datum = self.datum(np.random.default_rng(n), stack + (grid.n,))
+        expected = solve_forward(prop, np.zeros(stack + (tgrid.steps + 1, grid.n)), datum)
+        assert solve_forward(prop, None, datum).tobytes() == expected.tobytes()
+        if s > 0.9 and identity:  # the fast modes decay to zero: the +0 rule runs
+            assert ((expected[..., 1:, :] == 0) & (datum[..., None, :] != 0)).any()
+
+    @pytest.mark.parametrize("stack", [(), (2,)])
+    def test_a_datum_that_is_not_finite_is_rejected(self, stack):
+        prop, grid, _ = setup()
+        datum = np.zeros(stack + (grid.n,))
+        datum[..., 3] = np.nan
+        for route in (prop, prop.in_modes()):
+            with pytest.raises(ValueError, match="initial datum must be finite"):
+                solve_forward(route, None, datum)
+
+    @pytest.mark.parametrize("n", [40, evolution.FOLD_NODES, evolution.FOLD_NODES + 1])
+    def test_a_basis_change_of_zeros_is_positive_zero(self, n):
+        # so the physical route may skip it: the march then adds +0.0
+        modes = setup(n=n)[0].to_modes(np.zeros((5, n)))
+        assert not modes.any() and not np.signbit(modes).any()
+
+    def test_the_forward_defect_of_a_zero_source_subtracts_nothing(self):
+        prop, grid, tgrid = setup()
+        datum = self.datum(np.random.default_rng(5), (grid.n,))
+        traj = solve_forward(prop, None, datum)
+        assert forward_defect(prop, traj, None, datum) == forward_defect(
+            prop, traj, zeros_space_time(grid, tgrid), datum
+        )

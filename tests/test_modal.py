@@ -67,9 +67,10 @@ class TestTridiagonalFactors:
         rhs = np.random.default_rng(n * steps).normal(size=(n, steps))
         expected, info = dpttrs(pivots, multipliers, rhs.reshape(-1, 1))
         assert info == 0
-        solved = modes._tridiagonal_solve(rhs)
-        assert np.array_equal(solved, expected.reshape(n, steps))
-        assert solved.flags.c_contiguous
+        work = rhs.T.copy()  # the solver works time-major, in place
+        solved = modes._tridiagonal_solve(work)
+        assert solved is work
+        assert np.array_equal(solved.T, expected.reshape(n, steps))
 
     @pytest.mark.parametrize(
         "horizon,control_weight",

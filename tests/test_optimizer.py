@@ -1,11 +1,13 @@
 """Normal equations, CG solve, optimality system, and the gamma continuation."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import lowregret as lr
+from lowregret import evolution, optimizer
 from lowregret.optimizer import apply_normal_operator, normal_rhs
 from lowregret.oracles import fd_gradient
 
@@ -176,6 +178,55 @@ class TestSolve:
         bundle = lr.solve_low_regret(cfg, initial_control=start)
         assert bundle.cg_residuals == tuple(residuals)
         assert np.array_equal(bundle.control, prop.from_modes(x))
+
+
+class TestBundleMapping:
+    """The solve maps ``control`` back to nodes, and each of the bundle's
+    four trajectories on its first read."""
+
+    FIELDS = ("state", "uncertainty_adjoint", "worst_response", "control_adjoint", "worst_initial_datum")
+
+    @staticmethod
+    def eager(cfg):
+        """The bundle's fields mapped back at once, in the solve's order."""
+        view, prop = cfg.in_modes(), cfg.propagator
+        x, _, _ = optimizer._preconditioned_cg(view, None)
+        state, xi, psi, phi = optimizer._first_order_system(x, view)
+        control = prop.from_modes(x)
+        state, xi, psi, phi = (prop.from_modes(field) for field in (state, xi, psi, phi))
+        state += cfg.q_background
+        return dict(
+            control=control, state=state, uncertainty_adjoint=xi, worst_response=psi,
+            control_adjoint=phi, worst_initial_datum=xi[0] / cfg.gamma,
+        )
+
+    @pytest.mark.parametrize("n", [40, 160])  # dense and folded basis changes
+    def test_fields_read_in_any_order_are_the_eager_ones_bit_for_bit(self, n):
+        cfg = make_problem(n=n, steps=12, gamma=1e-2)
+        expected = self.eager(cfg)
+        orders = itertools.permutations(self.FIELDS) if n < 100 else (self.FIELDS, self.FIELDS[::-1])
+        for order in orders:
+            bundle = lr.solve_low_regret(cfg)
+            assert bundle.control.tobytes() == expected["control"].tobytes()
+            for name in order:
+                assert getattr(bundle, name).tobytes() == expected[name].tobytes(), (order, name)
+            assert bundle._modal == {}  # each modal field dropped as it was mapped
+
+    def test_a_sweep_stage_maps_the_control_and_the_uncertainty_adjoint(self, monkeypatch):
+        cfg = make_problem(n=40, steps=12)
+        cfg.modes, cfg.relaxed_cost_00  # the set-up's physical sweep runs before the spy
+        mapped, original = [], evolution.Propagator.from_modes
+
+        def spy(prop, y, out=None):
+            mapped.append(y.shape)
+            return original(prop, y, out)
+
+        monkeypatch.setattr(evolution.Propagator, "from_modes", spy)
+        unread = []
+        gammas = (1.0, 1e-2, 1e-4)
+        lr.gamma_sweep(cfg, gammas, callback=lambda g, bundle: unread.append(set(bundle._modal)))
+        assert len(mapped) == 2 * len(gammas)
+        assert unread == [{"state", "worst_response", "control_adjoint"}] * len(gammas)
 
 
 class TestMemoryBudget:
