@@ -18,8 +18,8 @@ are joined before the call that started them returns or raises.
 Output directory resolution: ``--out`` flag, else the config's ``out_dir``
 field, else ``$LOWREGRET_OUT/<scenario>`` (current directory when the
 variable is unset).  Exit codes: 0 success, 2 configuration error, 3
-scenario failure (non-convergence, an identity check out of tolerance, or a
-library refusal such as a non-finite sweep).
+scenario failure (non-convergence, an optimality residual or identity check
+out of budget, or a library refusal such as a non-finite sweep).
 """
 
 import argparse
@@ -60,6 +60,8 @@ MAX_NODES = 5000
 # each sweep's trajectory) holds that many floats, 80 MB each at this size;
 # also on probes x nodes, the sweep's membership probes.
 MAX_GRID_VALUES = 10**7
+
+RESIDUAL_BUDGET = 1e-10  # on a solve's five optimality residuals, times residual_scale
 
 # JSON objects that group ScenarioConfig fields: section -> its keys
 SECTIONS = {"domain": ("x_left", "x_right", "nodes"), "time": ("horizon", "steps")}
@@ -309,8 +311,8 @@ def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         "worst_datum": worst,
         "residuals": residual_lines,
     }
-    finite = all(map(np.isfinite, [*residuals.values(), scale]))
-    return metrics, tables, bundle.converged and finite
+    within = np.isfinite(scale) and all(r <= RESIDUAL_BUDGET * scale for r in residuals.values())
+    return metrics, tables, bool(bundle.converged and within)
 
 
 # scaled tolerances mirrored by the audit: identity name -> budget

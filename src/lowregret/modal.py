@@ -25,8 +25,8 @@ rank-one term.  A solve works time-major, in place in its result; only the
 shift's einsum reads a mode-major copy, as its summation order sets its
 bits.  This is the fast-diagonalization idea of Lynch, Rice and Thomas
 (1964) applied in time.  It inverts H up to round-off times its condition
-number, which grows like 1/gamma; the optimizer therefore uses it as a
-preconditioner on the sweeps of ``evolution``, not as the solver.
+number, which grows like 1/gamma; the optimizer therefore refines on it,
+with each step's residual taken through the sweeps of ``evolution``.
 """
 
 from __future__ import annotations

@@ -11,16 +11,17 @@ with zero source,
 
 where S* is the backward solve (exact transpose of S under the space-time
 inner product) and T is the exact transpose of R.  H is symmetric positive
-definite in that inner product, so the system is solved by preconditioned
-conjugate gradients with matching inner products.  The preconditioner is the
-exact inverse of H in the eigenmodes of the operator (``modal.NormalModes``),
-so a solve takes one or two iterations at any gamma.  The loop, one H-apply
-per iteration, and the post-solve sweeps run through the same sweeps on
-``RegretConfig.in_modes()``, the problem in A's eigenbasis; the physical
-``optimality_residuals`` check the result.  The residual b - H u equals
--(control_weight * u + phi) for the control adjoint phi, and the stopping
-rule is on its Q-norm (the unpreconditioned recursive residual), hence it
-directly bounds the stationarity residual.
+definite in that inner product, and ``modal.NormalModes`` inverts it in
+the eigenmodes of the operator, exactly up to round-off.  The system is
+therefore solved by iterative refinement on that inverse (z = H^{-1} r,
+x += z, r -= H z): one or two steps down to gamma = 1e-10 on the shipped
+data, more below, as the inverse loses accuracy.  The loop,
+one H-apply per step, and the post-solve sweeps run through the same
+sweeps on ``RegretConfig.in_modes()``, the problem in A's eigenbasis; the
+physical ``optimality_residuals`` check the result.  The residual b - H u
+equals -(control_weight * u + phi) for the control adjoint phi, and the
+stopping rule is on its Q-norm (the recursive residual), hence it directly
+bounds the stationarity residual.
 
 The first-order system itself splits the gamma factor symmetrically: the
 worst-response variable psi propagates -xi(0)/sqrt(gamma) forward and feeds
@@ -39,7 +40,7 @@ import numpy as np
 from .evolution import backward_defect, forward_defect, solve_backward, solve_forward
 from .functional import RegretConfig, reduced_cost, solve_uncertainty_adjoint
 from .grids import (
-    ParameterError, _check_positive, _check_space_time, inner_product_q, norm_omega, norm_q
+    ParameterError, _check_positive, _check_space_time, norm_omega, norm_q
 )
 
 DEFAULT_SWEEP_GAMMAS = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
@@ -61,7 +62,8 @@ class OptimalityBundle:
 
     The solve maps ``control`` back to nodes; each trajectory stays modal in
     ``_modal`` until its first read maps it back with ``problem``'s
-    propagator (``state`` gains q(0,0)) and drops it from there.
+    propagator (``state`` gains q(0,0)) and moves it to ``_nodal``; copies
+    share both dicts, so each trajectory is mapped once for all of them.
     """
 
     control: np.ndarray
@@ -72,17 +74,19 @@ class OptimalityBundle:
     converged: bool
     problem: RegretConfig = field(repr=False)
     _modal: dict = field(repr=False)
+    _nodal: dict = field(default_factory=dict, repr=False)
 
     def _mapped(self, name: str) -> np.ndarray:
-        mapped = self.problem.propagator.from_modes(self._modal.pop(name))
-        if name == "state":
-            mapped += self.problem.q_background
-        return mapped
+        if name in self._modal:
+            self._nodal[name] = self.problem.propagator.from_modes(self._modal.pop(name))
+            if name == "state":
+                self._nodal[name] += self.problem.q_background
+        return self._nodal[name]
 
-    state = cached_property(lambda self: self._mapped("state"))
-    uncertainty_adjoint = cached_property(lambda self: self._mapped("uncertainty_adjoint"))
-    worst_response = cached_property(lambda self: self._mapped("worst_response"))
-    control_adjoint = cached_property(lambda self: self._mapped("control_adjoint"))
+    state = property(lambda self: self._mapped("state"))
+    uncertainty_adjoint = property(lambda self: self._mapped("uncertainty_adjoint"))
+    worst_response = property(lambda self: self._mapped("worst_response"))
+    control_adjoint = property(lambda self: self._mapped("control_adjoint"))
     worst_initial_datum = cached_property(lambda self: self.uncertainty_adjoint[0] / self.problem.gamma)
 
 
@@ -156,17 +160,14 @@ def reduced_gradient(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
     return grad
 
 
-def _preconditioned_cg(cfg: RegretConfig, initial_control):
-    """Control, residual norm history and tolerance of the PCG solve.
+def _refine(cfg: RegretConfig, initial_control):
+    """Control, residual norm history and tolerance of the refinement.
 
-    A function of its own so that its fields (b, r, p, hp, z) are freed
+    A function of its own so that its fields (b, r, z, H z) are freed
     before the post-solve allocates its trajectories, which keeps the peak
-    memory of a solve down.  x, r and p are updated in place with the textbook
-    form's products and sums (hp takes alpha hp for r, then alpha p for x), so
-    an iteration allocates only z and the H-apply's fields.
+    memory of a solve down.
     """
     b = normal_rhs(cfg)
-    modes = cfg.modes
     tol = cfg.cg_tol * max(norm_q(b, cfg.grid, cfg.tgrid), np.finfo(float).tiny)
 
     if initial_control is None:
@@ -177,44 +178,36 @@ def _preconditioned_cg(cfg: RegretConfig, initial_control):
         x[0] = 0.0
         r = b - apply_normal_operator(x, cfg)
 
-    residuals = [math.sqrt(inner_product_q(r, r, cfg.grid, cfg.tgrid))]
-    p = None
+    residuals = [norm_q(r, cfg.grid, cfg.tgrid)]
     while residuals[-1] > tol and len(residuals) <= cfg.cg_max_iters:
-        z = modes.solve(r, cfg.gamma)
-        rz_next = inner_product_q(r, z, cfg.grid, cfg.tgrid)
-        if p is None:
-            p = z
-        else:
-            p *= rz_next / rz
-            p += z
-        rz = rz_next
-        hp = apply_normal_operator(p, cfg)
-        alpha = rz / inner_product_q(p, hp, cfg.grid, cfg.tgrid)
-        hp *= alpha
-        r -= hp
-        x += np.multiply(p, alpha, out=hp)
-        residuals.append(math.sqrt(inner_product_q(r, r, cfg.grid, cfg.tgrid)))
+        z = cfg.modes.solve(r, cfg.gamma)
+        x += z
+        r -= apply_normal_operator(z, cfg)
+        residuals.append(norm_q(r, cfg.grid, cfg.tgrid))
+        if not residuals[-1] < residuals[-2]:  # the inverse lost its accuracy, or a NaN
+            break
     return x, tuple(residuals), tol
 
 
 def solve_low_regret(
     cfg: RegretConfig, initial_control: np.ndarray | None = None
 ) -> OptimalityBundle:
-    """Minimize the reduced objective by preconditioned CG on H u = b.
+    """Minimize the reduced objective by iterative refinement on H u = b.
 
     It runs on ``cfg.in_modes()``; the warm start and ``control`` change
     basis here, and the bundle's four trajectories on their first read (see
     ``OptimalityBundle``).  ``initial_control`` warm-starts the iteration
     (its slice 0 is ignored; the start costs one H-apply).  Stops when
-    |b - H u|_Q drops below cg_tol * |b|_Q or after cg_max_iters iterations,
-    whichever comes first; ``cg_iterations`` counts the H-applies of the
-    loop.  ``converged`` is false unless that tolerance, the final residual
-    and the objective are all finite (data large enough to overflow them).
+    |b - H u|_Q drops below cg_tol * |b|_Q, after cg_max_iters steps, or
+    after a step whose residual did not fall, whichever comes first;
+    ``cg_iterations`` counts the H-applies of the loop.  ``converged`` is
+    false unless the residual meets that tolerance and the tolerance, the
+    residual and the objective are all finite.
     """
     prop, view = cfg.propagator, cfg.in_modes()
     if initial_control is not None:
         initial_control = prop.to_modes(_check_space_time(initial_control, cfg.grid, cfg.tgrid))
-    x, residuals, tol = _preconditioned_cg(view, initial_control)
+    x, residuals, tol = _refine(view, initial_control)
     residual = residuals[-1]
     value = reduced_cost(x, view)  # first: its sweeps' fields are freed before the bundle's
     modal = dict(zip(

@@ -392,7 +392,7 @@ class TestRunCommand:
         assert (tmp_path / "env_out" / "solve" / "report.json").exists()
 
     def test_unconverged_solve_exits_three(self, tmp_path, capsys):
-        # an unreachable tolerance: the preconditioned solve meets 1e-12 in one step
+        # an unreachable tolerance: the refined solve meets 1e-12 in one step
         path = write_config(tmp_path, config_dict(cg_max_iters=1, cg_tol=1e-30))
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out), "--quiet"]) == 3
@@ -448,7 +448,7 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_overflowing_residuals_exit_three(self, tmp_path, capsys):
-        # CG converges, but the equation residuals of the first-order system overflow
+        # the solve converges, but the equation residuals of the first-order system overflow
         with open(SOLVE_CONFIG) as fh:
             raw = json.load(fh)
         raw["time"] = {"horizon": 1e300, "steps": 30}
@@ -459,6 +459,22 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["success"] is False
 
+    @pytest.mark.parametrize("gamma, code", [(1e-8, 0), (1e-12, 3)])
+    def test_residuals_over_budget_exit_three(self, tmp_path, capsys, gamma, code):
+        # both solves converge; at gamma = 1e-12 the stationarity residual is
+        # about 1e-8 of residual_scale, over cli.RESIDUAL_BUDGET
+        with open(SOLVE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["gamma"] = gamma
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == code
+        report = json.loads((out / "report.json").read_text())
+        metrics = report["metrics"]
+        worst = max(metrics["residuals"].values()) / metrics["residual_scale"]
+        assert metrics["converged"] is True
+        assert report["success"] is (code == 0) is (worst <= cli.RESIDUAL_BUDGET)
+        assert ("failed its checks" in capsys.readouterr().err) is (code == 3)
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_one_node_and_one_step_solve(self, tmp_path, command):
         raw = config_dict()
@@ -467,12 +483,16 @@ class TestRunCommand:
         path = write_config(tmp_path, raw)
         assert main([command, path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
-    def test_library_refusal_exits_three(self, tmp_path, capsys):
-        # the parser accepts gamma = 1e-300, but a sweep's source overflows
-        path = write_config(tmp_path, config_dict(gamma=1e-300))
+    @pytest.mark.parametrize("gamma, message", [
+        (1e-310, "run failed: source slices 1..M must be finite"),  # a sweep's source overflows
+        (1e-300, "solve scenario failed its checks"),  # the refinement stalls, unconverged
+    ], ids=["overflow", "stall"])
+    def test_library_refusal_exits_three(self, tmp_path, capsys, gamma, message):
+        # the parser accepts both values
+        path = write_config(tmp_path, config_dict(gamma=gamma))
         with pytest.warns(RuntimeWarning):
             assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
-        assert "run failed: source slices 1..M must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("origin", ["--out", "out_dir", "LOWREGRET_OUT"])
     def test_unwritable_output_exits_two_before_computing(
@@ -608,6 +628,21 @@ class TestAuditCommand:
 
         probe_lines = (out / "audit_probe_residuals.csv").read_text().splitlines()
         assert len(probe_lines) == 1 + report["metrics"]["probes"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])  # the draws inline, or ahead where a block allows
+    def test_zero_probe_audit_writes_an_empty_probe_table(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        path = write_config(tmp_path, config_dict(probes=0))
+        out = tmp_path / "out"
+        assert main(["audit", path, "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["metrics"]["probes"] == 0
+        assert report["metrics"]["identities"] == {
+            name: {"residual": 0.0, "tolerance": tol, "passed": True}
+            for name, tol in cli.AUDIT_TOLERANCES.items()
+        }
+        probe_lines = (out / "audit_probe_residuals.csv").read_text().splitlines()
+        assert probe_lines == ["probe," + ",".join(sorted(cli.AUDIT_TOLERANCES))]
 
     def test_audit_whose_scale_hits_the_floor_writes_its_report(self, tmp_path):
         # on a domain of width 1e-150 some transpose scale falls below the

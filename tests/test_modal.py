@@ -1,4 +1,4 @@
-"""Modal inverse of the normal operator and the preconditioned solve built on it."""
+"""Modal inverse of the normal operator and the refined solve built on it."""
 
 import json
 import os

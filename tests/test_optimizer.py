@@ -1,17 +1,22 @@
-"""Normal equations, CG solve, optimality system, and the gamma continuation."""
+"""Normal equations, the refined solve, optimality system, and the gamma continuation."""
 
+import copy
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
 
 import lowregret as lr
 from lowregret import evolution, optimizer
+from lowregret.cli import load_scenario
 from lowregret.optimizer import apply_normal_operator, normal_rhs
 from lowregret.oracles import fd_gradient
 
 from conftest import make_problem, random_control, traced_peak
+
+SOLVE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "solve.json")
 
 
 class TestReducedGradient:
@@ -112,8 +117,8 @@ class TestSolve:
         assert history[-1] <= min(history[0], history[1])
 
     def test_truncated_iteration_budget_is_reported(self, small_cfg):
-        # an unreachable tolerance: H and its modal preconditioner agree to
-        # round-off, so two preconditioned steps reach 1e-30
+        # an unreachable tolerance: H and its modal inverse agree to
+        # round-off, so two refinement steps reach about 1e-30
         tight = dataclasses.replace(small_cfg, cg_max_iters=2, cg_tol=1e-300)
         bundle = lr.solve_low_regret(tight)
         assert not bundle.converged
@@ -154,7 +159,7 @@ class TestSolve:
         )
 
     @pytest.mark.parametrize("warm", [False, True])
-    def test_in_place_updates_match_the_textbook_iteration_bit_for_bit(self, small_cfg, warm):
+    def test_in_place_updates_match_the_plain_refinement_bit_for_bit(self, small_cfg, warm):
         # the solve iterates on the problem in A's eigenbasis
         cfg, rng = small_cfg, np.random.default_rng(37)
         start = random_control(cfg, rng) if warm else None
@@ -164,20 +169,35 @@ class TestSolve:
         x = np.zeros_like(b) if start is None else prop.to_modes(start)
         x[0] = 0.0
         r = b - apply_normal_operator(x, view) if warm else b
-        residuals, p = [lr.norm_q(r, view.grid, view.tgrid)], None
+        residuals = [lr.norm_q(r, view.grid, view.tgrid)]
         while residuals[-1] > tol:
             z = view.modes.solve(r, view.gamma)
-            rz_next = lr.inner_product_q(r, z, view.grid, view.tgrid)
-            p = z if p is None else z + (rz_next / rz) * p
-            rz = rz_next
-            hp = apply_normal_operator(p, view)
-            alpha = rz / lr.inner_product_q(p, hp, view.grid, view.tgrid)
-            x = x + alpha * p
-            r = r - alpha * hp
+            x = x + z
+            r = r - apply_normal_operator(z, view)
             residuals.append(lr.norm_q(r, view.grid, view.tgrid))
         bundle = lr.solve_low_regret(cfg, initial_control=start)
+        assert bundle.converged
         assert bundle.cg_residuals == tuple(residuals)
         assert np.array_equal(bundle.control, prop.from_modes(x))
+
+    @pytest.mark.parametrize("gamma", [10.0 ** -k for k in range(2, 17)])
+    def test_shipped_solve_converges_down_to_gamma_1e_16(self, gamma):
+        cfg = load_scenario(SOLVE_CONFIG).problem.with_gamma(gamma)
+        bundle = lr.solve_low_regret(cfg)
+        assert bundle.converged, bundle.cg_residuals
+
+    @pytest.mark.parametrize("gamma", [3e-17, 1e-20, 1e-300])
+    def test_a_stall_ends_unconverged_within_two_steps(self, gamma):
+        # the modal inverse has lost its accuracy: the first step whose
+        # residual does not fall ends the loop
+        cfg = load_scenario(SOLVE_CONFIG).problem.with_gamma(gamma)
+        with np.errstate(all="ignore"):
+            bundle = lr.solve_low_regret(cfg)
+        history = bundle.cg_residuals
+        assert not bundle.converged
+        assert 1 <= bundle.cg_iterations <= 2
+        assert not history[-1] < history[-2]  # the last step stalled
+        assert all(a > b for a, b in zip(history[:-2], history[1:-1]))  # the others fell
 
 
 class TestBundleMapping:
@@ -190,7 +210,7 @@ class TestBundleMapping:
     def eager(cfg):
         """The bundle's fields mapped back at once, in the solve's order."""
         view, prop = cfg.in_modes(), cfg.propagator
-        x, _, _ = optimizer._preconditioned_cg(view, None)
+        x, _, _ = optimizer._refine(view, None)
         state, xi, psi, phi = optimizer._first_order_system(x, view)
         control = prop.from_modes(x)
         state, xi, psi, phi = (prop.from_modes(field) for field in (state, xi, psi, phi))
@@ -211,6 +231,27 @@ class TestBundleMapping:
             for name in order:
                 assert getattr(bundle, name).tobytes() == expected[name].tobytes(), (order, name)
             assert bundle._modal == {}  # each modal field dropped as it was mapped
+
+    def test_a_bundle_and_its_copies_read_the_same_fields_in_any_order(self):
+        # a copy shares the modal trajectories; the first read of any copy
+        # maps a field for all of them
+        cfg = make_problem(n=40, steps=12, gamma=1e-2)
+        fresh = lr.solve_low_regret(cfg)
+        expected = {name: getattr(fresh, name) for name in self.FIELDS}
+        for order in itertools.permutations(("original", "replace", "copy")):
+            bundle = lr.solve_low_regret(cfg)
+            copies = {
+                "original": bundle,
+                "replace": dataclasses.replace(bundle, control=bundle.control + 1.0),
+                "copy": copy.copy(bundle),
+            }
+            for which in order:
+                for name in self.FIELDS:
+                    assert np.array_equal(getattr(copies[which], name), expected[name]), (order, which, name)
+            # copies made after every field was read
+            for late in (dataclasses.replace(bundle, value=0.0), copy.copy(bundle)):
+                for name in self.FIELDS:
+                    assert np.array_equal(getattr(late, name), expected[name]), (order, name)
 
     def test_a_sweep_stage_maps_the_control_and_the_uncertainty_adjoint(self, monkeypatch):
         cfg = make_problem(n=40, steps=12)
