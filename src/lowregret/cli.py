@@ -25,6 +25,7 @@ out of budget, or a library refusal such as a non-finite sweep).
 import argparse
 import hashlib
 import json
+import logging
 import os
 import sys
 import tempfile
@@ -60,6 +61,8 @@ MAX_NODES = 5000
 # each sweep's trajectory) holds that many floats, 80 MB each at this size;
 # also on probes x nodes, the sweep's membership probes.
 MAX_GRID_VALUES = 10**7
+
+log = logging.getLogger("lowregret")
 
 RESIDUAL_BUDGET = 1e-10  # on a solve's five optimality residuals, times residual_scale
 
@@ -147,7 +150,7 @@ class RunReport:
     """Outcome of one scenario execution.
 
     ``metrics`` is JSON-ready; ``tables`` maps each CSV plot file's name to
-    its lines and stays out of report.json.  ``timings`` is written to its
+    its text and stays out of report.json.  ``timings`` is written to its
     own file to keep reports deterministic.
     """
 
@@ -267,25 +270,29 @@ def load_scenario(config_path, scenario: str | None = None, seed: int | None = N
     return parse_scenario(raw, scenario, seed)
 
 
-def _format_rows(*columns) -> list[str]:
-    """One CSV line of ``repr`` floats per row of the given columns, which
-    are converted to Python floats at once."""
-    return [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
+def _csv(header, *columns) -> str:
+    """CSV text: the ``header`` names, then one line per row of ``columns``.
+
+    Each column is formatted at once: a float column as the ``repr`` of
+    Python floats, any other with ``str``.
+    """
+    cells = [map(repr if c.dtype.kind == "f" else str, c.tolist()) for c in map(np.asarray, columns)]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
-def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
-    """Returns (metrics, CSV tables by name, success); so do the other two."""
+def _execute_solve(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
+    """Returns (metrics, CSV text by table name, success); so do the other two."""
     cfg = workspace(sc.problem)
     grid, tgrid = cfg.grid, cfg.tgrid
-    say(f"solving at gamma={cfg.gamma:g} (n={grid.n}, M={tgrid.steps}, s={cfg.s:g})")
+    log.info("solving at gamma=%g (n=%d, M=%d, s=%g)", cfg.gamma, grid.n, tgrid.steps, cfg.s)
     bundle = solve_low_regret(cfg)
-    residuals = optimality_residuals(bundle, cfg)
+    residuals = optimality_residuals(bundle)
     control_norm = norm_q(bundle.control, grid, tgrid)
     scale = max(1.0, norm_q(bundle.state, grid, tgrid), norm_q(cfg.z_d, grid, tgrid), control_norm)
     xi0 = bundle.uncertainty_adjoint[0]
-    say(
-        f"done: {bundle.cg_iterations} CG iterations, objective {bundle.value:.6e}, "
-        f"converged={bundle.converged}"
+    log.info(
+        "done: %d CG iterations, objective %.6e, converged=%s",
+        bundle.cg_iterations, bundle.value, bundle.converged,
     )
     metrics = {
         "objective": bundle.value,
@@ -299,17 +306,15 @@ def _execute_solve(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         "worst_datum_norm": norm_omega(bundle.worst_initial_datum, grid),
     }
     slices = sorted({1, tgrid.steps // 2, tgrid.steps})
-    snapshots = ["x," + ",".join(f"control_t{tgrid.times[m]:g}" for m in slices)]
-    snapshots += _format_rows(grid.nodes, *bundle.control[slices])
-    worst = ["x,worst_initial_datum,uncertainty_trace"]
-    worst += _format_rows(grid.nodes, bundle.worst_initial_datum, xi0)
-    residual_lines = ["identity,residual"]
-    for name in sorted(residuals):
-        residual_lines.append(f"{name},{float(residuals[name])!r}")
+    names = sorted(residuals)
     tables = {
-        "control_snapshots": snapshots,
-        "worst_datum": worst,
-        "residuals": residual_lines,
+        "control_snapshots": _csv(
+            ["x", *(f"control_t{tgrid.times[m]:g}" for m in slices)], grid.nodes, *bundle.control[slices]
+        ),
+        "worst_datum": _csv(
+            ["x", "worst_initial_datum", "uncertainty_trace"], grid.nodes, bundle.worst_initial_datum, xi0
+        ),
+        "residuals": _csv(["identity", "residual"], names, [residuals[n] for n in names]),
     }
     within = np.isfinite(scale) and all(r <= RESIDUAL_BUDGET * scale for r in residuals.values())
     return metrics, tables, bool(bundle.converged and within)
@@ -337,11 +342,11 @@ def _max(a, b):
     return np.where(b > a, b, a)
 
 
-def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
+def _execute_audit(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
     cfg = workspace(sc.problem)
     grid, tgrid = cfg.grid, cfg.tgrid
     rng = np.random.default_rng(sc.seed)
-    say(f"auditing identities on {sc.probes} random probes (seed {sc.seed})")
+    log.info("auditing identities on %d random probes (seed %d)", sc.probes, sc.seed)
 
     preset_data = np.array([spatial_profile(text, grid) for text in sc.probe_presets])
     shape = (tgrid.steps + 1, grid.n)
@@ -404,44 +409,33 @@ def _execute_audit(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
     for name, tol in AUDIT_TOLERANCES.items():
         worst = max(columns[name], default=0.0)
         identities[name] = {"residual": worst, "tolerance": tol, "passed": bool(worst <= tol)}
-        say(f"  {name}: worst scaled residual {worst:.3e} (budget {tol:g})")
+        log.info("  %s: worst scaled residual %.3e (budget %g)", name, worst, tol)
 
     success = all(entry["passed"] for entry in identities.values())
     metrics = {"identities": identities, "probes": sc.probes, "seed": sc.seed}
-    summary = ["identity,residual,tolerance,passed"]
-    for name in sorted(identities):
-        entry = identities[name]
-        summary.append(
-            f"{name},{float(entry['residual'])!r},{float(entry['tolerance'])!r},"
-            f"{int(entry['passed'])}"
-        )
     names = sorted(AUDIT_TOLERANCES)
-    per_probe = ["probe," + ",".join(names)]
-    rows = _format_rows(*(columns[n] for n in names))
-    per_probe += [f"{k},{row}" for k, row in enumerate(rows)]
-    tables = {"residuals": summary, "probe_residuals": per_probe}
+    tables = {
+        "residuals": _csv(
+            ["identity", "residual", "tolerance", "passed"], names, [identities[n]["residual"] for n in names],
+            [identities[n]["tolerance"] for n in names], [int(identities[n]["passed"]) for n in names],
+        ),
+        "probe_residuals": _csv(["probe", *names], range(sc.probes), *(columns[n] for n in names)),
+    }
     return metrics, tables, success
 
 
-def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
+def _execute_sweep(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
     cfg = workspace(sc.problem)
     grid, tgrid = cfg.grid, cfg.tgrid
-    say(f"sweeping gamma over {list(sc.gammas)} (n={grid.n}, M={tgrid.steps})")
-
-    def progress(g, bundle):
-        say(
-            f"  gamma={g:g}: {bundle.cg_iterations} CG iterations, "
-            f"objective {bundle.value:.6e}, |xi(0)|={norm_omega(bundle.uncertainty_adjoint[0], grid):.3e}"
-        )
-
-    report = gamma_sweep(cfg, sc.gammas, callback=progress)
+    log.info("sweeping gamma over %s (n=%d, M=%d)", list(sc.gammas), grid.n, tgrid.steps)
+    report = gamma_sweep(cfg, sc.gammas)
 
     rng = np.random.default_rng(sc.seed)
     terminal_xi0 = solve_uncertainty_adjoint(report.controls[-1], cfg)[0]
     g = rng.standard_normal((max(sc.probes, 1), grid.n))
     ratios = abs(inner_product_omega(g, terminal_xi0, grid)) / norm_omega(g, grid)
     membership = max([0.0] + ratios.tolist())
-    say(f"fitted slope {report.slope:.3f}, membership bound {membership:.3e}")
+    log.info("fitted slope %.3f, membership bound %.3e", report.slope, membership)
 
     metrics = {
         "gammas": list(report.gammas),
@@ -459,17 +453,16 @@ def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
         "membership_bound": membership,
         "membership_probes": max(sc.probes, 1),
     }
-    decay = ["gamma,xi0_norm,control_norm,objective,cg_iterations"]
-    rows = _format_rows(report.gammas, report.xi0_norms, report.control_norms, report.values)
-    decay += [f"{row},{its}" for row, its in zip(rows, report.cg_iterations)]
-    distance = ["gamma_next,distance"]
-    distance += _format_rows(report.gammas[1:], report.distances)
-    snapshots = ["x," + ",".join(f"control_gamma{g:g}" for g in report.gammas)]
-    snapshots += _format_rows(grid.nodes, *(c[tgrid.steps] for c in report.controls))
     tables = {
-        "xi0_vs_gamma": decay,
-        "control_distance": distance,
-        "control_snapshots": snapshots,
+        "xi0_vs_gamma": _csv(
+            ["gamma", "xi0_norm", "control_norm", "objective", "cg_iterations"], report.gammas,
+            report.xi0_norms, report.control_norms, report.values, report.cg_iterations,
+        ),
+        "control_distance": _csv(["gamma_next", "distance"], report.gammas[1:], report.distances),
+        "control_snapshots": _csv(
+            ["x", *(f"control_gamma{g:g}" for g in report.gammas)],
+            grid.nodes, *(c[tgrid.steps] for c in report.controls),
+        ),
     }
     return metrics, tables, all(report.converged)
 
@@ -477,20 +470,26 @@ def _execute_sweep(sc: ScenarioConfig, say) -> tuple[dict, dict, bool]:
 def emit_plot_data(report: RunReport, out_dir) -> list[str]:
     """Write per-metric CSV files (column 1 abscissa) into the existing ``out_dir``."""
     paths = []
-    for name, lines in report.tables.items():
+    for name, text in report.tables.items():
         path = os.path.join(out_dir, f"{report.scenario}_{name}.csv")
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
         paths.append(path)
     return paths
+
+
+def _strict_json(document) -> str:
+    """``document`` as strict JSON (RFC 8259): each non-finite float is null."""
+    document = json.loads(json.dumps(document), parse_constant=lambda _: None)
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report_files(report: RunReport, out_dir) -> list[str]:
     """Write report.json (deterministic) and timings.json (not compared).
 
+    Both are strict JSON (RFC 8259): a non-finite float is written as null.
     ``out_dir`` must exist; ``run_scenario`` creates it before computing.
     """
-    report_path = os.path.join(out_dir, "report.json")
     payload = {
         "version": report.version,
         "scenario": report.scenario,
@@ -499,28 +498,25 @@ def write_report_files(report: RunReport, out_dir) -> list[str]:
         "metrics": report.metrics,
         "success": report.success,
     }
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    timings_path = os.path.join(out_dir, "timings.json")
-    with open(timings_path, "w") as fh:
-        json.dump({"timings": report.timings}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [report_path, timings_path]
+    paths = [os.path.join(out_dir, name) for name in ("report.json", "timings.json")]
+    for path, document in zip(paths, (payload, {"timings": report.timings})):
+        with open(path, "w") as fh:
+            fh.write(_strict_json(document))
+    return paths
 
 
 _EXECUTORS = {"solve": _execute_solve, "audit": _execute_audit, "sweep": _execute_sweep}
 
 
-def execute_scenario(sc: ScenarioConfig, quiet: bool = True) -> RunReport:
-    """Run a validated scenario in memory; no files are written."""
-    say = (lambda *_: None) if quiet else (lambda msg: print(msg, flush=True))
+def execute_scenario(sc: ScenarioConfig) -> RunReport:
+    """Run a validated scenario in memory; no files are written.  Progress
+    goes to the ``lowregret`` logger as INFO records."""
     echo = sc.echo()
     digest = hashlib.sha256(
         json.dumps(echo, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     started = time.perf_counter()
-    metrics, tables, success = _EXECUTORS[sc.scenario](sc, say)
+    metrics, tables, success = _EXECUTORS[sc.scenario](sc)
     elapsed = time.perf_counter() - started
     return RunReport(
         scenario=sc.scenario,
@@ -561,32 +557,26 @@ def check_out_dir(target: str, origin: str, create: bool = False) -> None:
         raise ConfigError(origin, f"cannot {action} output directory {target!r}: {exc}") from None
 
 
-def run_scenario(
-    config_path,
-    scenario: str | None = None,
-    out_dir=None,
-    seed: int | None = None,
-    quiet: bool = True,
-) -> RunReport:
+def run_scenario(config_path, scenario: str | None = None, out_dir=None, seed: int | None = None) -> RunReport:
     """Load a config, execute its scenario, and persist report plus plot data.
 
     ``scenario`` and ``seed`` override the config file; the effective values
     are echoed in the report.  Raises ConfigError on invalid input, and on an
     output directory that cannot be created or takes no files, before any
-    computation; also on a report file that cannot be written.
+    computation; also on a report file that cannot be written.  Each file
+    written is logged as an INFO record of the ``lowregret`` logger.
     """
     sc = load_scenario(config_path, scenario, seed)
     target, origin = resolve_out_dir(out_dir, sc)
     check_out_dir(target, origin, create=True)
-    report = execute_scenario(sc, quiet=quiet)
+    report = execute_scenario(sc)
     try:
         paths = write_report_files(report, target)
         paths += emit_plot_data(report, target)
     except OSError as exc:
         raise ConfigError(origin, f"cannot write the report into {target!r}: {exc}") from None
-    if not quiet:
-        for path in paths:
-            print(f"wrote {path}", flush=True)
+    for path in paths:
+        log.info("wrote %s", path)
     return report
 
 
@@ -612,27 +602,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # the lowregret logger's INFO records are the progress lines, on the
+    # current stdout for this call only
+    handler, level = logging.StreamHandler(sys.stdout), log.level
+    log.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    log.addHandler(handler)
     try:
         if args.command == "validate":
             sc = load_scenario(args.config, seed=args.seed)
             check_out_dir(*resolve_out_dir(args.out, sc))  # refused as run refuses it; creates no directory
-            if not args.quiet:
-                print(json.dumps(sc.echo(), indent=2, sort_keys=True))
+            log.info("%s", json.dumps(sc.echo(), indent=2, sort_keys=True))
             return 0
         scenario = None if args.command == "run" else args.command
-        report = run_scenario(
-            args.config,
-            scenario=scenario,
-            out_dir=args.out,
-            seed=args.seed,
-            quiet=args.quiet,
-        )
+        report = run_scenario(args.config, scenario=scenario, out_dir=args.out, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # the library refused the validated scenario's numbers
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     if not report.success:
         print(f"{report.scenario} scenario failed its checks", file=sys.stderr)
         return 3

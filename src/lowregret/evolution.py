@@ -88,8 +88,8 @@ from .operator import FracOperator
 # at 160 x 80, 0.85 at 200 x 100 and 0.73 at 400 x 200.  The solve's sweeps
 # change no basis, so the dense path pays only for the audit's stacked sweeps
 # at 40 nodes: folded at every size, ``cli.main`` took 1.20 times as long on
-# the audit at 40 x 30 and 0.99 on the gamma sweep at 120 x 60 (medians of 50
-# interleaved in-process pairs).
+# the audit at 40 x 30 (faster in 1 of 100 rounds) and 1.00 on the gamma sweep
+# at 120 x 60 (faster in 44 of 100; two runs of 50 alternating rounds each).
 FOLD_NODES = 150
 
 # Nodes from which ``centrosymmetric_eigh`` runs its two half-size

@@ -31,6 +31,7 @@ bounded as gamma shrinks.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,6 +45,8 @@ from .grids import (
 )
 
 DEFAULT_SWEEP_GAMMAS = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
+
+log = logging.getLogger("lowregret")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,13 +229,14 @@ def solve_low_regret(
     )
 
 
-def optimality_residuals(bundle: OptimalityBundle, cfg: RegretConfig) -> dict[str, float]:
+def optimality_residuals(bundle: OptimalityBundle) -> dict[str, float]:
     """Defects of the five first-order conditions at a candidate bundle.
 
     The four equation residuals re-substitute the stored trajectories into
-    their marching schemes; the stationarity residual is
+    the marching schemes of ``bundle.problem``; the stationarity residual is
     |control_weight * u + phi|_Q.  All five vanish at the minimizer.
     """
+    cfg = bundle.problem
     prop, zero = cfg.propagator, np.zeros(cfg.grid.n)
     root_gamma = math.sqrt(cfg.gamma)
     u = bundle.control
@@ -266,18 +270,14 @@ def check_gammas(gammas) -> tuple[float, ...]:
     return gammas
 
 
-def gamma_sweep(
-    cfg: RegretConfig,
-    gammas: tuple[float, ...] = DEFAULT_SWEEP_GAMMAS,
-    callback=None,
-) -> GammaSweepReport:
+def gamma_sweep(cfg: RegretConfig, gammas: tuple[float, ...] = DEFAULT_SWEEP_GAMMAS) -> GammaSweepReport:
     """Solve along a decreasing gamma sequence with warm starts.
 
     The problem data of ``cfg`` is reused at every gamma (its own gamma
     value is ignored); each stage solves ``cfg.with_gamma(g)``, so the
     propagator, background state and modal factors are shared across the
-    sweep.
-    ``callback(gamma, bundle)`` runs after each solve.
+    sweep.  Each stage is logged as one INFO record of the ``lowregret``
+    logger.
     """
     gammas = check_gammas(gammas)
 
@@ -289,8 +289,10 @@ def gamma_sweep(
             norm_q(bundle.control, cfg.grid, cfg.tgrid),
             bundle.value, bundle.cg_iterations, bundle.converged,
         ))
-        if callback is not None:
-            callback(g, bundle)
+        log.info(
+            "  gamma=%g: %d CG iterations, objective %.6e, |xi(0)|=%.3e",
+            g, bundle.cg_iterations, bundle.value, stages[-1][1],
+        )
     controls, xi0_norms, control_norms, values, iters, converged = zip(*stages)
 
     distances = tuple(

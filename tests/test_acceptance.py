@@ -188,7 +188,7 @@ def test_criterion_08_cg_matches_dense_direct_solve(control_weight, gamma):
 def test_criterion_09_optimality_system_residuals(solve_result):
     cfg, bundle = solve_result
     assert bundle.converged
-    residuals = lr.optimality_residuals(bundle, cfg)
+    residuals = lr.optimality_residuals(bundle)
     scale = max(
         1.0,
         lr.norm_q(bundle.state, cfg.grid, cfg.tgrid),

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import logging
 import math
 import os
 import tempfile
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -909,7 +911,7 @@ class TestPairedRoutes:
                 self.use(mp, route)
                 halves = evolution.centrosymmetric_eigh(matrix)
                 cfg = load_scenario(path).problem
-                residuals = lr.optimality_residuals(lr.solve_low_regret(cfg), cfg)
+                residuals = lr.optimality_residuals(lr.solve_low_regret(cfg))
                 out = tmp_path / route
                 assert main(["run", path, "--out", str(out), "--quiet"]) == 0
             files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"}
@@ -1022,7 +1024,84 @@ class TestSweepCommand:
 
 def test_run_scenario_function_returns_the_report(tmp_path):
     path = write_config(tmp_path, config_dict())
-    report = run_scenario(path, out_dir=str(tmp_path / "out"), quiet=True)
+    report = run_scenario(path, out_dir=str(tmp_path / "out"))
     assert report.scenario == "solve"
     assert report.success
     assert set(report.timings) == {"scenario_seconds"}
+
+
+class TestProgressOutput:
+    """Progress lines are the INFO records of the ``lowregret`` logger, which
+    ``main`` writes to stdout unless ``--quiet``."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("run", SOLVE_CONFIG), ("audit", AUDIT_CONFIG), ("sweep", SWEEP_CONFIG),
+    ])
+    def test_one_line_per_stage_and_per_file(self, tmp_path, capsys, command, config):
+        with open(config) as fh:
+            gammas = json.load(fh).get("gammas", ())
+        stages = {
+            "run": ["solving", "done"],
+            "audit": ["auditing", *(f"  {name}:" for name in cli.AUDIT_TOLERANCES)],
+            "sweep": ["sweeping", *(f"  gamma={g:g}:" for g in gammas), "fitted"],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, config, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        files = sorted(os.listdir(out))
+        assert len(lines) == len(stages) + len(files)
+        assert all(line.startswith(stage) for line, stage in zip(lines, stages))
+        assert sorted(lines[len(stages):]) == [f"wrote {out / name}" for name in files]
+
+    @pytest.mark.parametrize("command, config", [
+        ("run", SOLVE_CONFIG), ("audit", AUDIT_CONFIG), ("sweep", SWEEP_CONFIG),
+    ])
+    def test_quiet_prints_nothing(self, tmp_path, capsys, command, config):
+        assert main([command, config, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["loud", "quiet"])
+    @pytest.mark.parametrize("gamma, code", [(0.01, 0), (0.0, 2), (1e-300, 3)])
+    def test_no_handler_outlives_main(self, tmp_path, capsys, quiet, gamma, code):
+        logger = logging.getLogger("lowregret")
+        before = list(logger.handlers), logger.level
+        path = write_config(tmp_path, config_dict(gamma=gamma))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # gamma = 1e-300 overflows
+            assert main(["run", path, "--out", str(tmp_path / "out"), *quiet]) == code
+        assert (list(logger.handlers), logger.level) == before
+
+
+def strict_json(text):
+    """``text`` parsed as JSON (RFC 8259), which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictReports:
+    """A non-finite metric is written as null, so every report is JSON."""
+
+    def test_zero_data_sweep_has_a_null_slope(self, tmp_path):
+        with open(SWEEP_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["source"] = raw["target"] = "zero"
+        out = tmp_path / "out"
+        assert main(["sweep", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 0
+        metrics = strict_json((out / "report.json").read_text())["metrics"]
+        assert metrics["degenerate"] is True and metrics["fitted_slope"] is None
+        strict_json((out / "timings.json").read_text())
+
+    def test_overflowing_solve_has_null_norms(self, tmp_path):
+        with open(SOLVE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["gamma"] = 1e-300
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            assert main(["run", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 3
+        metrics = strict_json((out / "report.json").read_text())["metrics"]
+        nulls = [metrics["cg_residual"], metrics["worst_datum_norm"]]
+        nulls += [metrics["residuals"][name] for name in ("control_adjoint", "stationarity")]
+        assert nulls == [None] * 4
+        strict_json((out / "timings.json").read_text())

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import itertools
+import logging
 import os
 
 import numpy as np
@@ -17,6 +18,19 @@ from lowregret.oracles import fd_gradient
 from conftest import make_problem, random_control, traced_peak
 
 SOLVE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "solve.json")
+
+
+def spy_solves(monkeypatch) -> list:
+    """The bundles of every ``solve_low_regret`` call made through the
+    optimizer module (a gamma sweep's stages), in call order."""
+    bundles, solve = [], optimizer.solve_low_regret
+
+    def spy(*args, **kwargs):
+        bundles.append(solve(*args, **kwargs))
+        return bundles[-1]
+
+    monkeypatch.setattr(optimizer, "solve_low_regret", spy)
+    return bundles
 
 
 class TestReducedGradient:
@@ -128,7 +142,7 @@ class TestSolve:
 
     def test_bundle_trajectories_satisfy_their_equations(self, small_cfg):
         bundle = lr.solve_low_regret(small_cfg)
-        res = lr.optimality_residuals(bundle, small_cfg)
+        res = lr.optimality_residuals(bundle)
         assert set(res) == {
             "state",
             "uncertainty_adjoint",
@@ -145,7 +159,7 @@ class TestSolve:
         rng = np.random.default_rng(23)
         delta = 0.1 * random_control(small_cfg, rng)
         shifted = dataclasses.replace(bundle, control=bundle.control + delta)
-        res = lr.optimality_residuals(shifted, small_cfg)
+        res = lr.optimality_residuals(shifted)
         # only the stationarity equation references the control directly
         assert res["stationarity"] >= 0.5 * small_cfg.control_weight * lr.norm_q(
             delta, small_cfg.grid, small_cfg.tgrid
@@ -263,10 +277,11 @@ class TestBundleMapping:
             return original(prop, y, out)
 
         monkeypatch.setattr(evolution.Propagator, "from_modes", spy)
-        unread = []
+        bundles = spy_solves(monkeypatch)
         gammas = (1.0, 1e-2, 1e-4)
-        lr.gamma_sweep(cfg, gammas, callback=lambda g, bundle: unread.append(set(bundle._modal)))
+        lr.gamma_sweep(cfg, gammas)
         assert len(mapped) == 2 * len(gammas)
+        unread = [set(bundle._modal) for bundle in bundles]
         assert unread == [{"state", "worst_response", "control_adjoint"}] * len(gammas)
 
 
@@ -298,10 +313,10 @@ class TestMemoryBudget:
 
     def test_optimality_residuals(self, cfg):
         bundle = lr.solve_low_regret(cfg)
-        lr.optimality_residuals(bundle, cfg)
+        lr.optimality_residuals(bundle)
         # the bundle not included: one defect's source and the defect, which
         # subtracts dt * source in blocks and is squared in place
-        assert self.fields(traced_peak(lambda: lr.optimality_residuals(bundle, cfg)), cfg) <= 2.2
+        assert self.fields(traced_peak(lambda: lr.optimality_residuals(bundle)), cfg) <= 2.2
 
 
 class TestGammaSweep:
@@ -339,8 +354,27 @@ class TestGammaSweep:
         assert report.degenerate
         assert np.isnan(report.slope)
 
-    def test_progress_callback_runs_per_stage(self):
+    def test_logs_one_info_record_per_stage(self, caplog):
         cfg = make_problem(n=12, steps=8)
-        seen = []
-        lr.gamma_sweep(cfg, gammas=(1.0, 0.1), callback=lambda g, b: seen.append(g))
-        assert seen == [1.0, 0.1]
+        with caplog.at_level(logging.INFO, logger="lowregret"):
+            report = lr.gamma_sweep(cfg, gammas=(1.0, 0.1))
+        records = [r for r in caplog.records if r.name == "lowregret"]
+        assert [r.levelno for r in records] == [logging.INFO] * 2
+        assert [r.getMessage() for r in records] == [
+            f"  gamma={g:g}: {its} CG iterations, objective {value:.6e}, |xi(0)|={xi0:.3e}"
+            for g, its, value, xi0 in zip(report.gammas, report.cg_iterations, report.values, report.xi0_norms)
+        ]
+
+    def test_stage_residuals_are_read_on_the_stage_problem(self, monkeypatch):
+        # each stage's bundle carries its own gamma; read against another
+        # problem (the sweep's, at gamma = 1) the residuals would not vanish
+        cfg = make_problem(n=40, steps=30)
+        bundles = spy_solves(monkeypatch)
+        lr.gamma_sweep(cfg, gammas=(1.0, 1e-3))
+        assert [bundle.problem.gamma for bundle in bundles] == [1.0, 1e-3]
+        for bundle in bundles:
+            scale = max(1.0, lr.norm_q(bundle.state, cfg.grid, cfg.tgrid))
+            residuals = lr.optimality_residuals(bundle)
+            assert max(residuals.values()) <= 1e-12 * scale, residuals
+        misread = lr.optimality_residuals(dataclasses.replace(bundles[-1], problem=cfg.with_gamma(1.0)))
+        assert misread["worst_response"] > 1e-6
