@@ -10,16 +10,17 @@ and a refused config creates no output directory.  Every run writes
 ``report.json`` plus per-metric CSV plot data into the output directory;
 wall-clock timings go to a separate ``timings.json`` so that reports from
 identical config and seed are byte-identical.  Threads: on two CPUs, an
-audit of two probe blocks or more draws each next block on a short-lived
-thread (``evolution.run_ahead``), and a problem of ``evolution.PAIR_NODES``
-nodes or more pairs its eigendecomposition (``evolution.run_pair``); both
-are joined before the call that started them returns or raises.
+audit of two probe blocks or more draws each next block, and a problem of
+``evolution.PAIR_NODES`` nodes or more solves half its eigenproblem, on a
+``evolution.second_thread``, joined before the call that started it ends.
 
 Output directory resolution: ``--out`` flag, else the config's ``out_dir``
 field, else ``$LOWREGRET_OUT/<scenario>`` (current directory when the
-variable is unset).  Exit codes: 0 success, 2 configuration error, 3
-scenario failure (non-convergence, an optimality residual or identity check
-out of budget, or a library refusal such as a non-finite sweep).
+variable is unset); an empty ``--out`` or ``out_dir`` is a configuration
+error.  While ``main`` runs, a warning shows as one ``warning: <message>``
+line on stderr.  Exit codes: 0 success, 2 configuration error, 3 scenario
+failure (non-convergence, an optimality residual or identity check out of
+budget, or a library refusal such as a non-finite sweep).
 """
 
 import argparse
@@ -30,13 +31,14 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import __version__
-from .evolution import run_ahead, solve_backward, solve_forward
+from .evolution import second_thread, solve_backward, solve_forward
 from .functional import Probe, RegretConfig, solve_uncertainty_adjoint, workspace
 from .grids import (
     ParameterError,
@@ -353,24 +355,25 @@ def _execute_audit(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
     cut = tgrid.steps * grid.n  # values in one probe's v, a or b
     zero = np.zeros(grid.n)
     block = max(1, AUDIT_BLOCK_BYTES // (8 * shape[0] * shape[1]))
+    starts = range(0, sc.probes, block)
     # one bulk draw per block, into one buffer: each row is one probe's v, g,
     # a and b in turn, the stream order of one call per field
     buf = np.empty((min(block, sc.probes), 3 * cut + grid.n))
-    rows = [buf[:min(block, sc.probes - start)] for start in range(0, sc.probes, block)]
-
-    def take(k):
-        v, a, b = (np.zeros((len(rows[k]),) + shape) for _ in range(3))
-        for x, at in ((v, 0), (a, cut + grid.n), (b, 2 * cut + grid.n)):
-            x[:, 1:] = rows[k][:, at:at + cut].reshape(x[:, 1:].shape)
-        g = rows[k][:, cut:cut + grid.n].copy()
-        if len(preset_data):
-            g += preset_data.take(range(k * block, k * block + len(g)), axis=0, mode="wrap")
-        return v, g, a, b
 
     columns = {name: [] for name in AUDIT_TOLERANCES}
-    # the next block is drawn while this one is marched (evolution.run_ahead)
-    with run_ahead(lambda k: rng.standard_normal(out=rows[k]), take, len(rows)) as blocks:
-        for v, g, a, b in blocks:
+    with second_thread(len(starts) >= 2) as submit:
+        drawn = partial(rng.standard_normal, out=buf)  # block 0, here
+        for start in starts:
+            rows = drawn()
+            v, a, b = (np.zeros((len(rows),) + shape) for _ in range(3))
+            for x, at in ((v, 0), (a, cut + grid.n), (b, 2 * cut + grid.n)):
+                x[:, 1:] = rows[:, at:at + cut].reshape(x[:, 1:].shape)
+            g = rows[:, cut:cut + grid.n].copy()
+            if len(preset_data):
+                g += preset_data.take(range(start, start + len(g)), axis=0, mode="wrap")
+            if start + block < sc.probes:  # drawn into buf while this block marches
+                drawn = submit(partial(rng.standard_normal, out=buf[:sc.probes - start - block]))
+
             # the identity is linear: scale each a and b by a power of two,
             # which is exact, to about unit Q-norm, so that the norms below
             # cannot underflow; the power is half the exponent of the squared
@@ -531,11 +534,13 @@ def execute_scenario(sc: ScenarioConfig) -> RunReport:
 
 
 def resolve_out_dir(flag_value, sc: ScenarioConfig) -> tuple[str, str]:
-    """The output directory and the setting it came from, named as in errors."""
-    if flag_value:
-        return flag_value, "--out"
-    if sc.out_dir:
-        return sc.out_dir, "out_dir"
+    """The output directory and the setting it came from, named as in errors.
+    Only None leaves a setting unset; an empty one is a ConfigError."""
+    for value, origin in ((flag_value, "--out"), (sc.out_dir, "out_dir")):
+        if value == "":
+            raise ConfigError(origin, "must not be empty")
+        if value is not None:
+            return value, origin
     return os.path.join(os.environ.get("LOWREGRET_OUT", "."), sc.scenario), "LOWREGRET_OUT"
 
 
@@ -607,6 +612,9 @@ def main(argv=None) -> int:
     handler, level = logging.StreamHandler(sys.stdout), log.level
     log.setLevel(logging.WARNING if args.quiet else logging.INFO)
     log.addHandler(handler)
+    # a warning that the filters let through (numpy's overflow, say) shows as one line
+    shown = warnings.showwarning
+    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
     try:
         if args.command == "validate":
             sc = load_scenario(args.config, seed=args.seed)
@@ -624,6 +632,7 @@ def main(argv=None) -> int:
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
+        warnings.showwarning = shown
     if not report.success:
         print(f"{report.scenario} scenario failed its checks", file=sys.stderr)
         return 3

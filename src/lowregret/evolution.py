@@ -40,13 +40,13 @@ slice 0 is never read) and its initial or terminal datum before the march,
 then its trajectory after it, so an overflow at any step, the last
 included, raises ``ValueError``.
 
-The two half-size eigenproblems run as a pair, the second on a
-short-lived thread (``run_pair``), from ``PAIR_NODES`` nodes on where the
-process may run on two CPUs.  Each is the same LAPACK call on the same
-operands either way, so the bits do not depend on the route.  The
-audit's blocks of probe draws run one ahead on such a thread (``run_ahead``)
-from two blocks on, at any size; the gate counts the affinity mask's CPUs,
-capped by a cgroup v2 CPU quota.
+Both uses of the second CPU go through ``second_thread``, one short-lived
+thread per ``with`` block (never one per call) that runs the calls
+submitted to it in order: from ``PAIR_NODES`` nodes on, the odd half-size
+eigenproblem while the even one runs here, the same LAPACK call on the same
+operands either way, so the bits do not depend on the route; and the
+audit's next block of probe draws, from two blocks on.  The gate counts
+the affinity mask's CPUs, capped by a cgroup v2 CPU quota.
 
 Both sweeps also take a stack along a leading axis: a source (P, M+1, n)
 and a datum (P, n) give P trajectories (P, M+1, n) in one march, whose GEMMs
@@ -60,6 +60,7 @@ array.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import os
@@ -92,18 +93,18 @@ from .operator import FracOperator
 # at 120 x 60 (faster in 44 of 100; two runs of 50 alternating rounds each).
 FOLD_NODES = 150
 
-# Nodes from which ``centrosymmetric_eigh`` runs its two half-size
-# eigenproblems as a pair (``run_pair``), where the process may run on two
-# CPUs: about 3 ms a side.  A pair waits for the idle core to wake: 0.4-0.6 ms
-# on two shared vCPUs, but 4-15 ms in 5 of 90 pairs timed after 0.4 s of
-# single-threaded work, and longer while the host steals time from the
-# vCPUs.  Paired time over sequential time, median of 10 to 30, 1 BLAS
-# thread, right after the work before it in a run: 0.84-1.00 at 160 nodes,
-# 0.82-0.94 at 200, 0.65 at 256, 0.68 at 300 and 0.61 at 400.  With
-# OpenBLAS's default of one BLAS thread per CPU (two) the pair oversubscribes
-# the CPUs and is slower: 1.05 at 300 and 1.03-1.15 at 400 (medians of 30 and
-# 60).  The gate sees the CPU affinity and a cgroup v2 CPU quota, not the
-# BLAS's thread count.
+# Nodes from which ``centrosymmetric_eigh`` runs its odd half-size
+# eigenproblem on a ``second_thread`` while the even one runs here, where the
+# process may run on two CPUs: about 3 ms a side.  The pair waits for the
+# idle core to wake: 0.4-0.6 ms on two shared vCPUs, but 4-15 ms in 5 of 90
+# pairs timed after 0.4 s of single-threaded work, and longer while the host
+# steals time from the vCPUs.  Paired time over sequential time, median of
+# 10 to 30, 1 BLAS thread, right after the work before it in a run: 0.84-1.00
+# at 160 nodes, 0.82-0.94 at 200, 0.65 at 256, 0.68 at 300 and 0.61 at 400.
+# With OpenBLAS's default of one BLAS thread per CPU (two) the pair
+# oversubscribes the CPUs and is slower: 1.05 at 300 and 1.03-1.15 at 400
+# (medians of 30 and 60).  The gate sees the CPU affinity and a cgroup v2
+# CPU quota, not the BLAS's thread count.
 PAIR_NODES = 300
 
 
@@ -197,13 +198,6 @@ def step_factor(op: FracOperator, tgrid: TimeGrid) -> Propagator:
     return Propagator(op, tgrid)
 
 
-def pair_pays(nodes: int) -> bool:
-    """Whether the eigendecomposition of an operator on ``nodes`` nodes runs
-    its halves as a pair (``run_pair``): ``nodes`` reaches ``PAIR_NODES`` and
-    the process may run on two CPUs or more."""
-    return nodes >= PAIR_NODES and _usable_cpus() >= 2
-
-
 def _usable_cpus(root: str = "/") -> int:
     """The affinity mask's CPU count, capped at floor(quota/period) of the
     cgroup v2 ``cpu.max`` (under ``root``) of the process, if it has one."""
@@ -219,74 +213,59 @@ def _usable_cpus(root: str = "/") -> int:
         return cpus
 
 
-def run_pair(first, second):
-    """``(first(), second())``, ``second`` on a short-lived thread while
-    ``first`` runs here.  The thread is joined before the return, and an
-    exception from either call is raised here, ``first``'s before
-    ``second``'s.  ``second`` calls no function the benchmark's tracer wraps
-    (its span stack is one thread's) and allocates no field: the thread's
-    allocations land in a second malloc arena."""
-    outcome = {}
-
-    def work():
-        try:
-            outcome["value"] = second()
-        except BaseException as exc:  # raised in the caller below
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=work, name="lowregret-pair")
-    worker.start()
-    try:
-        result = first()
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return result, outcome["value"]
-
-
 @contextlib.contextmanager
-def run_ahead(fill, take, count):
-    """Yields the iterator of ``take(k)`` after ``fill(k)`` for k < ``count``.
-    From two fills on, under ``run_pair``'s gate and rules (``fill`` as its
-    ``second``), ``fill(k + 1)`` runs on a short-lived thread from the return
-    of ``take(k)``, which copies out what ``fill(k)`` left (``fill(0)`` runs
-    here); an error in a fill is raised at its take, and the thread is joined
-    when the ``with`` block exits."""
-    if count < 2 or _usable_cpus() < 2:
-        yield ((fill(k), take(k))[1] for k in range(count))
-        return
-    state, wanted, filled = {}, threading.Semaphore(0), threading.Semaphore(0)
+def second_thread(wanted: bool):
+    """Yields ``submit``: ``submit(call)`` returns ``wait``, and ``wait()``
+    returns the call's value or raises its error.  When ``wanted`` and two
+    CPUs are usable, one short-lived thread, joined when the ``with`` block
+    exits, runs the calls in order; otherwise ``submit`` runs the call here.
+    One thread per block, not per call: ``Thread.start`` waits until the new
+    thread runs.  A call runs nothing the benchmark's tracer wraps (its span
+    stack is one thread's) and allocates no field (the thread's allocations
+    land in a second malloc arena)."""
+    threaded = wanted and _usable_cpus() >= 2
 
-    def produce():
-        for k in range(1, count):
-            wanted.acquire()
-            if "stop" in state:
-                return
+    def submit(call):
+        outcome, done = {}, threading.Lock()
+        done.acquire()  # until the call has run
+
+        def run():
             try:
-                fill(k)
-            except BaseException as exc:  # raised in the caller, at its take
-                state["error"] = exc
-            filled.release()
+                outcome["value"] = call()
+            except BaseException as exc:  # raised at wait
+                outcome["error"] = exc
+            done.release()
 
-    def consume(k):
-        if k:
-            filled.acquire()
-            if "error" in state:
-                raise state["error"]
-        value = take(k)
-        if k + 1 < count:
-            wanted.release()
-        return value
+        if threaded:
+            calls.append(run)
+            pending.release()
+        else:
+            run()
 
-    worker = threading.Thread(target=produce, name="lowregret-ahead")
+        def wait():
+            with done:
+                if "error" in outcome:
+                    raise outcome["error"]
+                return outcome["value"]
+
+        return wait
+
+    if not threaded:
+        yield submit
+        return
+    calls, pending = collections.deque(), threading.Semaphore(0)
+
+    def serve():
+        while pending.acquire() and (run := calls.popleft()):  # None ends it
+            run()
+
+    worker = threading.Thread(target=serve, name="lowregret-second")
     worker.start()
     try:
-        fill(0)  # here, while the thread starts
-        yield map(consume, range(count))
+        yield submit
     finally:
-        state["stop"] = True
-        wanted.release()
+        calls.append(None)
+        pending.release()
         worker.join()
 
 
@@ -305,11 +284,11 @@ def centrosymmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     those of A11 - A12 J: two symmetric problems of half size (Cantoni and
     Butler 1976).  For odd n the even block gains the centre node,
     x = (y, sqrt(2) w, Jy)/sqrt(2), which couples to the rest with weight
-    sqrt(2).  Only the leading rows of A are read; the two halves run as a
-    pair (``run_pair``) from ``PAIR_NODES`` on.  Returns lam (even modes
-    first), V[:c, :c] and V[:k, c:] with c = n - k; the trailing rows are
-    their mirror images, V[c:, :c] = J V[:k, :c] and V[c:, c:] = -J V[:k, c:],
-    and the centre row of the odd modes is zero.
+    sqrt(2).  Only the leading rows of A are read; from ``PAIR_NODES`` on,
+    the odd half runs on a ``second_thread`` while the even half runs here.
+    Returns lam (even modes first), V[:c, :c] and V[:k, c:] with c = n - k;
+    the trailing rows are their mirror images, V[c:, :c] = J V[:k, :c] and
+    V[c:, c:] = -J V[:k, c:], and the centre row of the odd modes is zero.
     """
     n = matrix.shape[0]
     k = n // 2
@@ -320,11 +299,10 @@ def centrosymmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     if c > k:  # the centre row and column of the sum hold 2 a and 2 A_cc
         even[k] *= _HALF_ROOT
         even[:, k] *= _HALF_ROOT
-    halves = (lambda: _symmetric_eigh(even)), (lambda: _symmetric_eigh(odd))
-    if pair_pays(n):
-        (lam_even, y), (lam_odd, z) = run_pair(*halves)
-    else:
-        (lam_even, y), (lam_odd, z) = (half() for half in halves)
+    with second_thread(n >= PAIR_NODES) as submit:
+        odd_half = submit(lambda: _symmetric_eigh(odd))
+        lam_even, y = _symmetric_eigh(even)
+        lam_odd, z = odd_half()
     y[:k] *= _HALF_ROOT  # the centre row, if any, is already V[k, :c]
     z *= _HALF_ROOT
     return np.concatenate((lam_even, lam_odd)), y, z

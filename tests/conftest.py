@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,18 @@ def count_calls(monkeypatch, home, names):
             return counted
         patch_everywhere(monkeypatch, home, name, wrap)
     return calls
+
+
+def threads_started(monkeypatch):
+    """The names of the threads started from here on, in order."""
+    names, start = [], threading.Thread.start
+
+    def counted(thread):
+        names.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return names
 
 
 def composed_identities(v, g, cfg):

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -31,7 +32,7 @@ from lowregret.functional import check_parameters
 from lowregret.optimizer import check_gammas
 from lowregret.presets import parse_profile, space_time_field, spatial_profile
 
-from conftest import composed_identities, count_calls, patch_everywhere
+from conftest import composed_identities, count_calls, patch_everywhere, threads_started
 
 AUDIT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "audit.json")
 SOLVE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "solve.json")
@@ -55,6 +56,15 @@ def config_dict(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def numeric_warnings(err):
+    """The last line of ``err``, once every line before it, at least one, is
+    a numpy warning as ``main`` shows it: ``warning: <message>``."""
+    *warned, last = err.splitlines()
+    assert warned
+    assert all(re.fullmatch(r"warning: (overflow|invalid value) encountered in \w+", line) for line in warned)
+    return last
 
 
 def write_config(tmp_path, raw, name="scenario.json"):
@@ -296,6 +306,32 @@ class TestOutDirResolution:
         bare = parse_scenario(config_dict())
         assert resolve_out_dir(None, bare) == (os.path.join("from_env", "solve"), "LOWREGRET_OUT")
 
+    def test_only_none_is_unset(self, monkeypatch):
+        monkeypatch.setenv("LOWREGRET_OUT", "from_env")
+        for flag, out_dir, origin in (("", "from_config", "--out"), (None, "", "out_dir"), ("", "", "--out")):
+            with pytest.raises(ConfigError) as info:
+                resolve_out_dir(flag, parse_scenario(config_dict(out_dir=out_dir)))
+            assert (info.value.field, info.value.reason) == (origin, "must not be empty")
+
+    @pytest.mark.parametrize("command", ["run", "audit", "sweep", "validate"])
+    @pytest.mark.parametrize("origin", ["--out", "out_dir"])
+    def test_an_empty_directory_exits_two_and_creates_nothing(self, monkeypatch, tmp_path, capsys, command, origin):
+        # "--out $OUT" with OUT unset once wrote into ./<scenario>
+        (tmp_path / "config").mkdir()
+        path = write_config(tmp_path / "config", config_dict(out_dir="" if origin == "out_dir" else None))
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        monkeypatch.delenv("LOWREGRET_OUT", raising=False)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("scenario executed before the output check")
+
+        monkeypatch.setattr(cli, "execute_scenario", must_not_run)
+        flag = ["--out", ""] if origin == "--out" else []
+        assert main([command, path, *flag, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {origin}: must not be empty\n"
+        assert list((tmp_path / "work").iterdir()) == []
+
 
 class TestValidateCommand:
     def test_valid_config_exits_zero_and_echoes(self, tmp_path, capsys):
@@ -455,9 +491,10 @@ class TestRunCommand:
             raw = json.load(fh)
         raw["time"] = {"horizon": 1e300, "steps": 30}
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
             assert main(["run", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 3
-        assert "failed its checks" in capsys.readouterr().err
+        assert numeric_warnings(capsys.readouterr().err) == "solve scenario failed its checks"
         report = json.loads((out / "report.json").read_text())
         assert report["success"] is False
 
@@ -492,9 +529,10 @@ class TestRunCommand:
     def test_library_refusal_exits_three(self, tmp_path, capsys, gamma, message):
         # the parser accepts both values
         path = write_config(tmp_path, config_dict(gamma=gamma))
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
             assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
-        assert message in capsys.readouterr().err
+        assert numeric_warnings(capsys.readouterr().err) == message
 
     @pytest.mark.parametrize("origin", ["--out", "out_dir", "LOWREGRET_OUT"])
     def test_unwritable_output_exits_two_before_computing(
@@ -722,56 +760,52 @@ class TestAuditCommand:
         assert (single.metrics, single.tables) == (blocked.metrics, blocked.tables)
 
     @staticmethod
-    def record_blocks(monkeypatch, fail_fill_at=None):
-        """Wrap ``cli.run_ahead`` to keep a copy of each block's unpacked v, g,
-        a and b and whether each fill ran on the main thread; a fill of block
-        ``fail_fill_at`` raises instead."""
-        blocks, fills_on_main = [], []
-        run_ahead = cli.run_ahead
+    def record_draws(monkeypatch, fail_at=None):
+        """Give the audit a generator that keeps, for each block it draws, a
+        copy of the block and whether it was drawn on the main thread; draw
+        ``fail_at`` raises instead."""
+        draws, default_rng = [], np.random.default_rng
 
-        def recording(fill, take, count):
-            def checked_fill(k):
-                fills_on_main.append(threading.current_thread() is threading.main_thread())
-                if k == fail_fill_at:
-                    raise ValueError(f"draw of block {k} failed")
-                return fill(k)
+        class Recording:
+            def __init__(self, seed):
+                self.draw = default_rng(seed).standard_normal
 
-            def copied_take(k):
-                fields = take(k)
-                blocks.append([x.copy() for x in fields])
-                return fields
+            def standard_normal(self, out):
+                on_main = threading.current_thread() is threading.main_thread()
+                if len(draws) == fail_at:
+                    draws.append((on_main, None))
+                    raise ValueError(f"draw of block {fail_at} failed")
+                draws.append((on_main, self.draw(out=out).copy()))
+                return out
 
-            return run_ahead(checked_fill, copied_take, count)
-
-        monkeypatch.setattr(cli, "run_ahead", recording)
-        return blocks, fills_on_main
+        monkeypatch.setattr(cli.np.random, "default_rng", Recording)
+        return draws
 
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_block_draws_equal_the_per_probe_draws(self, monkeypatch, cpus):
         # one bulk draw per block, each row a probe's v, g, a and b, gives the
         # bits of drawing each field of each probe in turn
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 3 * 8 * 9 * 12)  # 3 probes at 12 x 8
-        blocks, fills_on_main = self.record_blocks(monkeypatch)
         presets = ["sine(2,0.5)", "gauss(0,0.3,1)"]
         sc = parse_scenario(config_dict(scenario="audit", probes=8, probe_presets=presets))
-        assert execute_scenario(sc).success
-        assert [len(block[0]) for block in blocks] == [3, 3, 2]
-        assert fills_on_main == [True] + [cpus == 1] * 2
         grid, tgrid = sc.problem.grid, sc.problem.tgrid
         preset_data = [spatial_profile(text, grid) for text in presets]
         rng = np.random.default_rng(sc.seed)
-        probes = [probe for block in blocks for probe in zip(*block)]
-        for k, (v, g, a, b) in enumerate(probes):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 3 * 8 * 9 * 12)  # 3 probes at 12 x 8
+        draws, probes, probe = self.record_draws(monkeypatch), [], cli.Probe
+        monkeypatch.setattr(cli, "Probe", lambda v, g, cfg: probes.append((v.copy(), g.copy())) or probe(v, g, cfg))
+        assert execute_scenario(sc).success
+        assert [len(block) for _, block in draws] == [3, 3, 2]
+        assert [on_main for on_main, _ in draws] == [True] + [cpus == 1] * 2
+        rows = np.concatenate([block for _, block in draws])
+        vs, gs = (np.concatenate(x) for x in zip(*probes))
+        for k, row in enumerate(rows):
             expected = {}
             for name in ("v", "g", "a", "b"):
-                if name == "g":
-                    expected[name] = rng.standard_normal(grid.n)
-                    expected[name] += preset_data[k % len(preset_data)]
-                else:
-                    expected[name] = np.zeros((tgrid.steps + 1, grid.n))
-                    expected[name][1:] = rng.standard_normal((tgrid.steps, grid.n))
-            assert all(np.array_equal(x, expected[name]) for x, name in zip((v, g, a, b), "vgab"))
+                expected[name] = rng.standard_normal(grid.n if name == "g" else (tgrid.steps, grid.n))
+            assert np.array_equal(row, np.concatenate([expected[name].ravel() for name in "vgab"]))
+            assert np.array_equal(vs[k][1:], expected["v"]) and not vs[k][0].any()
+            assert np.array_equal(gs[k], expected["g"] + preset_data[k % len(preset_data)])
 
     def test_reports_do_not_depend_on_the_drawing_route(self, monkeypatch):
         raw = config_dict(scenario="audit", probes=7, probe_presets=["sine(2,0.5)", "gauss(0,0.3,1)"])
@@ -786,17 +820,17 @@ class TestAuditCommand:
 
     def test_no_thread_outlives_an_audit_run(self, monkeypatch, tmp_path):
         monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
-        _, fills_on_main = self.record_blocks(monkeypatch)
+        draws = self.record_draws(monkeypatch)
         threads = threading.active_count()
         assert run_scenario(AUDIT_CONFIG, scenario="audit", out_dir=str(tmp_path / "out")).success
         assert threading.active_count() == threads
-        assert False in fills_on_main  # the configs/audit.json run drew ahead
+        assert [on_main for on_main, _ in draws] == [True, False]  # configs/audit.json drew ahead
 
-    @pytest.mark.parametrize("failing", ["sweep", "fill"])
+    @pytest.mark.parametrize("failing", ["sweep", "draw"])
     def test_an_error_in_block_2_reaches_main_as_exit_3(self, monkeypatch, tmp_path, capsys, failing):
         monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 2 * 8 * 9 * 12)  # 2 probes at 12 x 8
-        _, fills_on_main = self.record_blocks(monkeypatch, fail_fill_at=1 if failing == "fill" else None)
+        draws = self.record_draws(monkeypatch, fail_at=1 if failing == "draw" else None)
         backward, calls = cli.solve_backward, []
 
         def failing_in_block_2(*args):
@@ -817,7 +851,7 @@ class TestAuditCommand:
             assert len(calls) == 2
         else:
             assert "run failed: draw of block 1 failed" in err
-            assert fills_on_main[1] is False  # raised on the thread, reported by main
+            assert draws[1] == (False, None)  # raised on the thread, reported by main
 
     def test_probe_columns_equal_the_composed_oracle(self, tmp_path):
         out = tmp_path / "out"
@@ -888,17 +922,17 @@ class TestSweepBudget:
 
 
 class TestPairedRoutes:
-    """From ``evolution.PAIR_NODES`` nodes the eigendecomposition's halves run
-    as a pair on a short-lived thread (``evolution.run_pair``); each is the
-    same LAPACK call on the same operands either way."""
+    """From ``evolution.PAIR_NODES`` nodes the eigendecomposition's odd half
+    runs on a short-lived thread (``evolution.second_thread``) while the even
+    half runs here; each is the same LAPACK call on the same operands either
+    way."""
 
     @staticmethod
     def use(monkeypatch, route):
-        """Pair at every size ("paired"), run the pair's calls in sequence
-        ("sequential"), or pair nowhere ("ungated")."""
-        monkeypatch.setattr(evolution, "pair_pays", lambda nodes: route != "ungated")
-        if route == "sequential":
-            monkeypatch.setattr(evolution, "run_pair", lambda first, second: (first(), second()))
+        """Pair at every size on two CPUs ("paired"), want the pair at every
+        size on one CPU ("sequential"), or pair nowhere ("ungated")."""
+        monkeypatch.setattr(evolution, "PAIR_NODES", 10**9 if route == "ungated" else 1)
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 1 if route == "sequential" else 2)
 
     def test_routes_are_bit_identical(self, tmp_path):
         path = write_config(tmp_path, config_dict(
@@ -922,8 +956,10 @@ class TestPairedRoutes:
             assert residuals == paired[1]
             assert files == paired[2] and "report.json" in files
 
-    def test_no_thread_outlives_a_run_above_the_gate(self, monkeypatch, tmp_path):
-        pairs = count_calls(monkeypatch, evolution, ("run_pair",))
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_no_thread_outlives_a_run_above_the_gate(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        started = threads_started(monkeypatch)
         path = write_config(tmp_path, config_dict(
             domain={"x_left": -1.0, "x_right": 1.0, "nodes": evolution.PAIR_NODES},
             time={"horizon": 1.0, "steps": 20},
@@ -931,17 +967,33 @@ class TestPairedRoutes:
         threads = threading.active_count()
         assert run_scenario(path, out_dir=str(tmp_path / "out")).success
         assert threading.active_count() == threads
-        assert pairs == {"run_pair": 1 if evolution._usable_cpus() >= 2 else 0}
+        assert started == ["lowregret-second"] * (cpus == 2)
 
     def test_only_the_400_node_benchmark_workload_pairs(self, monkeypatch):
-        pairs = count_calls(monkeypatch, evolution, ("run_pair",))
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        started = threads_started(monkeypatch)
         for scenario, nodes, steps in (("sweep", 120, 60), ("audit", 40, 30), ("solve", 400, 200)):
             execute_scenario(parse_scenario(config_dict(
                 scenario=scenario,
                 domain={"x_left": -1.0, "x_right": 1.0, "nodes": nodes},
                 time={"horizon": 1.0, "steps": steps},
             )))
-        assert pairs == {"run_pair": 1 if evolution._usable_cpus() >= 2 else 0}
+        assert started == ["lowregret-second"]  # the audit's 4 probes are one block
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_the_benchmark_audit_starts_one_thread_for_all_its_blocks(self, monkeypatch, cpus):
+        # audit-probes' size at seed 0: 200 probes at 40 x 30 are 16 blocks,
+        # whose 15 draws ahead share one thread, not one thread each
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        started = threads_started(monkeypatch)
+        sc = parse_scenario(config_dict(
+            scenario="audit", gamma=1e-2, probes=200, seed=0,
+            probe_presets=["gauss(-0.3,0.2,1.0)", "sine(2,0.5)"],
+            domain={"x_left": -1.0, "x_right": 1.0, "nodes": 40}, time={"horizon": 1.0, "steps": 30},
+        ))
+        assert -(-sc.probes // (cli.AUDIT_BLOCK_BYTES // (8 * 31 * 40))) == 16
+        assert execute_scenario(sc).success
+        assert started == ["lowregret-second"] * (cpus == 2)
 
     def test_an_error_on_the_thread_reaches_the_cli_as_exit_3(self, monkeypatch, tmp_path, capsys):
         eigh, raised = evolution._symmetric_eigh, []
@@ -1066,9 +1118,11 @@ class TestProgressOutput:
         logger = logging.getLogger("lowregret")
         before = list(logger.handlers), logger.level
         path = write_config(tmp_path, config_dict(gamma=gamma))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings():  # which restores showwarning on its own exit
             warnings.simplefilter("ignore", RuntimeWarning)  # gamma = 1e-300 overflows
+            shown = warnings.showwarning
             assert main(["run", path, "--out", str(tmp_path / "out"), *quiet]) == code
+            assert warnings.showwarning is shown
         assert (list(logger.handlers), logger.level) == before
 
 
@@ -1093,13 +1147,15 @@ class TestStrictReports:
         assert metrics["degenerate"] is True and metrics["fitted_slope"] is None
         strict_json((out / "timings.json").read_text())
 
-    def test_overflowing_solve_has_null_norms(self, tmp_path):
+    def test_overflowing_solve_has_null_norms(self, tmp_path, capsys):
         with open(SOLVE_CONFIG) as fh:
             raw = json.load(fh)
         raw["gamma"] = 1e-300
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
             assert main(["run", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 3
+        assert numeric_warnings(capsys.readouterr().err) == "solve scenario failed its checks"
         metrics = strict_json((out / "report.json").read_text())["metrics"]
         nulls = [metrics["cg_residual"], metrics["worst_datum_norm"]]
         nulls += [metrics["residuals"][name] for name in ("control_adjoint", "stationarity")]

@@ -28,6 +28,8 @@ from lowregret import (
     zeros_space_time,
 )
 
+from conftest import threads_started
+
 
 def setup(n=24, steps=12, s=0.5, horizon=1.0, interval=(-1.0, 1.0)):
     """The propagator of a fresh problem, with its grid and time grid."""
@@ -353,37 +355,111 @@ class TestEigenbasisSweeps:
         assert np.array_equal(run_sweep(sweep, view, src, datum), np.array(expected))
 
 
-class TestRunPair:
-    """``run_pair`` runs its second call on a thread it joins before returning."""
+class TestSecondThread:
+    """``second_thread`` runs the calls submitted in its ``with`` block on one
+    short-lived thread, in order, where it is wanted and two CPUs are usable,
+    and joins it when the block exits; otherwise each runs at ``submit``."""
 
-    def test_runs_the_second_call_on_a_joined_thread(self):
-        threads = threading.active_count()
-        first, second = evolution.run_pair(threading.get_ident, threading.get_ident)
-        assert first == threading.get_ident() != second
+    @staticmethod
+    def gate(monkeypatch, cpus):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+
+    def test_runs_the_calls_in_order_on_one_other_thread(self, monkeypatch):
+        self.gate(monkeypatch, 2)
+        started, threads, log = threads_started(monkeypatch), threading.active_count(), []
+
+        def call(k):
+            log.append((k, threading.get_ident()))
+            return 10 * k
+
+        with evolution.second_thread(True) as submit:
+            waits = [submit(lambda k=k: call(k)) for k in range(20)]
+            assert [wait() for wait in waits] == [10 * k for k in range(20)]
         assert threading.active_count() == threads
+        assert started == ["lowregret-second"]
+        assert [k for k, _ in log] == list(range(20))
+        assert len({ident for _, ident in log}) == 1 and log[0][1] != threading.get_ident()
 
-    @pytest.mark.parametrize("failing", [("first",), ("second",), ("first", "second")])
-    def test_an_exception_from_either_call_is_raised_in_the_caller(self, failing):
+    @pytest.mark.parametrize("cpus, wanted", [(1, True), (2, False), (8, False)])
+    def test_the_unthreaded_route_runs_each_call_at_submit(self, monkeypatch, cpus, wanted):
+        self.gate(monkeypatch, cpus)
+        started, log = threads_started(monkeypatch), []
+        with evolution.second_thread(wanted) as submit:
+            for k in range(3):
+                wait = submit(lambda k=k: log.append((k, threading.get_ident())) or k)
+                assert log[-1] == (k, threading.get_ident())  # before its wait
+                assert wait() == k
+        assert started == []
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_wait_raises_the_calls_error_and_the_thread_is_joined(self, monkeypatch, cpus):
+        self.gate(monkeypatch, cpus)
         threads = threading.active_count()
 
-        def call(name):
-            def run():
-                if name in failing:
-                    raise KeyError(name)
-                return name
-            return run
+        def failing():
+            raise KeyError("call")
 
         with pytest.raises(KeyError) as raised:
-            evolution.run_pair(call("first"), call("second"))
-        assert raised.value.args == (failing[0],)
+            with evolution.second_thread(True) as submit:
+                later = submit(failing)
+                assert submit(lambda: 3)() == 3  # a failed call does not stop the next
+                later()
+        assert raised.value.args == ("call",)
         assert threading.active_count() == threads
 
-    def test_pairs_from_the_gate_on_two_cpus_or_more(self, monkeypatch):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
-        assert evolution.pair_pays(evolution.PAIR_NODES)
-        assert not evolution.pair_pays(evolution.PAIR_NODES - 1)
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 1)
-        assert not evolution.pair_pays(100 * evolution.PAIR_NODES)
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_an_error_in_the_caller_joins_the_thread(self, monkeypatch, cpus):
+        self.gate(monkeypatch, cpus)
+        threads, log = threading.active_count(), []
+        with pytest.raises(ValueError, match="caller"):
+            with evolution.second_thread(True) as submit:
+                submit(lambda: log.append(threading.get_ident()))
+                raise ValueError("caller")
+        assert threading.active_count() == threads
+        assert len(log) == 1  # the submitted call ran all the same
+
+    def test_every_wait_sees_its_own_call_under_fast_switching(self, monkeypatch):
+        # one buffer shared by the two threads: a copy that overlapped the
+        # next fill would hold a mix of two blocks
+        self.gate(monkeypatch, 2)
+        buf, copies = np.empty(4096), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with evolution.second_thread(True) as submit:
+                filled = submit(lambda: buf.fill(0))
+                for k in range(500):
+                    filled()
+                    copies.append(buf.copy())
+                    filled = submit(lambda k=k: buf.fill(k + 1))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(copy, np.full(buf.shape, k)) for k, copy in enumerate(copies))
+        assert not [t for t in threading.enumerate() if t.name == "lowregret-second"]
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("failing", [("even",), ("odd",), ("even", "odd")])
+    def test_the_even_halfs_error_comes_before_the_odd_halfs(self, monkeypatch, cpus, failing):
+        # the eigendecomposition runs its odd half on the thread and its even
+        # half here; both routes raise the same error
+        self.gate(monkeypatch, cpus)
+        monkeypatch.setattr(evolution, "PAIR_NODES", 1)
+        matrix = assemble_operator(build_grid(-1.0, 1.0, 12), 0.5).matrix
+
+        def half(block):  # the even and odd halves of 12 nodes are both 6 x 6
+            name = "odd" if block[0, 0] == odd_corner else "even"
+            if name in failing:
+                raise np.linalg.LinAlgError(name)
+            return eigh(block)
+
+        eigh = evolution._symmetric_eigh
+        odd_corner = matrix[0, 0] - matrix[0, -1]
+        monkeypatch.setattr(evolution, "_symmetric_eigh", half)
+        threads = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            evolution.centrosymmetric_eigh(matrix)
+        assert raised.value.args == (failing[0],)
+        assert threading.active_count() == threads
 
 
 class TestUsableCpus:
@@ -420,9 +496,7 @@ class TestUsableCpus:
         assert 1 <= evolution._usable_cpus() <= len(evolution.os.sched_getaffinity(0))
 
 
-class TestRunAhead:
-    """``run_ahead`` fills each next block on a thread it joins on exit."""
-
+class TestBulkDraws:
     def test_one_bulk_draw_continues_the_stream_of_per_field_draws(self):
         # the audit draws a block of probes in one call where it drew each
         # field of each probe in turn; a Generator continues one stream
@@ -432,86 +506,6 @@ class TestRunAhead:
         bulk = np.empty(sum(sizes))
         np.random.default_rng(11).standard_normal(out=bulk)
         assert np.array_equal(separate, bulk)
-
-    @staticmethod
-    def record(count, fail_in=None):
-        """fill and take over ``count`` blocks, logging each call's block,
-        thread and the value the fill left."""
-        log, slot = [], {}
-
-        def fill(k):
-            log.append(("fill", k, threading.get_ident()))
-            if k == fail_in:
-                raise KeyError(k)
-            slot["value"] = 10 * k
-
-        def take(k):
-            log.append(("take", k, threading.get_ident()))
-            return slot.pop("value")
-
-        return fill, take, log
-
-    @pytest.mark.parametrize("cpus, count, threaded", [(2, 5, True), (1, 5, False), (2, 1, False), (2, 0, False)])
-    def test_takes_come_in_order_and_the_thread_is_joined(self, monkeypatch, cpus, count, threaded):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
-        fill, take, log = self.record(count)
-        threads = threading.active_count()
-        with evolution.run_ahead(fill, take, count) as blocks:
-            assert list(blocks) == [10 * k for k in range(count)]
-        assert threading.active_count() == threads
-        order = [(kind, k) for kind, k, _ in log]
-        assert [k for kind, k in order if kind == "fill"] == list(range(count))
-        for k in range(count):  # fill(k) before take(k), and fill(k + 1) after it
-            assert order.index(("fill", k)) < order.index(("take", k))
-            if k + 1 < count:
-                assert order.index(("take", k)) < order.index(("fill", k + 1))
-        main = threading.get_ident()
-        on_thread = [ident != main for kind, _, ident in log if kind == "fill"]
-        assert on_thread == [k > 0 and threaded for k in range(count)]  # fill(0) runs here
-        assert all(ident == main for kind, _, ident in log if kind == "take")
-
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_an_error_in_a_fill_is_raised_at_its_take(self, monkeypatch, cpus):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
-        fill, take, log = self.record(4, fail_in=2)
-        threads = threading.active_count()
-        taken = []
-        with pytest.raises(KeyError) as raised:
-            with evolution.run_ahead(fill, take, 4) as blocks:
-                for value in blocks:
-                    taken.append(value)
-        assert raised.value.args == (2,)
-        assert taken == [0, 10]
-        assert threading.active_count() == threads
-        assert ("fill", 3) not in [(kind, k) for kind, k, _ in log]
-
-    def test_every_take_sees_its_own_fill_under_fast_switching(self, monkeypatch):
-        # one buffer shared by the two threads: a take that overlapped the
-        # next fill would copy a mix of two blocks
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
-        buf = np.empty(4096)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with evolution.run_ahead(lambda k: buf.fill(k), lambda k: buf.copy(), 500) as blocks:
-                copies = list(blocks)
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(np.array_equal(copy, np.full(buf.shape, k)) for k, copy in enumerate(copies))
-        assert not [t for t in threading.enumerate() if t.name == "lowregret-ahead"]
-
-    def test_an_error_in_the_caller_joins_the_thread(self, monkeypatch):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
-        fill, take, log = self.record(6)
-        threads = threading.active_count()
-        with pytest.raises(ValueError, match="block 1"):
-            with evolution.run_ahead(fill, take, 6) as blocks:
-                for k, value in enumerate(blocks):
-                    if k == 1:
-                        raise ValueError("block 1")
-        assert threading.active_count() == threads
-        # the block after the failing one may have been drawn, no later one
-        assert max(k for kind, k, _ in log if kind == "fill") <= 2
 
 
 class TestPropagator:
