@@ -334,14 +334,46 @@ AUDIT_TOLERANCES = {
 
 
 # Bytes of one stacked trajectory in the audit: probes are marched in blocks
-# of at most this many bytes per trajectory (13 probes at 40 x 30, one at
+# of at most this many bytes per trajectory (19 probes at 40 x 30, one at
 # 400 x 200), so the audit's memory does not grow with its probe count.
-AUDIT_BLOCK_BYTES = 128 * 1024
+# With each field freed at its last reader, 19 is the most probes at 40 x 30
+# whose 200-probe audit peaks (tracemalloc) no higher than 13-probe blocks
+# that kept their fields did: 1.96 MB against 2.03 MB; 20 reach 2.06 MB.
+AUDIT_BLOCK_BYTES = 185 * 1024
 
 
 def _max(a, b):
     """Python's ``max(a, b)`` per value: b only where it is greater than a."""
     return np.where(b > a, b, a)
+
+
+def _space_time_rows(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A stack of fields of ``shape``, zero at t = 0, whose slices 1..M are
+    the rows of ``values`` in turn."""
+    x = np.zeros((len(values),) + shape)
+    x[:, 1:] = values.reshape(x[:, 1:].shape)
+    return x
+
+
+def _transpose_defects(cfg: RegretConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<S a, b>_Q - <a, S* b>_Q| over |S a|_Q |b|_Q per probe of the stacks
+    a and b, which are scaled in place; the sweeps are freed on return."""
+    grid, tgrid, zero = cfg.grid, cfg.tgrid, np.zeros(cfg.grid.n)
+    # the identity is linear: scale each a and b by a power of two, which is
+    # exact, to about unit Q-norm, so that the norms below cannot underflow;
+    # the power is half the exponent of the squared norm, one dot product per
+    # probe (slice 0 is zero, so it runs over all slices)
+    for x in (a, b):
+        flat = x.reshape(len(x), -1)
+        _, exponent = np.frexp(grid.h * tgrid.dt * np.vecdot(flat, flat))
+        np.ldexp(x, -(exponent[:, None, None] // 2), out=x)
+
+    fa = solve_forward(cfg.propagator, a, zero)
+    bb = solve_backward(cfg.propagator, b, zero)
+    lhs = inner_product_q(fa, b, grid, tgrid)
+    rhs = inner_product_q(a, bb, grid, tgrid)
+    # scaled by the norms, not by the pairing, which can nearly cancel
+    return abs(lhs - rhs) / _max(norm_q(fa, grid, tgrid) * norm_q(b, grid, tgrid), np.finfo(float).tiny)
 
 
 def _execute_audit(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
@@ -353,7 +385,6 @@ def _execute_audit(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
     preset_data = np.array([spatial_profile(text, grid) for text in sc.probe_presets])
     shape = (tgrid.steps + 1, grid.n)
     cut = tgrid.steps * grid.n  # values in one probe's v, a or b
-    zero = np.zeros(grid.n)
     block = max(1, AUDIT_BLOCK_BYTES // (8 * shape[0] * shape[1]))
     starts = range(0, sc.probes, block)
     # one bulk draw per block, into one buffer: each row is one probe's v, g,
@@ -365,34 +396,17 @@ def _execute_audit(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
         drawn = partial(rng.standard_normal, out=buf)  # block 0, here
         for start in starts:
             rows = drawn()
-            v, a, b = (np.zeros((len(rows),) + shape) for _ in range(3))
-            for x, at in ((v, 0), (a, cut + grid.n), (b, 2 * cut + grid.n)):
-                x[:, 1:] = rows[:, at:at + cut].reshape(x[:, 1:].shape)
+            v, a, b = (_space_time_rows(rows[:, at:at + cut], shape) for at in (0, cut + grid.n, 2 * cut + grid.n))
             g = rows[:, cut:cut + grid.n].copy()
             if len(preset_data):
                 g += preset_data.take(range(start, start + len(g)), axis=0, mode="wrap")
             if start + block < sc.probes:  # drawn into buf while this block marches
                 drawn = submit(partial(rng.standard_normal, out=buf[:sc.probes - start - block]))
 
-            # the identity is linear: scale each a and b by a power of two,
-            # which is exact, to about unit Q-norm, so that the norms below
-            # cannot underflow; the power is half the exponent of the squared
-            # norm, one dot product per probe (slice 0 is zero, so it runs
-            # over all slices)
-            for x in (a, b):
-                flat = x.reshape(len(x), -1)
-                _, exponent = np.frexp(grid.h * tgrid.dt * np.vecdot(flat, flat))
-                np.ldexp(x, -(exponent[:, None, None] // 2), out=x)
-
-            fa = solve_forward(cfg.propagator, a, zero)
-            bb = solve_backward(cfg.propagator, b, zero)
-            lhs = inner_product_q(fa, b, grid, tgrid)
-            rhs = inner_product_q(a, bb, grid, tgrid)
-            # scaled by the norms, not by the pairing, which can nearly cancel
-            transpose = abs(lhs - rhs) / _max(
-                norm_q(fa, grid, tgrid) * norm_q(b, grid, tgrid), np.finfo(float).tiny
-            )
-
+            # each field is dropped at its last reader, so that no block holds
+            # a field it no longer reads, nor block k + 1 any of block k's
+            transpose = _transpose_defects(cfg, a, b)
+            del a, b
             probe = Probe(v, g, cfg)
             duality_scale = norm_omega(probe.g, grid) * norm_omega(probe.xi0, grid)
             gap_scale = _max(1.0, probe.sup_value)
@@ -405,6 +419,7 @@ def _execute_audit(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
                 "superposition": probe.superposition_residual
                 / _max(1.0, norm_q(probe.q_vg, grid, tgrid)),
             }
+            del probe, v, g
             for name, values in block_columns.items():
                 columns[name].extend(values.tolist())
 

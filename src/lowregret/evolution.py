@@ -75,7 +75,8 @@ from .grids import (
     _check_space_time,
     _check_stacks,
     _check_spatial,
-    norm_q,
+    _roots,
+    _sum_q,
 )
 from .operator import FracOperator
 
@@ -440,11 +441,10 @@ def _step_residual(prop: Propagator, traj: np.ndarray, src: np.ndarray | None) -
 
 
 def _defect_norm(step: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid) -> float:
-    """``norm_q`` of a field whose slices 1..M are ``step``, which is squared
-    in place: the same reduction over the same contiguous block, so the same
-    bits, and no second field."""
-    np.multiply(step, step, out=step)
-    return float(grid.h * tgrid.dt * np.add.reduce(step, axis=(-2, -1))) ** 0.5
+    """``norm_q`` of a field (or a stack) whose slices 1..M are ``step``,
+    which is squared in place: the same reduction over the same contiguous
+    block, so the same bits, and no second field."""
+    return _roots(_sum_q(np.multiply(step, step, out=step), grid, tgrid))
 
 
 def forward_defect(prop: Propagator, traj: np.ndarray, source: np.ndarray | None, initial: np.ndarray) -> float:
@@ -488,9 +488,14 @@ def superposition_defect(
 ) -> float:
     """Q-norm of q(v,g) - q(v,0) - q(0,g) + q(0,0) over four solved trajectories.
 
-    Zero in exact arithmetic by linearity of the affine solve map.
+    Zero in exact arithmetic by linearity of the affine solve map.  The sums
+    run in that order on slices 1..M in one field (q(v,g)'s stack is the
+    widest), so the result has the bits of ``norm_q`` of the sum.
     """
-    return norm_q(q_vg - q_v0 - q_0g + q_00, grid, tgrid)
+    diff = q_vg[..., 1:, :] - q_v0[..., 1:, :]
+    diff -= q_0g[..., 1:, :]
+    diff += q_00[..., 1:, :]
+    return _defect_norm(diff, grid, tgrid)
 
 
 def superposition_residual(prop: Propagator, f: np.ndarray, v: np.ndarray, g: np.ndarray) -> float:

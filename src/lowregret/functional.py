@@ -56,6 +56,7 @@ from .grids import (
     _check_space_time,
     _check_spatial,
     _check_stacks,
+    _sum_q,
     inner_product_omega,
     inner_product_q,
 )
@@ -203,9 +204,11 @@ def reduced_cost(v: np.ndarray, cfg: RegretConfig) -> float:
 
 
 def _misfit(q: np.ndarray, cfg: RegretConfig) -> float:
-    """Tracking term |q - z_d|_Q^2 of a state trajectory q."""
-    diff = q - cfg.z_d
-    return inner_product_q(diff, diff, cfg.grid, cfg.tgrid)
+    """Tracking term |q - z_d|_Q^2 of a state trajectory q (or a stack),
+    squared in place in the difference of slices 1..M: the bits of
+    ``inner_product_q`` of that difference, with one field, not two."""
+    diff = q[..., 1:, :] - cfg.z_d[1:]
+    return _sum_q(np.multiply(diff, diff, out=diff), cfg.grid, cfg.tgrid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,9 +264,13 @@ class Probe:
 
     @cached_property
     def _pairing(self) -> float:
-        """<q(v,0) - q(0,0), q(0,g) - q(0,0)>_Q."""
-        q_00 = self.cfg.q_background
-        return inner_product_q(self.q_v0 - q_00, self.q_0g - q_00, self.cfg.grid, self.cfg.tgrid)
+        """<q(v,0) - q(0,0), q(0,g) - q(0,0)>_Q, multiplied in place into one
+        difference of slices 1..M (g's only where g alone is stacked): the
+        bits of ``inner_product_q``, as a product is the same either way round."""
+        q_00 = self.cfg.q_background[1:]
+        v0, g0 = self.q_v0[..., 1:, :] - q_00, self.q_0g[..., 1:, :] - q_00
+        pairing = np.multiply(v0, g0, out=g0 if g0.ndim > v0.ndim else v0)
+        return _sum_q(pairing, self.cfg.grid, self.cfg.tgrid)
 
     @cached_property
     def cost(self) -> float:

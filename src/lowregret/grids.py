@@ -172,7 +172,14 @@ def inner_product_q(a: np.ndarray, b: np.ndarray, grid: SpatialGrid, tgrid: Time
     a = _check_space_time(a, grid, tgrid, stacked=True)
     b = _check_space_time(b, grid, tgrid, stacked=True)
     _check_stacks("a", a, 2, "b", b, 2)
-    return _values(grid.h * tgrid.dt * np.add.reduce(a[..., 1:, :] * b[..., 1:, :], axis=(-2, -1)))
+    return _sum_q(a[..., 1:, :] * b[..., 1:, :], grid, tgrid)
+
+
+def _sum_q(rows: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid):
+    """h*dt-weighted sum of ``rows``, slices 1..M of a field or a stack, per
+    entry: the reduction of ``inner_product_q``, for callers that square or
+    multiply a fresh difference in place, with its bits and no product field."""
+    return _values(grid.h * tgrid.dt * np.add.reduce(rows, axis=(-2, -1)))
 
 
 def norm_omega(a: np.ndarray, grid: SpatialGrid):

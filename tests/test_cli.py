@@ -58,6 +58,16 @@ def config_dict(**overrides):
     return raw
 
 
+def benchmark_audit(probes=200):
+    """The audit of ``perfbench``'s audit-probes at seed 0: 40 x 30 nodes
+    and steps, gamma 1e-2 and the two shipped probe presets."""
+    return parse_scenario(config_dict(
+        scenario="audit", gamma=1e-2, probes=probes, seed=0,
+        probe_presets=["gauss(-0.3,0.2,1.0)", "sine(2,0.5)"],
+        domain={"x_left": -1.0, "x_right": 1.0, "nodes": 40}, time={"horizon": 1.0, "steps": 30},
+    ))
+
+
 def numeric_warnings(err):
     """The last line of ``err``, once every line before it, at least one, is
     a numpy warning as ``main`` shows it: ``warning: <message>``."""
@@ -982,16 +992,12 @@ class TestPairedRoutes:
 
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_the_benchmark_audit_starts_one_thread_for_all_its_blocks(self, monkeypatch, cpus):
-        # audit-probes' size at seed 0: 200 probes at 40 x 30 are 16 blocks,
-        # whose 15 draws ahead share one thread, not one thread each
+        # audit-probes' size at seed 0: 200 probes at 40 x 30 are 11 blocks,
+        # whose 10 draws ahead share one thread, not one thread each
         monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
         started = threads_started(monkeypatch)
-        sc = parse_scenario(config_dict(
-            scenario="audit", gamma=1e-2, probes=200, seed=0,
-            probe_presets=["gauss(-0.3,0.2,1.0)", "sine(2,0.5)"],
-            domain={"x_left": -1.0, "x_right": 1.0, "nodes": 40}, time={"horizon": 1.0, "steps": 30},
-        ))
-        assert -(-sc.probes // (cli.AUDIT_BLOCK_BYTES // (8 * 31 * 40))) == 16
+        sc = benchmark_audit()
+        assert -(-sc.probes // (cli.AUDIT_BLOCK_BYTES // (8 * 31 * 40))) == 11
         assert execute_scenario(sc).success
         assert started == ["lowregret-second"] * (cpus == 2)
 
@@ -1014,28 +1020,37 @@ class TestPairedRoutes:
 
 
 class TestAuditMemory:
-    def test_peak_does_not_grow_with_the_probe_count(self):
-        # probes are marched in blocks of a fixed byte budget, so ten times
-        # the probes at 40 x 30 reach the same peak
-        def config(probes):
-            return parse_scenario(config_dict(
-                scenario="audit", probes=probes,
-                domain={"x_left": -1.0, "x_right": 1.0, "nodes": 40},
-                time={"horizon": 1.0, "steps": 30},
-            ))
-
-        execute_scenario(config(1))  # first-call allocations stay out of the peaks
+    @staticmethod
+    def peaks(*probes):
+        """The tracemalloc peak of ``benchmark_audit`` at each probe count,
+        first-call allocations left out."""
+        execute_scenario(benchmark_audit(1))
         peaks = {}
-        for probes in (20, 200):
-            sc = config(probes)
+        for count in probes:
+            sc = benchmark_audit(count)
             tracemalloc.start()
             try:
                 execute_scenario(sc)
-                peaks[probes] = tracemalloc.get_traced_memory()[1]
+                peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_peak_does_not_grow_with_the_probe_count(self):
+        # probes are marched in blocks of a fixed byte budget, so ten times
+        # the probes at 40 x 30 reach the same peak
+        peaks = self.peaks(20, 200)
         assert abs(peaks[200] - peaks[20]) <= 0.5e6
         assert max(peaks.values()) < 4e6
+
+    def test_the_benchmark_audit_peaks_no_higher_with_larger_blocks(self, monkeypatch):
+        # audit-probes' size: 200 probes in 19-probe blocks, each field freed
+        # at its last reader, peak at about 1.962e6 bytes.  13-probe blocks
+        # that kept a block's fields until the next block replaced them
+        # peaked at 2,031,550 bytes or more (2 CPUs, numpy 2.4), and so did
+        # 19-probe blocks that kept the previous block's probe alive
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        assert self.peaks(200)[200] <= 2_031_550
 
 
 class TestSweepCommand:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lowregret as lr
-from lowregret.functional import workspace
+from lowregret.evolution import FOLD_NODES, superposition_defect
+from lowregret.functional import _misfit, workspace
 
 from conftest import composed_identities, make_problem, random_control
 
@@ -399,3 +400,47 @@ class TestStackedProbe:
         g[2, 0] = np.nan
         with pytest.raises(ValueError, match="must be finite"):
             lr.Probe(v, g, small_cfg).duality_residual
+
+
+class TestInPlaceDifferences:
+    """The tracking term, the probe pairing and the superposition defect
+    square or multiply a difference of slices 1..M in place; each gives the
+    bits of the out-of-place formula it replaced."""
+
+    @staticmethod
+    def laid_out(x, layout):
+        """``x`` itself, or a copy of its stack as every other entry of a
+        stack twice as long ("view") or with the stack axis innermost
+        ("interleaved"): non-contiguous views of the same values."""
+        if layout == "view":
+            return np.repeat(x, 2, axis=0)[::2]
+        if layout == "interleaved":
+            return np.moveaxis(np.moveaxis(x, 0, -1).copy(), -1, 0)
+        return x
+
+    @pytest.mark.parametrize("n", [40, 41, FOLD_NODES, FOLD_NODES + 1])
+    @pytest.mark.parametrize("layout", ["single", "stacked", "view", "interleaved", "shared v"])
+    def test_equal_to_the_out_of_place_formulas(self, n, layout):
+        cfg = make_problem(n=n, steps=6)
+        grid, tgrid, q_00 = cfg.grid, cfg.tgrid, cfg.q_background
+        rng = np.random.default_rng(n)
+        stack = () if layout == "single" else (3,)
+        v = np.stack([random_control(cfg, rng) for _ in range(3)]) if stack else random_control(cfg, rng)
+        if layout == "shared v":
+            v = v[0]
+        g = self.laid_out(rng.standard_normal(stack + (grid.n,)), layout)
+        probe = lr.Probe(self.laid_out(v, layout), g, cfg)
+        q_vg, q_v0, q_0g = (self.laid_out(x, layout) for x in (probe.q_vg, probe.q_v0, probe.q_0g))
+        pairing = lr.inner_product_q(probe.q_v0 - q_00, probe.q_0g - q_00, grid, tgrid)
+        for new, old in [
+            (_misfit(q_vg, cfg), lr.inner_product_q(q_vg - cfg.z_d, q_vg - cfg.z_d, grid, tgrid)),
+            (_misfit(q_0g, cfg), lr.inner_product_q(q_0g - cfg.z_d, q_0g - cfg.z_d, grid, tgrid)),
+            (probe._pairing, pairing),
+            (probe.duality_residual, abs(lr.inner_product_omega(g, probe.xi0, grid) - pairing)),
+            (
+                superposition_defect(q_vg, q_v0, q_0g, q_00, grid, tgrid),
+                lr.norm_q(q_vg - q_v0 - q_0g + q_00, grid, tgrid),
+            ),
+        ]:
+            assert type(new) is type(old)
+            assert np.shape(new) == stack and np.array_equal(new, old)
