@@ -9,10 +9,9 @@ subcommand checks a config the same way: it applies ``--seed`` (and
 and a refused config creates no output directory.  Every run writes
 ``report.json`` plus per-metric CSV plot data into the output directory;
 wall-clock timings go to a separate ``timings.json`` so that reports from
-identical config and seed are byte-identical.  Threads: on two CPUs, an
-audit of two probe blocks or more draws each next block, and a problem of
-``evolution.PAIR_NODES`` nodes or more solves half its eigenproblem, on a
-``evolution.second_thread``, joined before the call that started it ends.
+identical config and seed are byte-identical; ``timings.json`` also names
+the BLAS and its thread settings, the library's only parallelism (every
+call runs on the calling thread).
 
 Output directory resolution: ``--out`` flag, else the config's ``out_dir``
 field, else ``$LOWREGRET_OUT/<scenario>`` (current directory when the
@@ -33,12 +32,12 @@ import tempfile
 import time
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .evolution import second_thread, solve_backward, solve_forward
+from .evolution import solve_backward, solve_forward
 from .functional import Probe, RegretConfig, solve_uncertainty_adjoint, workspace
 from .grids import (
     ParameterError,
@@ -392,36 +391,32 @@ def _execute_audit(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
     buf = np.empty((min(block, sc.probes), 3 * cut + grid.n))
 
     columns = {name: [] for name in AUDIT_TOLERANCES}
-    with second_thread(len(starts) >= 2) as submit:
-        drawn = partial(rng.standard_normal, out=buf)  # block 0, here
-        for start in starts:
-            rows = drawn()
-            v, a, b = (_space_time_rows(rows[:, at:at + cut], shape) for at in (0, cut + grid.n, 2 * cut + grid.n))
-            g = rows[:, cut:cut + grid.n].copy()
-            if len(preset_data):
-                g += preset_data.take(range(start, start + len(g)), axis=0, mode="wrap")
-            if start + block < sc.probes:  # drawn into buf while this block marches
-                drawn = submit(partial(rng.standard_normal, out=buf[:sc.probes - start - block]))
+    for start in starts:
+        rows = rng.standard_normal(out=buf[:sc.probes - start])
+        v, a, b = (_space_time_rows(rows[:, at:at + cut], shape) for at in (0, cut + grid.n, 2 * cut + grid.n))
+        g = rows[:, cut:cut + grid.n].copy()
+        if len(preset_data):
+            g += preset_data.take(range(start, start + len(g)), axis=0, mode="wrap")
 
-            # each field is dropped at its last reader, so that no block holds
-            # a field it no longer reads, nor block k + 1 any of block k's
-            transpose = _transpose_defects(cfg, a, b)
-            del a, b
-            probe = Probe(v, g, cfg)
-            duality_scale = norm_omega(probe.g, grid) * norm_omega(probe.xi0, grid)
-            gap_scale = _max(1.0, probe.sup_value)
-            block_columns = {
-                "transpose": transpose,
-                "cost_decomposition": probe.decomposition_residual / _max(1.0, abs(probe.relaxed_cost)),
-                "duality": probe.duality_residual / _max(1.0, duality_scale),
-                "fenchel_nonnegative": _max(0.0, -(probe.fenchel_gap() / gap_scale)),
-                "fenchel_at_maximizer": abs(probe.fenchel_gap(probe.xi0 / cfg.gamma)) / gap_scale,
-                "superposition": probe.superposition_residual
-                / _max(1.0, norm_q(probe.q_vg, grid, tgrid)),
-            }
-            del probe, v, g
-            for name, values in block_columns.items():
-                columns[name].extend(values.tolist())
+        # each field is dropped at its last reader, so that no block holds
+        # a field it no longer reads, nor block k + 1 any of block k's
+        transpose = _transpose_defects(cfg, a, b)
+        del a, b
+        probe = Probe(v, g, cfg)
+        duality_scale = norm_omega(probe.g, grid) * norm_omega(probe.xi0, grid)
+        gap_scale = _max(1.0, probe.sup_value)
+        block_columns = {
+            "transpose": transpose,
+            "cost_decomposition": probe.decomposition_residual / _max(1.0, abs(probe.relaxed_cost)),
+            "duality": probe.duality_residual / _max(1.0, duality_scale),
+            "fenchel_nonnegative": _max(0.0, -(probe.fenchel_gap() / gap_scale)),
+            "fenchel_at_maximizer": abs(probe.fenchel_gap(probe.xi0 / cfg.gamma)) / gap_scale,
+            "superposition": probe.superposition_residual
+            / _max(1.0, norm_q(probe.q_vg, grid, tgrid)),
+        }
+        del probe, v, g
+        for name, values in block_columns.items():
+            columns[name].extend(values.tolist())
 
     identities = {}
     for name, tol in AUDIT_TOLERANCES.items():
@@ -502,8 +497,17 @@ def _strict_json(document) -> str:
     return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _blas() -> dict:
+    """The BLAS numpy was built with, and the thread counts the environment
+    asks of it (None where unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"name": blas.get("name"), "version": blas.get("version"), **{k: os.environ.get(k) for k in threads}}
+
+
 def write_report_files(report: RunReport, out_dir) -> list[str]:
-    """Write report.json (deterministic) and timings.json (not compared).
+    """Write report.json (deterministic) and timings.json (not compared):
+    the run's ``timings`` and, as ``blas``, the BLAS and its thread settings.
 
     Both are strict JSON (RFC 8259): a non-finite float is written as null.
     ``out_dir`` must exist; ``run_scenario`` creates it before computing.
@@ -517,7 +521,7 @@ def write_report_files(report: RunReport, out_dir) -> list[str]:
         "success": report.success,
     }
     paths = [os.path.join(out_dir, name) for name in ("report.json", "timings.json")]
-    for path, document in zip(paths, (payload, {"timings": report.timings})):
+    for path, document in zip(paths, (payload, {"timings": report.timings, "blas": _blas()})):
         with open(path, "w") as fh:
             fh.write(_strict_json(document))
     return paths

@@ -40,31 +40,23 @@ slice 0 is never read) and its initial or terminal datum before the march,
 then its trajectory after it, so an overflow at any step, the last
 included, raises ``ValueError``.
 
-Both uses of the second CPU go through ``second_thread``, one short-lived
-thread per ``with`` block (never one per call) that runs the calls
-submitted to it in order: from ``PAIR_NODES`` nodes on, the odd half-size
-eigenproblem while the even one runs here, the same LAPACK call on the same
-operands either way, so the bits do not depend on the route; and the
-audit's next block of probe draws, from two blocks on.  The gate counts
-the affinity mask's CPUs, capped by a cgroup v2 CPU quota.
+Everything here runs on the calling thread, the two half-size
+eigenproblems one after the other; the BLAS and LAPACK calls are the only
+parallelism, at the BLAS's own thread count.
 
 Both sweeps also take a stack along a leading axis: a source (P, M+1, n)
 and a datum (P, n) give P trajectories (P, M+1, n) in one march, whose GEMMs
 are 3-D ``matmul`` (one GEMM, or pair of half GEMMs, per entry) and whose
 recurrence steps all P entries at once.  Each entry equals the single sweep
 of that entry bit for bit, which the stacked audit's byte-identical reports
-rely on.  An unstacked source or datum is shared by every entry; stacks of
-different lengths raise ``ValueError``.  The checks run once per stacked
-array.
+rely on.  An unstacked source or datum is shared by every entry (a shared
+source is taken into the modes once per march); stacks of different
+lengths raise ``ValueError``.  The checks run once per stacked array.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import copy
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,21 +85,6 @@ from .operator import FracOperator
 # the audit at 40 x 30 (faster in 1 of 100 rounds) and 1.00 on the gamma sweep
 # at 120 x 60 (faster in 44 of 100; two runs of 50 alternating rounds each).
 FOLD_NODES = 150
-
-# Nodes from which ``centrosymmetric_eigh`` runs its odd half-size
-# eigenproblem on a ``second_thread`` while the even one runs here, where the
-# process may run on two CPUs: about 3 ms a side.  The pair waits for the
-# idle core to wake: 0.4-0.6 ms on two shared vCPUs, but 4-15 ms in 5 of 90
-# pairs timed after 0.4 s of single-threaded work, and longer while the host
-# steals time from the vCPUs.  Paired time over sequential time, median of
-# 10 to 30, 1 BLAS thread, right after the work before it in a run: 0.84-1.00
-# at 160 nodes, 0.82-0.94 at 200, 0.65 at 256, 0.68 at 300 and 0.61 at 400.
-# With OpenBLAS's default of one BLAS thread per CPU (two) the pair
-# oversubscribes the CPUs and is slower: 1.05 at 300 and 1.03-1.15 at 400
-# (medians of 30 and 60).  The gate sees the CPU affinity and a cgroup v2
-# CPU quota, not the BLAS's thread count.
-PAIR_NODES = 300
-
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
@@ -199,77 +176,6 @@ def step_factor(op: FracOperator, tgrid: TimeGrid) -> Propagator:
     return Propagator(op, tgrid)
 
 
-def _usable_cpus(root: str = "/") -> int:
-    """The affinity mask's CPU count, capped at floor(quota/period) of the
-    cgroup v2 ``cpu.max`` (under ``root``) of the process, if it has one."""
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    try:
-        with open(os.path.join(root, "proc/self/cgroup")) as fh:
-            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        with open(os.path.join(root, "sys/fs/cgroup", group.lstrip("/"), "cpu.max")) as fh:
-            quota, period = fh.read().split()
-        return max(1, min(cpus, int(quota) // int(period)))
-    except (OSError, StopIteration, ValueError):  # int("max") is a ValueError
-        return cpus
-
-
-@contextlib.contextmanager
-def second_thread(wanted: bool):
-    """Yields ``submit``: ``submit(call)`` returns ``wait``, and ``wait()``
-    returns the call's value or raises its error.  When ``wanted`` and two
-    CPUs are usable, one short-lived thread, joined when the ``with`` block
-    exits, runs the calls in order; otherwise ``submit`` runs the call here.
-    One thread per block, not per call: ``Thread.start`` waits until the new
-    thread runs.  A call runs nothing the benchmark's tracer wraps (its span
-    stack is one thread's) and allocates no field (the thread's allocations
-    land in a second malloc arena)."""
-    threaded = wanted and _usable_cpus() >= 2
-
-    def submit(call):
-        outcome, done = {}, threading.Lock()
-        done.acquire()  # until the call has run
-
-        def run():
-            try:
-                outcome["value"] = call()
-            except BaseException as exc:  # raised at wait
-                outcome["error"] = exc
-            done.release()
-
-        if threaded:
-            calls.append(run)
-            pending.release()
-        else:
-            run()
-
-        def wait():
-            with done:
-                if "error" in outcome:
-                    raise outcome["error"]
-                return outcome["value"]
-
-        return wait
-
-    if not threaded:
-        yield submit
-        return
-    calls, pending = collections.deque(), threading.Semaphore(0)
-
-    def serve():
-        while pending.acquire() and (run := calls.popleft()):  # None ends it
-            run()
-
-    worker = threading.Thread(target=serve, name="lowregret-second")
-    worker.start()
-    try:
-        yield submit
-    finally:
-        calls.append(None)
-        pending.release()
-        worker.join()
-
-
 _HALF_ROOT = 0.5 ** 0.5
 
 
@@ -285,8 +191,8 @@ def centrosymmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     those of A11 - A12 J: two symmetric problems of half size (Cantoni and
     Butler 1976).  For odd n the even block gains the centre node,
     x = (y, sqrt(2) w, Jy)/sqrt(2), which couples to the rest with weight
-    sqrt(2).  Only the leading rows of A are read; from ``PAIR_NODES`` on,
-    the odd half runs on a ``second_thread`` while the even half runs here.
+    sqrt(2).  Only the leading rows of A are read, and the even half is
+    solved before the odd one.
     Returns lam (even modes first), V[:c, :c] and V[:k, c:] with c = n - k;
     the trailing rows are their mirror images, V[c:, :c] = J V[:k, :c] and
     V[c:, c:] = -J V[:k, c:], and the centre row of the odd modes is zero.
@@ -300,10 +206,8 @@ def centrosymmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     if c > k:  # the centre row and column of the sum hold 2 a and 2 A_cc
         even[k] *= _HALF_ROOT
         even[:, k] *= _HALF_ROOT
-    with second_thread(n >= PAIR_NODES) as submit:
-        odd_half = submit(lambda: _symmetric_eigh(odd))
-        lam_even, y = _symmetric_eigh(even)
-        lam_odd, z = odd_half()
+    lam_even, y = _symmetric_eigh(even)
+    lam_odd, z = _symmetric_eigh(odd)
     y[:k] *= _HALF_ROOT  # the centre row, if any, is already V[k, :c]
     z *= _HALF_ROOT
     return np.concatenate((lam_even, lam_odd)), y, z
@@ -345,7 +249,9 @@ def _march(prop: Propagator, rows: np.ndarray | None, datum: np.ndarray, out: np
     Rows (P, M, n) or a datum (P, n) march a stack.  Its steps are taken
     step-major, so on V each step updates contiguous (P, n) rows.  Each
     entry keeps the bits of its single march: 3-D matmul is one GEMM per
-    entry, and a datum's one-row product is the single march's GEMV."""
+    entry, rows (M, n) shared by the stack are the single march's GEMM, run
+    once and copied to every entry, and a datum's one-row product is the
+    single march's GEMV."""
     ratio, dt = prop.ratio, prop.tgrid.dt
     steps = out.swapaxes(0, -2)  # step m-1 holds dt * s_m in the modes
     if prop.identity:
@@ -362,6 +268,8 @@ def _march(prop: Propagator, rows: np.ndarray | None, datum: np.ndarray, out: np
     else:
         if prop.identity:
             np.multiply(rows, dt, out=out)
+        elif rows.ndim < out.ndim:  # a source shared by the stack: one transform
+            np.multiply(prop.to_modes(rows)[:, None], dt, out=steps)
         else:
             prop.to_modes(rows, out=steps.swapaxes(0, -2))
             steps *= dt
