@@ -544,8 +544,9 @@ class TestRunCommand:
             assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
         assert numeric_warnings(capsys.readouterr().err) == message
 
+    @pytest.mark.parametrize("command", ["run", "audit", "sweep"])
     @pytest.mark.parametrize("half", ["even", "odd"])
-    def test_a_failed_eigendecomposition_exits_three(self, monkeypatch, tmp_path, capsys, half):
+    def test_a_failed_eigendecomposition_exits_three(self, monkeypatch, tmp_path, capsys, half, command):
         # at 12 nodes both halves are 6 x 6; the even one is solved first
         eigh, calls = evolution._symmetric_eigh, []
 
@@ -556,7 +557,7 @@ class TestRunCommand:
             return eigh(block)
 
         monkeypatch.setattr(evolution, "_symmetric_eigh", failing)
-        assert main(["run", write_config(tmp_path, config_dict()), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        assert main([command, write_config(tmp_path, config_dict()), "--out", str(tmp_path / "out"), "--quiet"]) == 3
         assert calls == [6] * (1 if half == "even" else 2)
         assert "run failed: Eigenvalues did not converge" in capsys.readouterr().err
 
@@ -776,12 +777,13 @@ class TestAuditCommand:
         assert swept == {"solve_forward": 1 + 5 * 7, "solve_backward": 2 * 7}
         assert calls == {"solve_forward": 1 + 5 * 3, "solve_backward": 2 * 3}
 
-    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 6])
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, per_block):
         raw = config_dict(scenario="audit", probes=7, probe_presets=["sine(2,0.5)", "gauss(0,0.3,1)"])
+        whole = execute_scenario(parse_scenario(raw))  # the 7 probes are one block at 12 x 8
+        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", per_block * 8 * 9 * 12)
         blocked = execute_scenario(parse_scenario(raw))
-        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 1)  # one probe per block
-        single = execute_scenario(parse_scenario(raw))
-        assert (single.metrics, single.tables) == (blocked.metrics, blocked.tables)
+        assert (blocked.metrics, blocked.tables) == (whole.metrics, whole.tables)
 
     @staticmethod
     def record_draws(monkeypatch, fail_at=None):
@@ -803,7 +805,8 @@ class TestAuditCommand:
         monkeypatch.setattr(cli.np.random, "default_rng", Recording)
         return draws
 
-    def test_block_draws_equal_the_per_probe_draws(self, monkeypatch):
+    @pytest.mark.parametrize("per_block, blocks", [(1, [1] * 8), (2, [2] * 4), (3, [3, 3, 2]), (8, [8])])
+    def test_block_draws_equal_the_per_probe_draws(self, monkeypatch, per_block, blocks):
         # one bulk draw per block, each row a probe's v, g, a and b, gives the
         # bits of drawing each field of each probe in turn
         presets = ["sine(2,0.5)", "gauss(0,0.3,1)"]
@@ -811,11 +814,11 @@ class TestAuditCommand:
         grid, tgrid = sc.problem.grid, sc.problem.tgrid
         preset_data = [spatial_profile(text, grid) for text in presets]
         rng = np.random.default_rng(sc.seed)
-        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 3 * 8 * 9 * 12)  # 3 probes at 12 x 8
+        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", per_block * 8 * 9 * 12)  # probes at 12 x 8
         draws, probes, probe = self.record_draws(monkeypatch), [], cli.Probe
         monkeypatch.setattr(cli, "Probe", lambda v, g, cfg: probes.append((v.copy(), g.copy())) or probe(v, g, cfg))
         assert execute_scenario(sc).success
-        assert [len(block) for block in draws] == [3, 3, 2]
+        assert [len(block) for block in draws] == blocks
         rows = np.concatenate(draws)
         vs, gs = (np.concatenate(x) for x in zip(*probes))
         for k, row in enumerate(rows):
@@ -921,9 +924,13 @@ class TestSweepBudget:
 class TestOneThread:
     """Every scenario runs on the calling thread: the library starts none."""
 
-    @pytest.mark.parametrize("case", ["400-node run", "blocked audit", "sweep"])
+    @pytest.mark.parametrize("case", [
+        "shipped run", "400-node run", "one-block audit", "blocked audit", "folded audit", "sweep",
+    ])
     def test_no_scenario_starts_a_thread(self, monkeypatch, tmp_path, case):
-        if case == "400-node run":  # above the size that once paired the eigenproblem's halves
+        if case == "shipped run":
+            command, path = "run", SOLVE_CONFIG
+        elif case == "400-node run":  # above the size that once paired the eigenproblem's halves
             with open(SOLVE_CONFIG) as fh:
                 raw = json.load(fh)
             raw["domain"]["nodes"], raw["time"]["steps"] = 400, 20
@@ -932,6 +939,13 @@ class TestOneThread:
             command, path = "audit", AUDIT_CONFIG
             sc = load_scenario(path)
             assert sc.probes > cli.AUDIT_BLOCK_BYTES // (8 * (sc.steps + 1) * sc.nodes)
+        elif case == "one-block audit":  # 4 probes at 12 x 8
+            command, path = "audit", write_config(tmp_path, config_dict())
+        elif case == "folded audit":  # a basis change on the half blocks, not the dense V
+            command, path = "audit", write_config(tmp_path, config_dict(
+                domain={"x_left": -1.0, "x_right": 1.0, "nodes": evolution.FOLD_NODES},
+                time={"horizon": 1.0, "steps": 4}, probes=2,
+            ))
         else:
             command, path = "sweep", SWEEP_CONFIG
         started, threads = threads_started(monkeypatch), threading.active_count()
@@ -1017,10 +1031,17 @@ def test_run_scenario_function_returns_the_report(tmp_path):
     assert set(report.timings) == {"scenario_seconds"}
 
 
-def test_timings_name_the_blas_and_its_thread_settings(tmp_path, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+@pytest.mark.parametrize("settings", [
+    {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None},
+    {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None},
+    {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "4"},
+], ids=["some set", "none set", "all set"])
+def test_timings_name_the_blas_and_its_thread_settings(tmp_path, monkeypatch, settings):
+    for name, value in settings.items():
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
     out = tmp_path / "out"
     report = run_scenario(write_config(tmp_path, config_dict()), out_dir=str(out))
     timings = json.loads((out / "timings.json").read_text())
@@ -1028,8 +1049,7 @@ def test_timings_name_the_blas_and_its_thread_settings(tmp_path, monkeypatch):
     assert timings == {
         "timings": report.timings,
         "blas": {
-            "name": blas["name"], "version": blas["version"],
-            "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None,
+            "name": blas["name"], "version": blas["version"], **settings,
         },
     }
     assert "blas" not in (out / "report.json").read_text()

@@ -1,6 +1,7 @@
 """Forward/backward implicit Euler: recursions, transpose and duality identities."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -390,8 +391,7 @@ class TestEigensolver:
         blocks, eigh = [], evolution._symmetric_eigh
         monkeypatch.setattr(evolution, "_symmetric_eigh", lambda b: blocks.append(b.copy()) or eigh(b))
         evolution.centrosymmetric_eigh(assemble_operator(build_grid(-1.0, 1.0, n), s).matrix)
-        # the two halves may run as a pair, so in either order
-        assert sorted(len(block) for block in blocks) == sorted([n - n // 2, n // 2])
+        assert [len(block) for block in blocks] == [n - n // 2, n // 2]  # the even half first
         for block in blocks:
             lam, vectors = eigh(block.copy())
             ref_lam, ref_vectors, info = dsyevd(block.T)
@@ -399,6 +399,46 @@ class TestEigensolver:
             assert np.array_equal(lam, ref_lam)
             assert np.array_equal(vectors, ref_vectors)
             assert vectors.flags.f_contiguous and ref_vectors.flags.f_contiguous
+
+
+class TestSequentialHalves:
+    """``centrosymmetric_eigh`` solves the even half-size eigenproblem and
+    then the odd one, both on the calling thread."""
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 12, 41, 400, 401])
+    def test_the_even_half_is_solved_first_on_the_calling_thread(self, monkeypatch, n):
+        matrix = assemble_operator(build_grid(-1.0, 1.0, n), 0.5).matrix
+        calls, eigh = [], evolution._symmetric_eigh
+
+        def recording(block):
+            calls.append((block.copy(), threading.get_ident()))
+            return eigh(block)
+
+        monkeypatch.setattr(evolution, "_symmetric_eigh", recording)
+        evolution.centrosymmetric_eigh(matrix)
+        assert [len(block) for block, _ in calls] == [n - n // 2, n // 2]
+        assert [ident for _, ident in calls] == [threading.get_ident()] * 2
+        if n > 1:  # the corner of the even block is a_00 + a_0,n-1, of the odd a_00 - a_0,n-1
+            assert calls[0][0][0, 0] == matrix[0, 0] + matrix[0, -1]
+            assert calls[1][0][0, 0] == matrix[0, 0] - matrix[0, -1]
+
+    @pytest.mark.parametrize("failing", [("even",), ("odd",), ("even", "odd")])
+    def test_the_even_halfs_error_comes_before_the_odd_halfs(self, monkeypatch, failing):
+        matrix = assemble_operator(build_grid(-1.0, 1.0, 12), 0.5).matrix
+        odd_corner, eigh, solved = matrix[0, 0] - matrix[0, -1], evolution._symmetric_eigh, []
+
+        def half(block):  # the even and odd halves of 12 nodes are both 6 x 6
+            name = "odd" if block[0, 0] == odd_corner else "even"
+            solved.append(name)
+            if name in failing:
+                raise np.linalg.LinAlgError(name)
+            return eigh(block)
+
+        monkeypatch.setattr(evolution, "_symmetric_eigh", half)
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            evolution.centrosymmetric_eigh(matrix)
+        assert raised.value.args == (failing[0],)
+        assert solved == ["even", "odd"][:1 if failing[0] == "even" else 2]  # no odd half after a failed even one
 
 
 class TestBasisChange:
@@ -496,6 +536,28 @@ class TestStackedSweeps:
                 for p in range(4):
                     assert np.array_equal(shared_source[p], sweep(prop, src[0], datum[p]))
                     assert np.array_equal(shared_datum[p], sweep(prop, src[p], datum[0]))
+
+    @pytest.mark.parametrize("n", [41, evolution.FOLD_NODES])  # a dense and a folded basis change
+    @pytest.mark.parametrize("sweep", [solve_forward, solve_backward])
+    def test_a_shared_source_is_taken_into_the_modes_once_per_march(self, monkeypatch, sweep, n):
+        physical, grid, tgrid = setup(n=n, steps=6)
+        rng = np.random.default_rng(5)
+        src = rng.normal(size=(tgrid.steps + 1, grid.n))
+        datum = rng.normal(size=(4, grid.n))
+        calls, to_modes = [], Propagator.to_modes
+
+        def recording(prop, x, out=None):
+            result = to_modes(prop, x, out=out)
+            calls.append((x.shape, result.shape))
+            return result
+
+        monkeypatch.setattr(Propagator, "to_modes", recording)
+        sweep(physical, src, datum)
+        # the datum's stack, then the source's M rows once, not once per entry
+        assert calls == [((4, 1, n), (4, 1, n)), ((tgrid.steps, n), (tgrid.steps, n))]
+        calls.clear()
+        sweep(physical.in_modes(), src, datum)
+        assert calls == []  # V = I changes no basis
 
     @pytest.mark.parametrize("sweep,datum", [(solve_forward, "initial datum"), (solve_backward, "terminal datum")])
     def test_stacks_of_different_lengths_are_rejected_with_the_shapes(self, sweep, datum):
