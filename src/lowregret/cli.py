@@ -10,8 +10,10 @@ and a refused config creates no output directory.  Every run writes
 ``report.json`` plus per-metric CSV plot data into the output directory;
 wall-clock timings go to a separate ``timings.json`` so that reports from
 identical config and seed are byte-identical; ``timings.json`` also names
-the BLAS and its thread settings, the library's only parallelism (every
-call runs on the calling thread).
+the BLAS and its thread settings.  Threads: the BLAS's own, and in an audit
+of two probe blocks or more one worker thread, which draws each next block
+while the calling thread marches this one and is joined before the audit
+returns; everything else runs on the calling thread.
 
 Output directory resolution: ``--out`` flag, else the config's ``out_dir``
 field, else ``$LOWREGRET_OUT/<scenario>`` (current directory when the
@@ -31,6 +33,7 @@ import sys
 import tempfile
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 
@@ -391,32 +394,40 @@ def _execute_audit(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
     buf = np.empty((min(block, sc.probes), 3 * cut + grid.n))
 
     columns = {name: [] for name in AUDIT_TOLERANCES}
-    for start in starts:
-        rows = rng.standard_normal(out=buf[:sc.probes - start])
-        v, a, b = (_space_time_rows(rows[:, at:at + cut], shape) for at in (0, cut + grid.n, 2 * cut + grid.n))
-        g = rows[:, cut:cut + grid.n].copy()
-        if len(preset_data):
-            g += preset_data.take(range(start, start + len(g)), axis=0, mode="wrap")
+    # block 0 is drawn here; each next block is drawn into buf on one worker
+    # thread (started by the first submit, joined on exit) while this block
+    # marches, once v, g, a and b are copied out of buf
+    with ThreadPoolExecutor(max_workers=1) as ahead:
+        rows = rng.standard_normal(out=buf)
+        for start in starts:
+            if start:
+                rows = drawn.result()
+            v, a, b = (_space_time_rows(rows[:, at:at + cut], shape) for at in (0, cut + grid.n, 2 * cut + grid.n))
+            g = rows[:, cut:cut + grid.n].copy()
+            if len(preset_data):
+                g += preset_data.take(range(start, start + len(g)), axis=0, mode="wrap")
+            if start + block < sc.probes:
+                drawn = ahead.submit(rng.standard_normal, out=buf[:sc.probes - start - block])
 
-        # each field is dropped at its last reader, so that no block holds
-        # a field it no longer reads, nor block k + 1 any of block k's
-        transpose = _transpose_defects(cfg, a, b)
-        del a, b
-        probe = Probe(v, g, cfg)
-        duality_scale = norm_omega(probe.g, grid) * norm_omega(probe.xi0, grid)
-        gap_scale = _max(1.0, probe.sup_value)
-        block_columns = {
-            "transpose": transpose,
-            "cost_decomposition": probe.decomposition_residual / _max(1.0, abs(probe.relaxed_cost)),
-            "duality": probe.duality_residual / _max(1.0, duality_scale),
-            "fenchel_nonnegative": _max(0.0, -(probe.fenchel_gap() / gap_scale)),
-            "fenchel_at_maximizer": abs(probe.fenchel_gap(probe.xi0 / cfg.gamma)) / gap_scale,
-            "superposition": probe.superposition_residual
-            / _max(1.0, norm_q(probe.q_vg, grid, tgrid)),
-        }
-        del probe, v, g
-        for name, values in block_columns.items():
-            columns[name].extend(values.tolist())
+            # each field is dropped at its last reader, so that no block holds
+            # a field it no longer reads, nor block k + 1 any of block k's
+            transpose = _transpose_defects(cfg, a, b)
+            del a, b
+            probe = Probe(v, g, cfg)
+            duality_scale = norm_omega(probe.g, grid) * norm_omega(probe.xi0, grid)
+            gap_scale = _max(1.0, probe.sup_value)
+            block_columns = {
+                "transpose": transpose,
+                "cost_decomposition": probe.decomposition_residual / _max(1.0, abs(probe.relaxed_cost)),
+                "duality": probe.duality_residual / _max(1.0, duality_scale),
+                "fenchel_nonnegative": _max(0.0, -(probe.fenchel_gap() / gap_scale)),
+                "fenchel_at_maximizer": abs(probe.fenchel_gap(probe.xi0 / cfg.gamma)) / gap_scale,
+                "superposition": probe.superposition_residual
+                / _max(1.0, norm_q(probe.q_vg, grid, tgrid)),
+            }
+            del probe, v, g
+            for name, values in block_columns.items():
+                columns[name].extend(values.tolist())
 
     identities = {}
     for name, tol in AUDIT_TOLERANCES.items():

@@ -49,9 +49,9 @@ and a datum (P, n) give P trajectories (P, M+1, n) in one march, whose GEMMs
 are 3-D ``matmul`` (one GEMM, or pair of half GEMMs, per entry) and whose
 recurrence steps all P entries at once.  Each entry equals the single sweep
 of that entry bit for bit, which the stacked audit's byte-identical reports
-rely on.  An unstacked source or datum is shared by every entry (a shared
-source is taken into the modes once per march); stacks of different
-lengths raise ``ValueError``.  The checks run once per stacked array.
+rely on.  An unstacked source or datum is shared by every entry; stacks of
+different lengths raise ``ValueError``.  The checks run once per stacked
+array.
 """
 
 from __future__ import annotations
@@ -249,9 +249,7 @@ def _march(prop: Propagator, rows: np.ndarray | None, datum: np.ndarray, out: np
     Rows (P, M, n) or a datum (P, n) march a stack.  Its steps are taken
     step-major, so on V each step updates contiguous (P, n) rows.  Each
     entry keeps the bits of its single march: 3-D matmul is one GEMM per
-    entry, rows (M, n) shared by the stack are the single march's GEMM, run
-    once and copied to every entry, and a datum's one-row product is the
-    single march's GEMV."""
+    entry, and a datum's one-row product is the single march's GEMV."""
     ratio, dt = prop.ratio, prop.tgrid.dt
     steps = out.swapaxes(0, -2)  # step m-1 holds dt * s_m in the modes
     if prop.identity:
@@ -268,8 +266,6 @@ def _march(prop: Propagator, rows: np.ndarray | None, datum: np.ndarray, out: np
     else:
         if prop.identity:
             np.multiply(rows, dt, out=out)
-        elif rows.ndim < out.ndim:  # a source shared by the stack: one transform
-            np.multiply(prop.to_modes(rows)[:, None], dt, out=steps)
         else:
             prop.to_modes(rows, out=steps.swapaxes(0, -2))
             steps *= dt

@@ -921,13 +921,16 @@ class TestSweepBudget:
         assert sweeps == 1 + 5 * (1 + 8) + 4 * (sum(iterations) + 4) + 2
 
 
-class TestOneThread:
-    """Every scenario runs on the calling thread: the library starts none."""
+class TestThreads:
+    """Solves and sweeps run on the calling thread; an audit of two probe
+    blocks or more starts one worker thread, which draws each next block, and
+    joins it before it returns."""
 
-    @pytest.mark.parametrize("case", [
-        "shipped run", "400-node run", "one-block audit", "blocked audit", "folded audit", "sweep",
+    @pytest.mark.parametrize("case, threads", [
+        ("shipped run", 0), ("400-node run", 0), ("one-block audit", 0), ("blocked audit", 1),
+        ("folded audit", 0), ("sweep", 0),
     ])
-    def test_no_scenario_starts_a_thread(self, monkeypatch, tmp_path, case):
+    def test_only_a_blocked_audit_starts_a_thread(self, monkeypatch, tmp_path, case, threads):
         if case == "shipped run":
             command, path = "run", SOLVE_CONFIG
         elif case == "400-node run":  # above the size that once paired the eigenproblem's halves
@@ -948,10 +951,29 @@ class TestOneThread:
             ))
         else:
             command, path = "sweep", SWEEP_CONFIG
-        started, threads = threads_started(monkeypatch), threading.active_count()
+        started, alive = threads_started(monkeypatch), threading.active_count()
         assert main([command, path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
-        assert started == []
-        assert threading.active_count() == threads
+        assert len(started) == threads
+        assert threading.active_count() == alive
+
+    def test_the_worker_draws_every_block_after_the_first(self, monkeypatch):
+        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 2 * 8 * 9 * 12)  # 2 probes at 12 x 8
+        drawn_on, default_rng = [], np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.draw = default_rng(seed).standard_normal
+
+            def standard_normal(self, out):
+                drawn_on.append((len(out), threading.get_ident()))
+                return self.draw(out=out)
+
+        monkeypatch.setattr(cli.np.random, "default_rng", Recording)
+        assert execute_scenario(parse_scenario(config_dict(scenario="audit", probes=7))).success
+        here = threading.get_ident()
+        assert [size for size, _ in drawn_on] == [2, 2, 2, 1]
+        assert drawn_on[0][1] == here
+        assert len({ident for _, ident in drawn_on[1:]}) == 1 and drawn_on[1][1] != here
 
 
 class TestAuditMemory:
@@ -1045,13 +1067,12 @@ def test_timings_name_the_blas_and_its_thread_settings(tmp_path, monkeypatch, se
     out = tmp_path / "out"
     report = run_scenario(write_config(tmp_path, config_dict()), out_dir=str(out))
     timings = json.loads((out / "timings.json").read_text())
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert timings == {
-        "timings": report.timings,
-        "blas": {
-            "name": blas["name"], "version": blas["version"], **settings,
-        },
-    }
+    blas = timings["blas"]
+    assert timings == {"timings": report.timings, "blas": blas}
+    assert blas == {"name": blas["name"], "version": blas["version"], **settings}
+    # numpy's wheels name an OpenBLAS build and its dotted version
+    assert isinstance(blas["name"], str) and "blas" in blas["name"].lower()
+    assert isinstance(blas["version"], str) and blas["version"][:1].isdigit() and "." in blas["version"]
     assert "blas" not in (out / "report.json").read_text()
 
 

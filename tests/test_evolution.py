@@ -537,28 +537,6 @@ class TestStackedSweeps:
                     assert np.array_equal(shared_source[p], sweep(prop, src[0], datum[p]))
                     assert np.array_equal(shared_datum[p], sweep(prop, src[p], datum[0]))
 
-    @pytest.mark.parametrize("n", [41, evolution.FOLD_NODES])  # a dense and a folded basis change
-    @pytest.mark.parametrize("sweep", [solve_forward, solve_backward])
-    def test_a_shared_source_is_taken_into_the_modes_once_per_march(self, monkeypatch, sweep, n):
-        physical, grid, tgrid = setup(n=n, steps=6)
-        rng = np.random.default_rng(5)
-        src = rng.normal(size=(tgrid.steps + 1, grid.n))
-        datum = rng.normal(size=(4, grid.n))
-        calls, to_modes = [], Propagator.to_modes
-
-        def recording(prop, x, out=None):
-            result = to_modes(prop, x, out=out)
-            calls.append((x.shape, result.shape))
-            return result
-
-        monkeypatch.setattr(Propagator, "to_modes", recording)
-        sweep(physical, src, datum)
-        # the datum's stack, then the source's M rows once, not once per entry
-        assert calls == [((4, 1, n), (4, 1, n)), ((tgrid.steps, n), (tgrid.steps, n))]
-        calls.clear()
-        sweep(physical.in_modes(), src, datum)
-        assert calls == []  # V = I changes no basis
-
     @pytest.mark.parametrize("sweep,datum", [(solve_forward, "initial datum"), (solve_backward, "terminal datum")])
     def test_stacks_of_different_lengths_are_rejected_with_the_shapes(self, sweep, datum):
         prop, grid, tgrid = setup(n=5, steps=6)
