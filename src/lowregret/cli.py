@@ -10,10 +10,10 @@ and a refused config creates no output directory.  Every run writes
 ``report.json`` plus per-metric CSV plot data into the output directory;
 wall-clock timings go to a separate ``timings.json`` so that reports from
 identical config and seed are byte-identical; ``timings.json`` also names
-the BLAS and its thread settings.  Threads: the BLAS's own, and in an audit
-of two probe blocks or more one worker thread, which draws each next block
-while the calling thread marches this one and is joined before the audit
-returns; everything else runs on the calling thread.
+the BLAS and its thread settings.  Threads: on two CPUs, an
+audit of two probe blocks or more draws each next block, and a problem of
+``evolution.PAIR_NODES`` nodes or more solves half its eigenproblem, on a
+``evolution.second_thread``, joined before the call that started it ends.
 
 Output directory resolution: ``--out`` flag, else the config's ``out_dir``
 field, else ``$LOWREGRET_OUT/<scenario>`` (current directory when the
@@ -33,14 +33,13 @@ import sys
 import tempfile
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import __version__
-from .evolution import solve_backward, solve_forward
+from .evolution import second_thread, solve_backward, solve_forward
 from .functional import Probe, RegretConfig, solve_uncertainty_adjoint, workspace
 from .grids import (
     ParameterError,
@@ -290,6 +289,9 @@ def _execute_solve(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
     grid, tgrid = cfg.grid, cfg.tgrid
     log.info("solving at gamma=%g (n=%d, M=%d, s=%g)", cfg.gamma, grid.n, tgrid.steps, cfg.s)
     bundle = solve_low_regret(cfg)
+    # the residuals read no modal factor: their three n x M arrays are freed
+    # first, so that the solve's peak memory is its sweeps', not theirs
+    cfg.__dict__.pop("modes")
     residuals = optimality_residuals(bundle)
     control_norm = norm_q(bundle.control, grid, tgrid)
     scale = max(1.0, norm_q(bundle.state, grid, tgrid), norm_q(cfg.z_d, grid, tgrid), control_norm)
@@ -394,20 +396,16 @@ def _execute_audit(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
     buf = np.empty((min(block, sc.probes), 3 * cut + grid.n))
 
     columns = {name: [] for name in AUDIT_TOLERANCES}
-    # block 0 is drawn here; each next block is drawn into buf on one worker
-    # thread (started by the first submit, joined on exit) while this block
-    # marches, once v, g, a and b are copied out of buf
-    with ThreadPoolExecutor(max_workers=1) as ahead:
-        rows = rng.standard_normal(out=buf)
+    with second_thread(len(starts) >= 2) as submit:
+        drawn = partial(rng.standard_normal, out=buf)  # block 0, here
         for start in starts:
-            if start:
-                rows = drawn.result()
+            rows = drawn()
             v, a, b = (_space_time_rows(rows[:, at:at + cut], shape) for at in (0, cut + grid.n, 2 * cut + grid.n))
             g = rows[:, cut:cut + grid.n].copy()
             if len(preset_data):
                 g += preset_data.take(range(start, start + len(g)), axis=0, mode="wrap")
-            if start + block < sc.probes:
-                drawn = ahead.submit(rng.standard_normal, out=buf[:sc.probes - start - block])
+            if start + block < sc.probes:  # drawn into buf while this block marches
+                drawn = submit(partial(rng.standard_normal, out=buf[:sc.probes - start - block]))
 
             # each field is dropped at its last reader, so that no block holds
             # a field it no longer reads, nor block k + 1 any of block k's

@@ -40,9 +40,13 @@ slice 0 is never read) and its initial or terminal datum before the march,
 then its trajectory after it, so an overflow at any step, the last
 included, raises ``ValueError``.
 
-Everything here runs on the calling thread, the two half-size
-eigenproblems one after the other; the BLAS and LAPACK calls are the only
-parallelism, at the BLAS's own thread count.
+Both uses of the second CPU go through ``second_thread``, one short-lived
+thread per ``with`` block (never one per call) that runs the calls
+submitted to it in order: from ``PAIR_NODES`` nodes on, the odd half-size
+eigenproblem while the even one runs here, the same LAPACK call on the same
+operands either way, so the bits do not depend on the route; and the
+audit's next block of probe draws, from two blocks on.  The gate counts
+the affinity mask's CPUs, capped by a cgroup v2 CPU quota.
 
 Both sweeps also take a stack along a leading axis: a source (P, M+1, n)
 and a datum (P, n) give P trajectories (P, M+1, n) in one march, whose GEMMs
@@ -56,7 +60,11 @@ array.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import copy
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +93,21 @@ from .operator import FracOperator
 # the audit at 40 x 30 (faster in 1 of 100 rounds) and 1.00 on the gamma sweep
 # at 120 x 60 (faster in 44 of 100; two runs of 50 alternating rounds each).
 FOLD_NODES = 150
+
+# Nodes from which ``centrosymmetric_eigh`` runs its odd half-size
+# eigenproblem on a ``second_thread`` while the even one runs here, where the
+# process may run on two CPUs: about 3 ms a side.  The pair waits for the
+# idle core to wake: 0.4-0.6 ms on two shared vCPUs, but 4-15 ms in 5 of 90
+# pairs timed after 0.4 s of single-threaded work, and longer while the host
+# steals time from the vCPUs.  Paired time over sequential time, median of
+# 10 to 30, 1 BLAS thread, right after the work before it in a run: 0.84-1.00
+# at 160 nodes, 0.82-0.94 at 200, 0.65 at 256, 0.68 at 300 and 0.61 at 400.
+# With OpenBLAS's default of one BLAS thread per CPU (two) the pair
+# oversubscribes the CPUs and is slower: 1.05 at 300 and 1.03-1.15 at 400
+# (medians of 30 and 60).  The gate sees the CPU affinity and a cgroup v2
+# CPU quota, not the BLAS's thread count.
+PAIR_NODES = 300
+
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
@@ -176,6 +199,77 @@ def step_factor(op: FracOperator, tgrid: TimeGrid) -> Propagator:
     return Propagator(op, tgrid)
 
 
+def _usable_cpus(root: str = "/") -> int:
+    """The affinity mask's CPU count, capped at floor(quota/period) of the
+    cgroup v2 ``cpu.max`` (under ``root``) of the process, if it has one."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    try:
+        with open(os.path.join(root, "proc/self/cgroup")) as fh:
+            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(os.path.join(root, "sys/fs/cgroup", group.lstrip("/"), "cpu.max")) as fh:
+            quota, period = fh.read().split()
+        return max(1, min(cpus, int(quota) // int(period)))
+    except (OSError, StopIteration, ValueError):  # int("max") is a ValueError
+        return cpus
+
+
+@contextlib.contextmanager
+def second_thread(wanted: bool):
+    """Yields ``submit``: ``submit(call)`` returns ``wait``, and ``wait()``
+    returns the call's value or raises its error.  When ``wanted`` and two
+    CPUs are usable, one short-lived thread, joined when the ``with`` block
+    exits, runs the calls in order; otherwise ``submit`` runs the call here.
+    One thread per block, not per call: ``Thread.start`` waits until the new
+    thread runs.  A call runs nothing the benchmark's tracer wraps (its span
+    stack is one thread's) and allocates no field (the thread's allocations
+    land in a second malloc arena)."""
+    threaded = wanted and _usable_cpus() >= 2
+
+    def submit(call):
+        outcome, done = {}, threading.Lock()
+        done.acquire()  # until the call has run
+
+        def run():
+            try:
+                outcome["value"] = call()
+            except BaseException as exc:  # raised at wait
+                outcome["error"] = exc
+            done.release()
+
+        if threaded:
+            calls.append(run)
+            pending.release()
+        else:
+            run()
+
+        def wait():
+            with done:
+                if "error" in outcome:
+                    raise outcome["error"]
+                return outcome["value"]
+
+        return wait
+
+    if not threaded:
+        yield submit
+        return
+    calls, pending = collections.deque(), threading.Semaphore(0)
+
+    def serve():
+        while pending.acquire() and (run := calls.popleft()):  # None ends it
+            run()
+
+    worker = threading.Thread(target=serve, name="lowregret-second")
+    worker.start()
+    try:
+        yield submit
+    finally:
+        calls.append(None)
+        pending.release()
+        worker.join()
+
+
 _HALF_ROOT = 0.5 ** 0.5
 
 
@@ -191,8 +285,8 @@ def centrosymmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     those of A11 - A12 J: two symmetric problems of half size (Cantoni and
     Butler 1976).  For odd n the even block gains the centre node,
     x = (y, sqrt(2) w, Jy)/sqrt(2), which couples to the rest with weight
-    sqrt(2).  Only the leading rows of A are read, and the even half is
-    solved before the odd one.
+    sqrt(2).  Only the leading rows of A are read; from ``PAIR_NODES`` on,
+    the odd half runs on a ``second_thread`` while the even half runs here.
     Returns lam (even modes first), V[:c, :c] and V[:k, c:] with c = n - k;
     the trailing rows are their mirror images, V[c:, :c] = J V[:k, :c] and
     V[c:, c:] = -J V[:k, c:], and the centre row of the odd modes is zero.
@@ -206,8 +300,10 @@ def centrosymmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     if c > k:  # the centre row and column of the sum hold 2 a and 2 A_cc
         even[k] *= _HALF_ROOT
         even[:, k] *= _HALF_ROOT
-    lam_even, y = _symmetric_eigh(even)
-    lam_odd, z = _symmetric_eigh(odd)
+    with second_thread(n >= PAIR_NODES) as submit:
+        odd_half = submit(lambda: _symmetric_eigh(odd))
+        lam_even, y = _symmetric_eigh(even)
+        lam_odd, z = odd_half()
     y[:k] *= _HALF_ROOT  # the centre row, if any, is already V[k, :c]
     z *= _HALF_ROOT
     return np.concatenate((lam_even, lam_odd)), y, z
@@ -313,10 +409,15 @@ def solve_forward(prop: Propagator, source: np.ndarray | None, initial: np.ndarr
     return q
 
 
-def solve_backward(prop: Propagator, source: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+def solve_backward(
+    prop: Propagator, source: np.ndarray, terminal: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The backward trajectory to ``terminal``, written into ``out`` if given:
+    an array of the trajectory's shape, which may be ``source`` itself, as
+    each step reads its source slice before it writes that slice."""
     rows, terminal = _checked_data(prop, source, terminal, "terminal datum")
     # the forward march on the reversed source, whose step j is time M+1-j
-    xi = _trajectory(prop, rows, terminal)
+    xi = _trajectory(prop, rows, terminal) if out is None else out
     _march(prop, rows[..., ::-1, :], terminal, xi[..., :0:-1, :])
     xi[..., 0, :] = xi[..., 1, :]  # t=0 trace
     _require_finite(xi, "backward trajectory")  # slice 0 copies slice 1
@@ -324,7 +425,7 @@ def solve_backward(prop: Propagator, source: np.ndarray, terminal: np.ndarray) -
 
 
 # Bytes of dt * source that a defect subtracts at a time, so that a defect
-# holds no field beyond its own.
+# holds no field beyond its own (``optimizer`` forms phi's source so too).
 _DEFECT_BLOCK_BYTES = 16384
 
 

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolution import backward_defect, forward_defect, solve_backward, solve_forward
+from .evolution import _DEFECT_BLOCK_BYTES, backward_defect, forward_defect, solve_backward, solve_forward
 from .functional import RegretConfig, reduced_cost, solve_uncertainty_adjoint
 from .grids import (
     ParameterError, _check_positive, _check_space_time, norm_omega, norm_q
@@ -135,7 +135,7 @@ def apply_normal_operator(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
     source += sv  # sv + propagated / gamma
     del sv
     out = solve_backward(prop, source, zero)
-    out += cfg.control_weight * v
+    out += np.multiply(v, cfg.control_weight, out=source)  # source is read: its buffer is free
     out[0] = 0.0
     return out
 
@@ -147,8 +147,13 @@ def _first_order_system(v: np.ndarray, cfg: RegretConfig):
     state = solve_forward(prop, cfg.f + v, zero)
     xi = solve_uncertainty_adjoint(v, cfg)
     psi = solve_forward(prop, None, -xi[0] / root_gamma)
-    phi = solve_backward(prop, (state - cfg.z_d) - psi / root_gamma, zero)
-    return state, xi, psi, phi
+    # (state - z_d) - psi/sqrt(gamma), formed in one field, psi/sqrt(gamma)
+    # a block of rows at a time, which the backward sweep overwrites with phi
+    phi = state - cfg.z_d
+    rows = max(1, _DEFECT_BLOCK_BYTES // (8 * phi.shape[-1]))
+    for start in range(0, len(phi), rows):
+        phi[start:start + rows] -= psi[start:start + rows] / root_gamma
+    return state, xi, psi, solve_backward(prop, phi, zero, out=phi)
 
 
 def reduced_gradient(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:

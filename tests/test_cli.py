@@ -544,23 +544,6 @@ class TestRunCommand:
             assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
         assert numeric_warnings(capsys.readouterr().err) == message
 
-    @pytest.mark.parametrize("command", ["run", "audit", "sweep"])
-    @pytest.mark.parametrize("half", ["even", "odd"])
-    def test_a_failed_eigendecomposition_exits_three(self, monkeypatch, tmp_path, capsys, half, command):
-        # at 12 nodes both halves are 6 x 6; the even one is solved first
-        eigh, calls = evolution._symmetric_eigh, []
-
-        def failing(block):
-            calls.append(len(block))
-            if len(calls) == (1 if half == "even" else 2):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(block)
-
-        monkeypatch.setattr(evolution, "_symmetric_eigh", failing)
-        assert main([command, write_config(tmp_path, config_dict()), "--out", str(tmp_path / "out"), "--quiet"]) == 3
-        assert calls == [6] * (1 if half == "even" else 2)
-        assert "run failed: Eigenvalues did not converge" in capsys.readouterr().err
-
     @pytest.mark.parametrize("origin", ["--out", "out_dir", "LOWREGRET_OUT"])
     def test_unwritable_output_exits_two_before_computing(
         self, tmp_path, capsys, monkeypatch, origin
@@ -696,7 +679,9 @@ class TestAuditCommand:
         probe_lines = (out / "audit_probe_residuals.csv").read_text().splitlines()
         assert len(probe_lines) == 1 + report["metrics"]["probes"]
 
-    def test_zero_probe_audit_writes_an_empty_probe_table(self, tmp_path):
+    @pytest.mark.parametrize("cpus", [1, 2])  # the draws inline, or ahead where a block allows
+    def test_zero_probe_audit_writes_an_empty_probe_table(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
         path = write_config(tmp_path, config_dict(probes=0))
         out = tmp_path / "out"
         assert main(["audit", path, "--out", str(out), "--quiet"]) == 0
@@ -777,18 +762,18 @@ class TestAuditCommand:
         assert swept == {"solve_forward": 1 + 5 * 7, "solve_backward": 2 * 7}
         assert calls == {"solve_forward": 1 + 5 * 3, "solve_backward": 2 * 3}
 
-    @pytest.mark.parametrize("per_block", [1, 2, 3, 6])
-    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, per_block):
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
         raw = config_dict(scenario="audit", probes=7, probe_presets=["sine(2,0.5)", "gauss(0,0.3,1)"])
-        whole = execute_scenario(parse_scenario(raw))  # the 7 probes are one block at 12 x 8
-        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", per_block * 8 * 9 * 12)
         blocked = execute_scenario(parse_scenario(raw))
-        assert (blocked.metrics, blocked.tables) == (whole.metrics, whole.tables)
+        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 1)  # one probe per block
+        single = execute_scenario(parse_scenario(raw))
+        assert (single.metrics, single.tables) == (blocked.metrics, blocked.tables)
 
     @staticmethod
     def record_draws(monkeypatch, fail_at=None):
-        """Give the audit a generator that keeps a copy of each block it
-        draws; draw ``fail_at`` raises instead (and keeps None)."""
+        """Give the audit a generator that keeps, for each block it draws, a
+        copy of the block and whether it was drawn on the main thread; draw
+        ``fail_at`` raises instead."""
         draws, default_rng = [], np.random.default_rng
 
         class Recording:
@@ -796,17 +781,18 @@ class TestAuditCommand:
                 self.draw = default_rng(seed).standard_normal
 
             def standard_normal(self, out):
+                on_main = threading.current_thread() is threading.main_thread()
                 if len(draws) == fail_at:
-                    draws.append(None)
+                    draws.append((on_main, None))
                     raise ValueError(f"draw of block {fail_at} failed")
-                draws.append(self.draw(out=out).copy())
+                draws.append((on_main, self.draw(out=out).copy()))
                 return out
 
         monkeypatch.setattr(cli.np.random, "default_rng", Recording)
         return draws
 
-    @pytest.mark.parametrize("per_block, blocks", [(1, [1] * 8), (2, [2] * 4), (3, [3, 3, 2]), (8, [8])])
-    def test_block_draws_equal_the_per_probe_draws(self, monkeypatch, per_block, blocks):
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_block_draws_equal_the_per_probe_draws(self, monkeypatch, cpus):
         # one bulk draw per block, each row a probe's v, g, a and b, gives the
         # bits of drawing each field of each probe in turn
         presets = ["sine(2,0.5)", "gauss(0,0.3,1)"]
@@ -814,12 +800,14 @@ class TestAuditCommand:
         grid, tgrid = sc.problem.grid, sc.problem.tgrid
         preset_data = [spatial_profile(text, grid) for text in presets]
         rng = np.random.default_rng(sc.seed)
-        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", per_block * 8 * 9 * 12)  # probes at 12 x 8
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 3 * 8 * 9 * 12)  # 3 probes at 12 x 8
         draws, probes, probe = self.record_draws(monkeypatch), [], cli.Probe
         monkeypatch.setattr(cli, "Probe", lambda v, g, cfg: probes.append((v.copy(), g.copy())) or probe(v, g, cfg))
         assert execute_scenario(sc).success
-        assert [len(block) for block in draws] == blocks
-        rows = np.concatenate(draws)
+        assert [len(block) for _, block in draws] == [3, 3, 2]
+        assert [on_main for on_main, _ in draws] == [True] + [cpus == 1] * 2
+        rows = np.concatenate([block for _, block in draws])
         vs, gs = (np.concatenate(x) for x in zip(*probes))
         for k, row in enumerate(rows):
             expected = {}
@@ -829,8 +817,28 @@ class TestAuditCommand:
             assert np.array_equal(vs[k][1:], expected["v"]) and not vs[k][0].any()
             assert np.array_equal(gs[k], expected["g"] + preset_data[k % len(preset_data)])
 
+    def test_reports_do_not_depend_on_the_drawing_route(self, monkeypatch):
+        raw = config_dict(scenario="audit", probes=7, probe_presets=["sine(2,0.5)", "gauss(0,0.3,1)"])
+        reports = {}
+        for route in ("ahead", "inline", "single"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "AUDIT_BLOCK_BYTES", 1 if route == "single" else 2 * 8 * 9 * 12)
+                mp.setattr(evolution, "_usable_cpus", lambda: 1 if route == "inline" else 2)
+                report = execute_scenario(parse_scenario(raw))
+            reports[route] = report.metrics, report.tables
+        assert reports["ahead"] == reports["inline"] == reports["single"]
+
+    def test_no_thread_outlives_an_audit_run(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        draws = self.record_draws(monkeypatch)
+        threads = threading.active_count()
+        assert run_scenario(AUDIT_CONFIG, scenario="audit", out_dir=str(tmp_path / "out")).success
+        assert threading.active_count() == threads
+        assert [on_main for on_main, _ in draws] == [True, False]  # configs/audit.json drew ahead
+
     @pytest.mark.parametrize("failing", ["sweep", "draw"])
     def test_an_error_in_block_2_reaches_main_as_exit_3(self, monkeypatch, tmp_path, capsys, failing):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 2 * 8 * 9 * 12)  # 2 probes at 12 x 8
         draws = self.record_draws(monkeypatch, fail_at=1 if failing == "draw" else None)
         backward, calls = cli.solve_backward, []
@@ -843,15 +851,17 @@ class TestAuditCommand:
 
         if failing == "sweep":
             monkeypatch.setattr(cli, "solve_backward", failing_in_block_2)
+        threads = threading.active_count()
         path = write_config(tmp_path, config_dict(probes=7))
         assert main(["audit", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        assert threading.active_count() == threads
         err = capsys.readouterr().err
         if failing == "sweep":
             assert "run failed: backward trajectory must be finite" in err
             assert len(calls) == 2
         else:
             assert "run failed: draw of block 1 failed" in err
-            assert len(draws) == 2 and draws[1] is None
+            assert draws[1] == (False, None)  # raised on the thread, reported by main
 
     def test_probe_columns_equal_the_composed_oracle(self, tmp_path):
         out = tmp_path / "out"
@@ -921,59 +931,92 @@ class TestSweepBudget:
         assert sweeps == 1 + 5 * (1 + 8) + 4 * (sum(iterations) + 4) + 2
 
 
-class TestThreads:
-    """Solves and sweeps run on the calling thread; an audit of two probe
-    blocks or more starts one worker thread, which draws each next block, and
-    joins it before it returns."""
+class TestPairedRoutes:
+    """From ``evolution.PAIR_NODES`` nodes the eigendecomposition's odd half
+    runs on a short-lived thread (``evolution.second_thread``) while the even
+    half runs here; each is the same LAPACK call on the same operands either
+    way."""
 
-    @pytest.mark.parametrize("case, threads", [
-        ("shipped run", 0), ("400-node run", 0), ("one-block audit", 0), ("blocked audit", 1),
-        ("folded audit", 0), ("sweep", 0),
-    ])
-    def test_only_a_blocked_audit_starts_a_thread(self, monkeypatch, tmp_path, case, threads):
-        if case == "shipped run":
-            command, path = "run", SOLVE_CONFIG
-        elif case == "400-node run":  # above the size that once paired the eigenproblem's halves
-            with open(SOLVE_CONFIG) as fh:
-                raw = json.load(fh)
-            raw["domain"]["nodes"], raw["time"]["steps"] = 400, 20
-            command, path = "run", write_config(tmp_path, raw)
-        elif case == "blocked audit":  # the shipped audit's probes are 2 blocks
-            command, path = "audit", AUDIT_CONFIG
-            sc = load_scenario(path)
-            assert sc.probes > cli.AUDIT_BLOCK_BYTES // (8 * (sc.steps + 1) * sc.nodes)
-        elif case == "one-block audit":  # 4 probes at 12 x 8
-            command, path = "audit", write_config(tmp_path, config_dict())
-        elif case == "folded audit":  # a basis change on the half blocks, not the dense V
-            command, path = "audit", write_config(tmp_path, config_dict(
-                domain={"x_left": -1.0, "x_right": 1.0, "nodes": evolution.FOLD_NODES},
-                time={"horizon": 1.0, "steps": 4}, probes=2,
-            ))
-        else:
-            command, path = "sweep", SWEEP_CONFIG
-        started, alive = threads_started(monkeypatch), threading.active_count()
-        assert main([command, path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
-        assert len(started) == threads
-        assert threading.active_count() == alive
+    @staticmethod
+    def use(monkeypatch, route):
+        """Pair at every size on two CPUs ("paired"), want the pair at every
+        size on one CPU ("sequential"), or pair nowhere ("ungated")."""
+        monkeypatch.setattr(evolution, "PAIR_NODES", 10**9 if route == "ungated" else 1)
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 1 if route == "sequential" else 2)
 
-    def test_the_worker_draws_every_block_after_the_first(self, monkeypatch):
-        monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 2 * 8 * 9 * 12)  # 2 probes at 12 x 8
-        drawn_on, default_rng = [], np.random.default_rng
+    def test_routes_are_bit_identical(self, tmp_path):
+        path = write_config(tmp_path, config_dict(
+            domain={"x_left": -1.0, "x_right": 1.0, "nodes": 41}, time={"horizon": 1.0, "steps": 12},
+        ))
+        matrix = lr.assemble_operator(build_grid(-1.0, 1.0, 41), 0.5).matrix
+        results = {}
+        for route in ("paired", "sequential", "ungated"):
+            with pytest.MonkeyPatch.context() as mp:
+                self.use(mp, route)
+                halves = evolution.centrosymmetric_eigh(matrix)
+                cfg = load_scenario(path).problem
+                residuals = lr.optimality_residuals(lr.solve_low_regret(cfg))
+                out = tmp_path / route
+                assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"}
+            results[route] = halves, residuals, files
+        paired = results.pop("paired")
+        for halves, residuals, files in results.values():
+            assert all(np.array_equal(a, b) for a, b in zip(halves, paired[0]))
+            assert residuals == paired[1]
+            assert files == paired[2] and "report.json" in files
 
-        class Recording:
-            def __init__(self, seed):
-                self.draw = default_rng(seed).standard_normal
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_no_thread_outlives_a_run_above_the_gate(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        started = threads_started(monkeypatch)
+        path = write_config(tmp_path, config_dict(
+            domain={"x_left": -1.0, "x_right": 1.0, "nodes": evolution.PAIR_NODES},
+            time={"horizon": 1.0, "steps": 20},
+        ))
+        threads = threading.active_count()
+        assert run_scenario(path, out_dir=str(tmp_path / "out")).success
+        assert threading.active_count() == threads
+        assert started == ["lowregret-second"] * (cpus == 2)
 
-            def standard_normal(self, out):
-                drawn_on.append((len(out), threading.get_ident()))
-                return self.draw(out=out)
+    def test_only_the_400_node_benchmark_workload_pairs(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        started = threads_started(monkeypatch)
+        for scenario, nodes, steps in (("sweep", 120, 60), ("audit", 40, 30), ("solve", 400, 200)):
+            execute_scenario(parse_scenario(config_dict(
+                scenario=scenario,
+                domain={"x_left": -1.0, "x_right": 1.0, "nodes": nodes},
+                time={"horizon": 1.0, "steps": steps},
+            )))
+        assert started == ["lowregret-second"]  # the audit's 4 probes are one block
 
-        monkeypatch.setattr(cli.np.random, "default_rng", Recording)
-        assert execute_scenario(parse_scenario(config_dict(scenario="audit", probes=7))).success
-        here = threading.get_ident()
-        assert [size for size, _ in drawn_on] == [2, 2, 2, 1]
-        assert drawn_on[0][1] == here
-        assert len({ident for _, ident in drawn_on[1:]}) == 1 and drawn_on[1][1] != here
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_the_benchmark_audit_starts_one_thread_for_all_its_blocks(self, monkeypatch, cpus):
+        # audit-probes' size at seed 0: 200 probes at 40 x 30 are 11 blocks,
+        # whose 10 draws ahead share one thread, not one thread each
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        started = threads_started(monkeypatch)
+        sc = benchmark_audit()
+        assert -(-sc.probes // (cli.AUDIT_BLOCK_BYTES // (8 * 31 * 40))) == 11
+        assert execute_scenario(sc).success
+        assert started == ["lowregret-second"] * (cpus == 2)
+
+    def test_an_error_on_the_thread_reaches_the_cli_as_exit_3(self, monkeypatch, tmp_path, capsys):
+        eigh, raised = evolution._symmetric_eigh, []
+
+        def failing_off_the_main_thread(block):
+            if threading.current_thread() is threading.main_thread():
+                return eigh(block)
+            raised.append(len(block))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(evolution, "_symmetric_eigh", failing_off_the_main_thread)
+        self.use(monkeypatch, "paired")
+        threads = threading.active_count()
+        assert main(["run", write_config(tmp_path, config_dict()), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        assert raised == [6]  # the odd half of 12 nodes
+        assert threading.active_count() == threads
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestAuditMemory:
@@ -1000,12 +1043,13 @@ class TestAuditMemory:
         assert abs(peaks[200] - peaks[20]) <= 0.5e6
         assert max(peaks.values()) < 4e6
 
-    def test_the_benchmark_audit_peaks_no_higher_with_larger_blocks(self):
+    def test_the_benchmark_audit_peaks_no_higher_with_larger_blocks(self, monkeypatch):
         # audit-probes' size: 200 probes in 19-probe blocks, each field freed
         # at its last reader, peak at about 1.962e6 bytes.  13-probe blocks
         # that kept a block's fields until the next block replaced them
         # peaked at 2,031,550 bytes or more (2 CPUs, numpy 2.4), and so did
         # 19-probe blocks that kept the previous block's probe alive
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
         assert self.peaks(200)[200] <= 2_031_550
 
 

@@ -1,6 +1,7 @@
 """Forward/backward implicit Euler: recursions, transpose and duality identities."""
 
 import dataclasses
+import sys
 import threading
 
 import numpy as np
@@ -26,6 +27,8 @@ from lowregret import (
     superposition_residual,
     zeros_space_time,
 )
+
+from conftest import threads_started
 
 
 def setup(n=24, steps=12, s=0.5, horizon=1.0, interval=(-1.0, 1.0)):
@@ -352,6 +355,147 @@ class TestEigenbasisSweeps:
         assert np.array_equal(run_sweep(sweep, view, src, datum), np.array(expected))
 
 
+class TestSecondThread:
+    """``second_thread`` runs the calls submitted in its ``with`` block on one
+    short-lived thread, in order, where it is wanted and two CPUs are usable,
+    and joins it when the block exits; otherwise each runs at ``submit``."""
+
+    @staticmethod
+    def gate(monkeypatch, cpus):
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+
+    def test_runs_the_calls_in_order_on_one_other_thread(self, monkeypatch):
+        self.gate(monkeypatch, 2)
+        started, threads, log = threads_started(monkeypatch), threading.active_count(), []
+
+        def call(k):
+            log.append((k, threading.get_ident()))
+            return 10 * k
+
+        with evolution.second_thread(True) as submit:
+            waits = [submit(lambda k=k: call(k)) for k in range(20)]
+            assert [wait() for wait in waits] == [10 * k for k in range(20)]
+        assert threading.active_count() == threads
+        assert started == ["lowregret-second"]
+        assert [k for k, _ in log] == list(range(20))
+        assert len({ident for _, ident in log}) == 1 and log[0][1] != threading.get_ident()
+
+    @pytest.mark.parametrize("cpus, wanted", [(1, True), (2, False), (8, False)])
+    def test_the_unthreaded_route_runs_each_call_at_submit(self, monkeypatch, cpus, wanted):
+        self.gate(monkeypatch, cpus)
+        started, log = threads_started(monkeypatch), []
+        with evolution.second_thread(wanted) as submit:
+            for k in range(3):
+                wait = submit(lambda k=k: log.append((k, threading.get_ident())) or k)
+                assert log[-1] == (k, threading.get_ident())  # before its wait
+                assert wait() == k
+        assert started == []
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_wait_raises_the_calls_error_and_the_thread_is_joined(self, monkeypatch, cpus):
+        self.gate(monkeypatch, cpus)
+        threads = threading.active_count()
+
+        def failing():
+            raise KeyError("call")
+
+        with pytest.raises(KeyError) as raised:
+            with evolution.second_thread(True) as submit:
+                later = submit(failing)
+                assert submit(lambda: 3)() == 3  # a failed call does not stop the next
+                later()
+        assert raised.value.args == ("call",)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_an_error_in_the_caller_joins_the_thread(self, monkeypatch, cpus):
+        self.gate(monkeypatch, cpus)
+        threads, log = threading.active_count(), []
+        with pytest.raises(ValueError, match="caller"):
+            with evolution.second_thread(True) as submit:
+                submit(lambda: log.append(threading.get_ident()))
+                raise ValueError("caller")
+        assert threading.active_count() == threads
+        assert len(log) == 1  # the submitted call ran all the same
+
+    def test_every_wait_sees_its_own_call_under_fast_switching(self, monkeypatch):
+        # one buffer shared by the two threads: a copy that overlapped the
+        # next fill would hold a mix of two blocks
+        self.gate(monkeypatch, 2)
+        buf, copies = np.empty(4096), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with evolution.second_thread(True) as submit:
+                filled = submit(lambda: buf.fill(0))
+                for k in range(500):
+                    filled()
+                    copies.append(buf.copy())
+                    filled = submit(lambda k=k: buf.fill(k + 1))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(copy, np.full(buf.shape, k)) for k, copy in enumerate(copies))
+        assert not [t for t in threading.enumerate() if t.name == "lowregret-second"]
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("failing", [("even",), ("odd",), ("even", "odd")])
+    def test_the_even_halfs_error_comes_before_the_odd_halfs(self, monkeypatch, cpus, failing):
+        # the eigendecomposition runs its odd half on the thread and its even
+        # half here; both routes raise the same error
+        self.gate(monkeypatch, cpus)
+        monkeypatch.setattr(evolution, "PAIR_NODES", 1)
+        matrix = assemble_operator(build_grid(-1.0, 1.0, 12), 0.5).matrix
+
+        def half(block):  # the even and odd halves of 12 nodes are both 6 x 6
+            name = "odd" if block[0, 0] == odd_corner else "even"
+            if name in failing:
+                raise np.linalg.LinAlgError(name)
+            return eigh(block)
+
+        eigh = evolution._symmetric_eigh
+        odd_corner = matrix[0, 0] - matrix[0, -1]
+        monkeypatch.setattr(evolution, "_symmetric_eigh", half)
+        threads = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            evolution.centrosymmetric_eigh(matrix)
+        assert raised.value.args == (failing[0],)
+        assert threading.active_count() == threads
+
+
+class TestUsableCpus:
+    """The gate's CPU count: the affinity mask, capped by a cgroup v2 quota."""
+
+    @staticmethod
+    def cgroup(root, cpu_max=None, line="0::/box"):
+        (root / "proc" / "self").mkdir(parents=True)
+        (root / "proc" / "self" / "cgroup").write_text(f"4:memory:/other\n{line}\n")
+        (root / "sys" / "fs" / "cgroup" / "box").mkdir(parents=True)
+        if cpu_max is not None:
+            (root / "sys" / "fs" / "cgroup" / "box" / "cpu.max").write_text(cpu_max + "\n")
+        return str(root)
+
+    @pytest.mark.parametrize("cpu_max, cpus", [
+        ("max 100000", 4), ("50000 100000", 1), ("250000 100000", 2), ("800000 100000", 4),
+    ])
+    def test_the_quota_caps_the_affinity_count(self, monkeypatch, tmp_path, cpu_max, cpus):
+        monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert evolution._usable_cpus(self.cgroup(tmp_path, cpu_max)) == cpus
+
+    @pytest.mark.parametrize("layout", ["no cpu.max", "no v2 line", "no cgroup file"])
+    def test_no_quota_file_is_no_cap(self, monkeypatch, tmp_path, layout):
+        monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+        if layout == "no cpu.max":
+            root = self.cgroup(tmp_path)
+        elif layout == "no v2 line":
+            root = self.cgroup(tmp_path, "50000 100000", line="1:cpu:/box")
+        else:
+            root = str(tmp_path)
+        assert evolution._usable_cpus(root) == 3
+
+    def test_this_process_counts_at_least_one_cpu(self):
+        assert 1 <= evolution._usable_cpus() <= len(evolution.os.sched_getaffinity(0))
+
+
 class TestBulkDraws:
     def test_one_bulk_draw_continues_the_stream_of_per_field_draws(self):
         # the audit draws a block of probes in one call where it drew each
@@ -391,7 +535,8 @@ class TestEigensolver:
         blocks, eigh = [], evolution._symmetric_eigh
         monkeypatch.setattr(evolution, "_symmetric_eigh", lambda b: blocks.append(b.copy()) or eigh(b))
         evolution.centrosymmetric_eigh(assemble_operator(build_grid(-1.0, 1.0, n), s).matrix)
-        assert [len(block) for block in blocks] == [n - n // 2, n // 2]  # the even half first
+        # the two halves may run as a pair, so in either order
+        assert sorted(len(block) for block in blocks) == sorted([n - n // 2, n // 2])
         for block in blocks:
             lam, vectors = eigh(block.copy())
             ref_lam, ref_vectors, info = dsyevd(block.T)
@@ -399,46 +544,6 @@ class TestEigensolver:
             assert np.array_equal(lam, ref_lam)
             assert np.array_equal(vectors, ref_vectors)
             assert vectors.flags.f_contiguous and ref_vectors.flags.f_contiguous
-
-
-class TestSequentialHalves:
-    """``centrosymmetric_eigh`` solves the even half-size eigenproblem and
-    then the odd one, both on the calling thread."""
-
-    @pytest.mark.parametrize("n", [1, 2, 11, 12, 41, 400, 401])
-    def test_the_even_half_is_solved_first_on_the_calling_thread(self, monkeypatch, n):
-        matrix = assemble_operator(build_grid(-1.0, 1.0, n), 0.5).matrix
-        calls, eigh = [], evolution._symmetric_eigh
-
-        def recording(block):
-            calls.append((block.copy(), threading.get_ident()))
-            return eigh(block)
-
-        monkeypatch.setattr(evolution, "_symmetric_eigh", recording)
-        evolution.centrosymmetric_eigh(matrix)
-        assert [len(block) for block, _ in calls] == [n - n // 2, n // 2]
-        assert [ident for _, ident in calls] == [threading.get_ident()] * 2
-        if n > 1:  # the corner of the even block is a_00 + a_0,n-1, of the odd a_00 - a_0,n-1
-            assert calls[0][0][0, 0] == matrix[0, 0] + matrix[0, -1]
-            assert calls[1][0][0, 0] == matrix[0, 0] - matrix[0, -1]
-
-    @pytest.mark.parametrize("failing", [("even",), ("odd",), ("even", "odd")])
-    def test_the_even_halfs_error_comes_before_the_odd_halfs(self, monkeypatch, failing):
-        matrix = assemble_operator(build_grid(-1.0, 1.0, 12), 0.5).matrix
-        odd_corner, eigh, solved = matrix[0, 0] - matrix[0, -1], evolution._symmetric_eigh, []
-
-        def half(block):  # the even and odd halves of 12 nodes are both 6 x 6
-            name = "odd" if block[0, 0] == odd_corner else "even"
-            solved.append(name)
-            if name in failing:
-                raise np.linalg.LinAlgError(name)
-            return eigh(block)
-
-        monkeypatch.setattr(evolution, "_symmetric_eigh", half)
-        with pytest.raises(np.linalg.LinAlgError) as raised:
-            evolution.centrosymmetric_eigh(matrix)
-        assert raised.value.args == (failing[0],)
-        assert solved == ["even", "odd"][:1 if failing[0] == "even" else 2]  # no odd half after a failed even one
 
 
 class TestBasisChange:
