@@ -32,7 +32,7 @@ from lowregret.functional import check_parameters
 from lowregret.optimizer import check_gammas
 from lowregret.presets import parse_profile, space_time_field, spatial_profile
 
-from conftest import composed_identities, count_calls, patch_everywhere, threads_started
+from conftest import composed_identities, count_calls, patch_everywhere, threads_started, traced_peak
 
 AUDIT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "audit.json")
 SOLVE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "solve.json")
@@ -1017,6 +1017,21 @@ class TestPairedRoutes:
         assert raised == [6]  # the odd half of 12 nodes
         assert threading.active_count() == threads
         assert "did not converge" in capsys.readouterr().err
+
+
+class TestSolveMemory:
+    def test_a_benchmark_sized_solve_peaks_below_sixteen_fields(self, tmp_path):
+        # 400 x 200, as perfbench's solve-fine: before the modal factors were
+        # freed ahead of the residuals, the control adjoint swept in place and
+        # the H-apply's last product written into its spent source, the
+        # peak was 16.13 fields; without any one of the three, 16.0-16.1
+        with open(SOLVE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["domain"]["nodes"], raw["time"]["steps"] = 400, 200
+        path = write_config(tmp_path, raw)
+        execute_scenario(load_scenario(path))  # first-call allocations stay out of the peak
+        peak = traced_peak(lambda: execute_scenario(load_scenario(path)))
+        assert peak / (201 * 400 * 8) <= 15.8
 
 
 class TestAuditMemory:

@@ -628,6 +628,22 @@ class TestStackedSweeps:
                 for p in range(stack):
                     assert np.array_equal(marched[p], sweep(prop, src[p], datum[p]))
 
+    @pytest.mark.parametrize("n", [41, evolution.FOLD_NODES])  # a dense and a folded basis change
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_a_backward_sweep_into_its_own_source_equals_a_fresh_one(self, n, stack):
+        physical, grid, tgrid = setup(n=n, steps=6)
+        rng = np.random.default_rng(n + len(stack))
+        src = rng.normal(size=stack + (tgrid.steps + 1, grid.n))
+        terminal = rng.normal(size=stack + (grid.n,))
+        for prop in (physical, physical.in_modes()):  # on V, and on V = I
+            fresh = solve_backward(prop, src, terminal)
+            buf = src.copy()
+            assert solve_backward(prop, buf, terminal, out=buf) is buf
+            assert np.array_equal(buf, fresh)
+            other = np.full_like(src, np.nan)
+            assert solve_backward(prop, src, terminal, out=other) is other
+            assert np.array_equal(other, fresh)
+
     @pytest.mark.parametrize("sweep", [solve_forward, solve_backward])
     def test_an_unstacked_operand_is_shared_by_every_entry(self, sweep):
         for n in (41, evolution.FOLD_NODES):  # a dense and a folded basis change
