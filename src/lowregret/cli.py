@@ -289,8 +289,8 @@ def _execute_solve(sc: ScenarioConfig) -> tuple[dict, dict, bool]:
     grid, tgrid = cfg.grid, cfg.tgrid
     log.info("solving at gamma=%g (n=%d, M=%d, s=%g)", cfg.gamma, grid.n, tgrid.steps, cfg.s)
     bundle = solve_low_regret(cfg)
-    # the residuals read no modal factor: their three n x M arrays are freed
-    # first, so that the solve's peak memory is its sweeps', not theirs
+    # the residuals read no modal factor: the factors' three n x M arrays
+    # are freed before the residuals allocate
     cfg.__dict__.pop("modes")
     residuals = optimality_residuals(bundle)
     control_norm = norm_q(bundle.control, grid, tgrid)

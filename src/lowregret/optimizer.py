@@ -135,7 +135,7 @@ def apply_normal_operator(v: np.ndarray, cfg: RegretConfig) -> np.ndarray:
     source += sv  # sv + propagated / gamma
     del sv
     out = solve_backward(prop, source, zero)
-    out += np.multiply(v, cfg.control_weight, out=source)  # source is read: its buffer is free
+    out += np.multiply(v, cfg.control_weight, out=source)  # the sweep has read source
     out[0] = 0.0
     return out
 
