@@ -10,9 +10,9 @@ and a refused config creates no output directory.  Every run writes
 ``report.json`` plus per-metric CSV plot data into the output directory;
 wall-clock timings go to a separate ``timings.json`` so that reports from
 identical config and seed are byte-identical; ``timings.json`` also names
-the BLAS and its thread settings.  Threads: on two CPUs, an
-audit of two probe blocks or more draws each next block, and a problem of
-``evolution.PAIR_NODES`` nodes or more solves half its eigenproblem, on a
+the BLAS and its thread settings.  Threads: an audit of two probe blocks
+or more draws each next block, and a problem of ``evolution.PAIR_NODES``
+nodes or more solves half its eigenproblem, on a
 ``evolution.second_thread``, joined before the call that started it ends.
 
 Output directory resolution: ``--out`` flag, else the config's ``out_dir``
@@ -264,11 +264,11 @@ def parse_scenario(raw: dict, scenario: str | None = None, seed: int | None = No
 
 def load_scenario(config_path, scenario: str | None = None, seed: int | None = None) -> ScenarioConfig:
     try:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(str(config_path), f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
         raise ConfigError(str(config_path), f"not valid JSON: {exc}") from None
     return parse_scenario(raw, scenario, seed)
 

@@ -45,8 +45,8 @@ thread per ``with`` block (never one per call) that runs the calls
 submitted to it in order: from ``PAIR_NODES`` nodes on, the odd half-size
 eigenproblem while the even one runs here, the same LAPACK call on the same
 operands either way, so the bits do not depend on the route; and the
-audit's next block of probe draws, from two blocks on.  The gate counts
-the affinity mask's CPUs, capped by a cgroup v2 CPU quota.
+audit's next block of probe draws, from two blocks on.  The thread starts
+on the work alone: it does not ask how many CPUs the process may use.
 
 Both sweeps also take a stack along a leading axis: a source (P, M+1, n)
 and a datum (P, n) give P trajectories (P, M+1, n) in one march, whose GEMMs
@@ -63,7 +63,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import copy
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -95,17 +94,16 @@ from .operator import FracOperator
 FOLD_NODES = 150
 
 # Nodes from which ``centrosymmetric_eigh`` runs its odd half-size
-# eigenproblem on a ``second_thread`` while the even one runs here, where the
-# process may run on two CPUs: about 3 ms a side.  The pair waits for the
-# idle core to wake: 0.4-0.6 ms on two shared vCPUs, but 4-15 ms in 5 of 90
-# pairs timed after 0.4 s of single-threaded work, and longer while the host
-# steals time from the vCPUs.  Paired time over sequential time, median of
-# 10 to 30, 1 BLAS thread, right after the work before it in a run: 0.84-1.00
-# at 160 nodes, 0.82-0.94 at 200, 0.65 at 256, 0.68 at 300 and 0.61 at 400.
+# eigenproblem on a ``second_thread`` while the even one runs here: about 3 ms
+# a side.  The pair waits for the idle core to wake: 0.4-0.6 ms on two shared
+# vCPUs, but 4-15 ms in 5 of 90 pairs timed after 0.4 s of single-threaded
+# work, and longer while the host steals time from the vCPUs.  Paired time
+# over sequential time, median of 10 to 30, 1 BLAS thread, right after the
+# work before it in a run: 0.84-1.00 at 160 nodes, 0.82-0.94 at 200, 0.65 at
+# 256, 0.68 at 300 and 0.61 at 400.
 # With OpenBLAS's default of one BLAS thread per CPU (two) the pair
 # oversubscribes the CPUs and is slower: 1.05 at 300 and 1.03-1.15 at 400
-# (medians of 30 and 60).  The gate sees the CPU affinity and a cgroup v2
-# CPU quota, not the BLAS's thread count.
+# (medians of 30 and 60).
 PAIR_NODES = 300
 
 
@@ -199,32 +197,16 @@ def step_factor(op: FracOperator, tgrid: TimeGrid) -> Propagator:
     return Propagator(op, tgrid)
 
 
-def _usable_cpus(root: str = "/") -> int:
-    """The affinity mask's CPU count, capped at floor(quota/period) of the
-    cgroup v2 ``cpu.max`` (under ``root``) of the process, if it has one."""
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    try:
-        with open(os.path.join(root, "proc/self/cgroup")) as fh:
-            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        with open(os.path.join(root, "sys/fs/cgroup", group.lstrip("/"), "cpu.max")) as fh:
-            quota, period = fh.read().split()
-        return max(1, min(cpus, int(quota) // int(period)))
-    except (OSError, StopIteration, ValueError):  # int("max") is a ValueError
-        return cpus
-
-
 @contextlib.contextmanager
 def second_thread(wanted: bool):
     """Yields ``submit``: ``submit(call)`` returns ``wait``, and ``wait()``
-    returns the call's value or raises its error.  When ``wanted`` and two
-    CPUs are usable, one short-lived thread, joined when the ``with`` block
-    exits, runs the calls in order; otherwise ``submit`` runs the call here.
-    One thread per block, not per call: ``Thread.start`` waits until the new
-    thread runs.  A call runs nothing the benchmark's tracer wraps (its span
-    stack is one thread's) and allocates no field (the thread's allocations
-    land in a second malloc arena)."""
-    threaded = wanted and _usable_cpus() >= 2
+    returns the call's value or raises its error.  When ``wanted``, one
+    short-lived thread, joined when the ``with`` block exits, runs the calls
+    in order; otherwise ``submit`` runs the call here.  One thread per
+    block, not per call: ``Thread.start`` waits until the new thread runs.
+    A call runs nothing the benchmark's tracer wraps (its span stack is one
+    thread's) and allocates no field (the thread's allocations land in a
+    second malloc arena)."""
 
     def submit(call):
         outcome, done = {}, threading.Lock()
@@ -237,7 +219,7 @@ def second_thread(wanted: bool):
                 outcome["error"] = exc
             done.release()
 
-        if threaded:
+        if wanted:
             calls.append(run)
             pending.release()
         else:
@@ -251,7 +233,7 @@ def second_thread(wanted: bool):
 
         return wait
 
-    if not threaded:
+    if not wanted:
         yield submit
         return
     calls, pending = collections.deque(), threading.Semaphore(0)

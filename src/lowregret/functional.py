@@ -69,6 +69,8 @@ def check_parameters(s, control_weight, gamma, cg_tol, cg_max_iters) -> None:
     _check_finite("s", s)
     if not 0.0 < s < 1.0:
         raise ParameterError("s", f"must lie strictly between 0 and 1, got {s}")
+    if s < np.finfo(float).tiny:  # the exterior tail's 1/(2s) would overflow
+        raise ParameterError("s", f"must be a normal float, at least {np.finfo(float).tiny}, got {s}")
     _check_positive("control_weight", control_weight)
     _check_positive("gamma", gamma)
     _check_positive("cg_tol", cg_tol)

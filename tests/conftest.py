@@ -79,6 +79,12 @@ def patch_everywhere(monkeypatch, home, name, wrap):
             monkeypatch.setattr(mod, name, wrapped)
 
 
+def unthreaded(monkeypatch):
+    """Run every ``second_thread`` block as ``wanted=False``, each call at
+    its submit, through every binding."""
+    patch_everywhere(monkeypatch, lr.evolution, "second_thread", lambda original: lambda wanted: original(False))
+
+
 def count_calls(monkeypatch, home, names):
     """Calls by name of the named functions of module ``home``, through every binding."""
     calls = dict.fromkeys(names, 0)

@@ -32,7 +32,7 @@ from lowregret.functional import check_parameters
 from lowregret.optimizer import check_gammas
 from lowregret.presets import parse_profile, space_time_field, spatial_profile
 
-from conftest import composed_identities, count_calls, patch_everywhere, threads_started, traced_peak
+from conftest import composed_identities, count_calls, patch_everywhere, threads_started, traced_peak, unthreaded
 
 AUDIT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "audit.json")
 SOLVE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "solve.json")
@@ -239,6 +239,21 @@ class TestParseScenario:
             parse_scenario(raw)
         assert str(err.value) == f"{path}: {lib.value.reason}"
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("s", [1e-320, 5e-309])
+    def test_a_subnormal_s_exits_two_and_creates_nothing(self, tmp_path, capsys, command, s):
+        # validate once accepted these, and run failed on the exterior tail's
+        # 1/(2s), which overflows: "step factor must be finite", exit 3
+        path = write_config(tmp_path, config_dict(s=s))
+        assert main([command, path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: s: must be a normal float, at least {np.finfo(float).tiny}, got {s}")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_smallest_normal_s_builds_and_solves(self, tmp_path):
+        path = write_config(tmp_path, config_dict(s=np.finfo(float).tiny))
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["success"] is True
+
     def test_zero_gamma_message_is_specific(self):
         raw = config_dict(gamma=0.0)
         with pytest.raises(ConfigError) as err:
@@ -261,7 +276,7 @@ NOT_POSITIVE = NON_FINITE | st.floats(max_value=0.0)
 
 # field -> values that must be rejected; integer fields get non-finite floats too
 BAD_VALUES = {
-    "s": NOT_POSITIVE | st.floats(min_value=1.0),
+    "s": NOT_POSITIVE | st.floats(min_value=1.0) | st.floats(0.0, np.finfo(float).tiny, exclude_max=True),
     "control_weight": NOT_POSITIVE,
     "gamma": NOT_POSITIVE,
     "cg_tol": NOT_POSITIVE,
@@ -305,6 +320,23 @@ class TestLoadScenario:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(path)
+
+    UNDECODABLE = {
+        "utf-16 byte order mark": b"\xff\xfe" + json.dumps(config_dict()).encode(),
+        "5000-digit seed": b'{"seed": ' + b"7" * 5000 + b"}",
+        "array nested 100000 deep": b"[" * 100_000 + b"]" * 100_000,
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_an_undecodable_file_exits_two_and_creates_nothing(self, tmp_path, capsys, command, case):
+        # these once exited 3 ("run failed: 'utf-8' codec can't decode ...",
+        # "Exceeds the limit (4300 digits) ...") or 1 (a RecursionError)
+        path = tmp_path / "scenario.json"
+        path.write_bytes(self.UNDECODABLE[case])
+        assert main([command, str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: not valid JSON: ")
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 class TestOutDirResolution:
@@ -679,9 +711,7 @@ class TestAuditCommand:
         probe_lines = (out / "audit_probe_residuals.csv").read_text().splitlines()
         assert len(probe_lines) == 1 + report["metrics"]["probes"]
 
-    @pytest.mark.parametrize("cpus", [1, 2])  # the draws inline, or ahead where a block allows
-    def test_zero_probe_audit_writes_an_empty_probe_table(self, tmp_path, monkeypatch, cpus):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+    def test_zero_probe_audit_writes_an_empty_probe_table(self, tmp_path):
         path = write_config(tmp_path, config_dict(probes=0))
         out = tmp_path / "out"
         assert main(["audit", path, "--out", str(out), "--quiet"]) == 0
@@ -791,8 +821,8 @@ class TestAuditCommand:
         monkeypatch.setattr(cli.np.random, "default_rng", Recording)
         return draws
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_block_draws_equal_the_per_probe_draws(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("threaded", [True, False])
+    def test_block_draws_equal_the_per_probe_draws(self, monkeypatch, threaded):
         # one bulk draw per block, each row a probe's v, g, a and b, gives the
         # bits of drawing each field of each probe in turn
         presets = ["sine(2,0.5)", "gauss(0,0.3,1)"]
@@ -800,13 +830,14 @@ class TestAuditCommand:
         grid, tgrid = sc.problem.grid, sc.problem.tgrid
         preset_data = [spatial_profile(text, grid) for text in presets]
         rng = np.random.default_rng(sc.seed)
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        if not threaded:
+            unthreaded(monkeypatch)
         monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 3 * 8 * 9 * 12)  # 3 probes at 12 x 8
         draws, probes, probe = self.record_draws(monkeypatch), [], cli.Probe
         monkeypatch.setattr(cli, "Probe", lambda v, g, cfg: probes.append((v.copy(), g.copy())) or probe(v, g, cfg))
         assert execute_scenario(sc).success
         assert [len(block) for _, block in draws] == [3, 3, 2]
-        assert [on_main for on_main, _ in draws] == [True] + [cpus == 1] * 2
+        assert [on_main for on_main, _ in draws] == [True] + [not threaded] * 2
         rows = np.concatenate([block for _, block in draws])
         vs, gs = (np.concatenate(x) for x in zip(*probes))
         for k, row in enumerate(rows):
@@ -823,13 +854,13 @@ class TestAuditCommand:
         for route in ("ahead", "inline", "single"):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cli, "AUDIT_BLOCK_BYTES", 1 if route == "single" else 2 * 8 * 9 * 12)
-                mp.setattr(evolution, "_usable_cpus", lambda: 1 if route == "inline" else 2)
+                if route == "inline":
+                    unthreaded(mp)
                 report = execute_scenario(parse_scenario(raw))
             reports[route] = report.metrics, report.tables
         assert reports["ahead"] == reports["inline"] == reports["single"]
 
     def test_no_thread_outlives_an_audit_run(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
         draws = self.record_draws(monkeypatch)
         threads = threading.active_count()
         assert run_scenario(AUDIT_CONFIG, scenario="audit", out_dir=str(tmp_path / "out")).success
@@ -838,7 +869,6 @@ class TestAuditCommand:
 
     @pytest.mark.parametrize("failing", ["sweep", "draw"])
     def test_an_error_in_block_2_reaches_main_as_exit_3(self, monkeypatch, tmp_path, capsys, failing):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "AUDIT_BLOCK_BYTES", 2 * 8 * 9 * 12)  # 2 probes at 12 x 8
         draws = self.record_draws(monkeypatch, fail_at=1 if failing == "draw" else None)
         backward, calls = cli.solve_backward, []
@@ -939,10 +969,12 @@ class TestPairedRoutes:
 
     @staticmethod
     def use(monkeypatch, route):
-        """Pair at every size on two CPUs ("paired"), want the pair at every
-        size on one CPU ("sequential"), or pair nowhere ("ungated")."""
+        """Pair at every size ("paired"), ask for the pair at every size but
+        run every ``second_thread`` unthreaded ("sequential"), or pair
+        nowhere ("ungated")."""
         monkeypatch.setattr(evolution, "PAIR_NODES", 10**9 if route == "ungated" else 1)
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 1 if route == "sequential" else 2)
+        if route == "sequential":
+            unthreaded(monkeypatch)
 
     def test_routes_are_bit_identical(self, tmp_path):
         path = write_config(tmp_path, config_dict(
@@ -966,9 +998,10 @@ class TestPairedRoutes:
             assert residuals == paired[1]
             assert files == paired[2] and "report.json" in files
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_no_thread_outlives_a_run_above_the_gate(self, monkeypatch, tmp_path, cpus):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+    @pytest.mark.parametrize("threaded", [True, False])
+    def test_no_thread_outlives_a_run_above_the_gate(self, monkeypatch, tmp_path, threaded):
+        if not threaded:
+            unthreaded(monkeypatch)
         started = threads_started(monkeypatch)
         path = write_config(tmp_path, config_dict(
             domain={"x_left": -1.0, "x_right": 1.0, "nodes": evolution.PAIR_NODES},
@@ -977,10 +1010,9 @@ class TestPairedRoutes:
         threads = threading.active_count()
         assert run_scenario(path, out_dir=str(tmp_path / "out")).success
         assert threading.active_count() == threads
-        assert started == ["lowregret-second"] * (cpus == 2)
+        assert started == ["lowregret-second"] * threaded
 
     def test_only_the_400_node_benchmark_workload_pairs(self, monkeypatch):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
         started = threads_started(monkeypatch)
         for scenario, nodes, steps in (("sweep", 120, 60), ("audit", 40, 30), ("solve", 400, 200)):
             execute_scenario(parse_scenario(config_dict(
@@ -990,16 +1022,17 @@ class TestPairedRoutes:
             )))
         assert started == ["lowregret-second"]  # the audit's 4 probes are one block
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_the_benchmark_audit_starts_one_thread_for_all_its_blocks(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("threaded", [True, False])
+    def test_the_benchmark_audit_starts_one_thread_for_all_its_blocks(self, monkeypatch, threaded):
         # audit-probes' size at seed 0: 200 probes at 40 x 30 are 11 blocks,
         # whose 10 draws ahead share one thread, not one thread each
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        if not threaded:
+            unthreaded(monkeypatch)
         started = threads_started(monkeypatch)
         sc = benchmark_audit()
         assert -(-sc.probes // (cli.AUDIT_BLOCK_BYTES // (8 * 31 * 40))) == 11
         assert execute_scenario(sc).success
-        assert started == ["lowregret-second"] * (cpus == 2)
+        assert started == ["lowregret-second"] * threaded
 
     def test_an_error_on_the_thread_reaches_the_cli_as_exit_3(self, monkeypatch, tmp_path, capsys):
         eigh, raised = evolution._symmetric_eigh, []
@@ -1058,13 +1091,12 @@ class TestAuditMemory:
         assert abs(peaks[200] - peaks[20]) <= 0.5e6
         assert max(peaks.values()) < 4e6
 
-    def test_the_benchmark_audit_peaks_no_higher_with_larger_blocks(self, monkeypatch):
+    def test_the_benchmark_audit_peaks_no_higher_with_larger_blocks(self):
         # audit-probes' size: 200 probes in 19-probe blocks, each field freed
         # at its last reader, peak at about 1.962e6 bytes.  13-probe blocks
         # that kept a block's fields until the next block replaced them
         # peaked at 2,031,550 bytes or more (2 CPUs, numpy 2.4), and so did
         # 19-probe blocks that kept the previous block's probe alive
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
         assert self.peaks(200)[200] <= 2_031_550
 
 

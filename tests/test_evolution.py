@@ -1,6 +1,7 @@
 """Forward/backward implicit Euler: recursions, transpose and duality identities."""
 
 import dataclasses
+import os
 import sys
 import threading
 
@@ -357,15 +358,10 @@ class TestEigenbasisSweeps:
 
 class TestSecondThread:
     """``second_thread`` runs the calls submitted in its ``with`` block on one
-    short-lived thread, in order, where it is wanted and two CPUs are usable,
-    and joins it when the block exits; otherwise each runs at ``submit``."""
-
-    @staticmethod
-    def gate(monkeypatch, cpus):
-        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+    short-lived thread, in order, where it is wanted, and joins it when the
+    block exits; otherwise each runs at ``submit``."""
 
     def test_runs_the_calls_in_order_on_one_other_thread(self, monkeypatch):
-        self.gate(monkeypatch, 2)
         started, threads, log = threads_started(monkeypatch), threading.active_count(), []
 
         def call(k):
@@ -380,48 +376,51 @@ class TestSecondThread:
         assert [k for k, _ in log] == list(range(20))
         assert len({ident for _, ident in log}) == 1 and log[0][1] != threading.get_ident()
 
-    @pytest.mark.parametrize("cpus, wanted", [(1, True), (2, False), (8, False)])
-    def test_the_unthreaded_route_runs_each_call_at_submit(self, monkeypatch, cpus, wanted):
-        self.gate(monkeypatch, cpus)
+    def test_one_cpu_in_the_affinity_mask_still_starts_the_thread(self, monkeypatch):
+        # the thread starts on the work alone, whatever CPUs the process may use
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        started = threads_started(monkeypatch)
+        with evolution.second_thread(True) as submit:
+            assert submit(threading.get_ident)() != threading.get_ident()
+        assert started == ["lowregret-second"]
+
+    def test_the_unthreaded_route_runs_each_call_at_submit(self, monkeypatch):
         started, log = threads_started(monkeypatch), []
-        with evolution.second_thread(wanted) as submit:
+        with evolution.second_thread(False) as submit:
             for k in range(3):
                 wait = submit(lambda k=k: log.append((k, threading.get_ident())) or k)
                 assert log[-1] == (k, threading.get_ident())  # before its wait
                 assert wait() == k
         assert started == []
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_wait_raises_the_calls_error_and_the_thread_is_joined(self, monkeypatch, cpus):
-        self.gate(monkeypatch, cpus)
+    @pytest.mark.parametrize("wanted", [True, False])
+    def test_wait_raises_the_calls_error_and_the_thread_is_joined(self, wanted):
         threads = threading.active_count()
 
         def failing():
             raise KeyError("call")
 
         with pytest.raises(KeyError) as raised:
-            with evolution.second_thread(True) as submit:
+            with evolution.second_thread(wanted) as submit:
                 later = submit(failing)
                 assert submit(lambda: 3)() == 3  # a failed call does not stop the next
                 later()
         assert raised.value.args == ("call",)
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_an_error_in_the_caller_joins_the_thread(self, monkeypatch, cpus):
-        self.gate(monkeypatch, cpus)
+    @pytest.mark.parametrize("wanted", [True, False])
+    def test_an_error_in_the_caller_joins_the_thread(self, wanted):
         threads, log = threading.active_count(), []
         with pytest.raises(ValueError, match="caller"):
-            with evolution.second_thread(True) as submit:
+            with evolution.second_thread(wanted) as submit:
                 submit(lambda: log.append(threading.get_ident()))
                 raise ValueError("caller")
         assert threading.active_count() == threads
         assert len(log) == 1  # the submitted call ran all the same
 
-    def test_every_wait_sees_its_own_call_under_fast_switching(self, monkeypatch):
+    def test_every_wait_sees_its_own_call_under_fast_switching(self):
         # one buffer shared by the two threads: a copy that overlapped the
         # next fill would hold a mix of two blocks
-        self.gate(monkeypatch, 2)
         buf, copies = np.empty(4096), []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -437,13 +436,12 @@ class TestSecondThread:
         assert all(np.array_equal(copy, np.full(buf.shape, k)) for k, copy in enumerate(copies))
         assert not [t for t in threading.enumerate() if t.name == "lowregret-second"]
 
-    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("pair_nodes", [1, 10**9])
     @pytest.mark.parametrize("failing", [("even",), ("odd",), ("even", "odd")])
-    def test_the_even_halfs_error_comes_before_the_odd_halfs(self, monkeypatch, cpus, failing):
-        # the eigendecomposition runs its odd half on the thread and its even
-        # half here; both routes raise the same error
-        self.gate(monkeypatch, cpus)
-        monkeypatch.setattr(evolution, "PAIR_NODES", 1)
+    def test_the_even_halfs_error_comes_before_the_odd_halfs(self, monkeypatch, pair_nodes, failing):
+        # from PAIR_NODES on, the eigendecomposition runs its odd half on the
+        # thread and its even half here; both routes raise the same error
+        monkeypatch.setattr(evolution, "PAIR_NODES", pair_nodes)
         matrix = assemble_operator(build_grid(-1.0, 1.0, 12), 0.5).matrix
 
         def half(block):  # the even and odd halves of 12 nodes are both 6 x 6
@@ -460,40 +458,6 @@ class TestSecondThread:
             evolution.centrosymmetric_eigh(matrix)
         assert raised.value.args == (failing[0],)
         assert threading.active_count() == threads
-
-
-class TestUsableCpus:
-    """The gate's CPU count: the affinity mask, capped by a cgroup v2 quota."""
-
-    @staticmethod
-    def cgroup(root, cpu_max=None, line="0::/box"):
-        (root / "proc" / "self").mkdir(parents=True)
-        (root / "proc" / "self" / "cgroup").write_text(f"4:memory:/other\n{line}\n")
-        (root / "sys" / "fs" / "cgroup" / "box").mkdir(parents=True)
-        if cpu_max is not None:
-            (root / "sys" / "fs" / "cgroup" / "box" / "cpu.max").write_text(cpu_max + "\n")
-        return str(root)
-
-    @pytest.mark.parametrize("cpu_max, cpus", [
-        ("max 100000", 4), ("50000 100000", 1), ("250000 100000", 2), ("800000 100000", 4),
-    ])
-    def test_the_quota_caps_the_affinity_count(self, monkeypatch, tmp_path, cpu_max, cpus):
-        monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        assert evolution._usable_cpus(self.cgroup(tmp_path, cpu_max)) == cpus
-
-    @pytest.mark.parametrize("layout", ["no cpu.max", "no v2 line", "no cgroup file"])
-    def test_no_quota_file_is_no_cap(self, monkeypatch, tmp_path, layout):
-        monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
-        if layout == "no cpu.max":
-            root = self.cgroup(tmp_path)
-        elif layout == "no v2 line":
-            root = self.cgroup(tmp_path, "50000 100000", line="1:cpu:/box")
-        else:
-            root = str(tmp_path)
-        assert evolution._usable_cpus(root) == 3
-
-    def test_this_process_counts_at_least_one_cpu(self):
-        assert 1 <= evolution._usable_cpus() <= len(evolution.os.sched_getaffinity(0))
 
 
 class TestBulkDraws:

@@ -25,6 +25,7 @@ class TestConfigValidation:
         [
             ("s", 0.0),
             ("s", 1.0),
+            ("s", 5e-309),  # subnormal: the exterior tail's 1/(2s) overflows
             ("control_weight", 0.0),
             ("control_weight", -1.0),
             ("gamma", 0.0),
