@@ -84,7 +84,9 @@ class RegretConfig:
     ``gamma`` is the relaxation weight on the unknown initial datum and
     ``control_weight`` the quadratic penalty on the control itself.  ``f``
     and ``z_d`` are finite space-time fields (background source and tracking
-    target) whose squared Q-norms do not overflow; a field that is not
+    target) whose squared Q-norms do not overflow; they are only read, so
+    either may be a read-only broadcast, such as the one row across all time
+    slices that ``presets.space_time_field`` gives.  A field that is not
     finite or whose norm overflows raises ``ParameterError`` naming it, as
     does a time step whose control_weight/dt^2 (the modal factors' scale)
     overflows, naming ``horizon``.  The derived ``propagator``,

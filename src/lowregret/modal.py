@@ -53,8 +53,11 @@ class NormalModes:
             self.pivots = pivots = np.tile(1.0 + scale * (1.0 + r * r), (steps, 1))
             pivots[-1] = 1.0 + scale
             self.multipliers = np.tile(-scale * r, (steps - 1, 1))
+            scratch = np.empty_like(r)  # the multiplier e_m / d_m times e_m
             for d, d_next, e in zip(pivots, pivots[1:], self.multipliers):
-                d_next -= e / d * e  # the multiplier e_m / d_m times e_m
+                np.divide(e, d, out=scratch)
+                scratch *= e
+                d_next -= scratch
             self.multipliers /= pivots[:-1]
         if not ((0.0 < pivots) & (pivots < np.inf)).all():
             raise ValueError("modal tridiagonal factor: a pivot is not positive and finite")

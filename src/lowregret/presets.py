@@ -4,7 +4,7 @@ Three preset families cover the scenario configs: "zero",
 "gauss(center,width,amp)" for a Gaussian bump, and "sine(k,amp)" for a
 sinusoid vanishing at both domain endpoints.  Profiles are evaluated on
 the interior nodes of a grid; space-time fields hold the profile constant
-in time.
+in time, as one row broadcast read-only across all time slices.
 """
 
 from __future__ import annotations
@@ -71,5 +71,6 @@ def spatial_profile(text: str, grid: SpatialGrid) -> np.ndarray:
 
 
 def space_time_field(text: str, grid: SpatialGrid, tgrid: TimeGrid) -> np.ndarray:
-    """Tile a spatial preset across all time slices."""
-    return np.tile(spatial_profile(text, grid), (tgrid.steps + 1, 1))
+    """A spatial preset on all time slices: a read-only view of its one row
+    with time stride 0, so the field holds n values, not (M+1) n."""
+    return np.broadcast_to(spatial_profile(text, grid), (tgrid.steps + 1, grid.n))

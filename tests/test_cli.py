@@ -118,12 +118,69 @@ class TestProfilePresets:
         expected = np.where(grid.nodes == 0.0, 2.0, 0.0)
         assert np.array_equal(spatial_profile("gauss(0,1e-300,2)", grid), expected)
 
-    def test_space_time_field_tiles_all_slices(self):
+    def test_space_time_field_is_one_read_only_row_on_all_slices(self):
         grid = build_grid(-1.0, 1.0, 9)
         tgrid = build_time_grid(1.0, 6)
         field = space_time_field("gauss(0,0.5,1)", grid, tgrid)
         assert field.shape == (7, 9)
-        assert all(np.array_equal(field[m], field[0]) for m in range(7))
+        assert field.strides[0] == 0  # a view of one row, not (M+1) copies
+        assert np.array_equal(field, np.tile(spatial_profile("gauss(0,0.5,1)", grid), (7, 1)))
+        with pytest.raises(ValueError):
+            field[3, 4] = 0.0
+
+
+class TestOneRowFields:
+    """A problem on ``space_time_field``'s one-row broadcasts gives the bits
+    of the same problem on full copies of its fields, with the dense basis
+    (40 nodes), the folded one (160) and the fold's odd n (151)."""
+
+    NODES = [40, 160, 151]
+
+    @staticmethod
+    def problems(nodes):
+        grid, tgrid = build_grid(-1.0, 1.0, nodes), build_time_grid(1.0, 12)
+        f, z_d = (space_time_field(text, grid, tgrid) for text in ("gauss(0.2,0.25,0.7)", "sine(1,0.4)"))
+        assert f.strides[0] == z_d.strides[0] == 0
+
+        def problem(f, z_d):
+            return lr.RegretConfig(s=0.5, control_weight=0.1, gamma=1e-2, f=f, z_d=z_d, grid=grid, tgrid=tgrid)
+
+        return problem(f, z_d), problem(np.array(f), np.array(z_d))
+
+    @pytest.mark.parametrize("nodes", NODES)
+    def test_the_solve_and_its_residuals_keep_their_bits(self, nodes):
+        one_row, full = self.problems(nodes)
+        assert np.array_equal(one_row.q_background, full.q_background)
+        a, b = lr.solve_low_regret(one_row), lr.solve_low_regret(full)
+        for name in (
+            "control", "state", "uncertainty_adjoint", "worst_response", "control_adjoint", "worst_initial_datum",
+        ):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.value, a.cg_residuals, a.converged) == (b.value, b.cg_residuals, b.converged)
+        assert lr.optimality_residuals(a) == lr.optimality_residuals(b)
+
+    @pytest.mark.parametrize("nodes", NODES)
+    def test_a_two_gamma_sweep_keeps_its_bits(self, nodes):
+        a, b = (lr.gamma_sweep(cfg, (1.0, 1e-2)) for cfg in self.problems(nodes))
+        assert all(np.array_equal(x, y) for x, y in zip(a.controls, b.controls))
+        fields = ("xi0_norms", "control_norms", "values", "distances", "cg_iterations", "converged", "slope")
+        assert [getattr(a, name) for name in fields] == [getattr(b, name) for name in fields]
+
+    @pytest.mark.parametrize("nodes", NODES)
+    def test_the_audit_probe_columns_keep_their_bits(self, nodes, monkeypatch):
+        def audit():
+            return parse_scenario(config_dict(
+                scenario="audit", domain={"x_left": -1.0, "x_right": 1.0, "nodes": nodes},
+                time={"horizon": 1.0, "steps": 12},
+            ))
+
+        one_row = execute_scenario(audit())
+        broadcast = cli.space_time_field
+        monkeypatch.setattr(cli, "space_time_field", lambda *args: np.array(broadcast(*args)))
+        assert audit().problem.f.strides[0] != 0
+        full = execute_scenario(audit())
+        assert one_row.tables["probe_residuals"] == full.tables["probe_residuals"]
+        assert one_row.metrics == full.metrics
 
 
 class TestParseScenario:
@@ -1053,18 +1110,20 @@ class TestPairedRoutes:
 
 
 class TestSolveMemory:
-    def test_a_benchmark_sized_solve_peaks_below_sixteen_fields(self, tmp_path):
+    def test_a_benchmark_sized_solve_peaks_below_fourteen_fields(self, tmp_path):
         # 400 x 200, as perfbench's solve-fine: before the modal factors were
         # freed ahead of the residuals, the control adjoint swept in place and
         # the H-apply's last product written into its spent source, the
-        # peak was 16.13 fields; without any one of the three, 16.0-16.1
+        # peak was 16.13 fields; without any one of the three, 16.0-16.1.
+        # With f and z_d tiled over all slices rather than one broadcast row
+        # each, it was 15.70; it is 13.71
         with open(SOLVE_CONFIG) as fh:
             raw = json.load(fh)
         raw["domain"]["nodes"], raw["time"]["steps"] = 400, 200
         path = write_config(tmp_path, raw)
         execute_scenario(load_scenario(path))  # first-call allocations stay out of the peak
         peak = traced_peak(lambda: execute_scenario(load_scenario(path)))
-        assert peak / (201 * 400 * 8) <= 15.8
+        assert peak / (201 * 400 * 8) <= 13.8
 
 
 class TestAuditMemory:

@@ -42,6 +42,30 @@ class TestModalInverse:
         assert np.array_equal(modes.solve(b, 0.1), modes.solve(shifted, 0.1))
 
 
+class TestPivotLoop:
+    @staticmethod
+    def allocating_factors(modes, control_weight):
+        """T's pivots and multipliers by the loop that allocated two rows per
+        step, ``d_next -= e / d * e``: the reference for the in-place one."""
+        steps, dt, r = len(modes.pivots), modes.dt, modes.ratio
+        with np.errstate(all="ignore"):
+            scale = control_weight / (dt * r) ** 2
+            pivots = np.tile(1.0 + scale * (1.0 + r * r), (steps, 1))
+            pivots[-1] = 1.0 + scale
+            multipliers = np.tile(-scale * r, (steps - 1, 1))
+            for d, d_next, e in zip(pivots, pivots[1:], multipliers):
+                d_next -= e / d * e
+            multipliers /= pivots[:-1]
+        return pivots, multipliers
+
+    @pytest.mark.parametrize("n,steps", [(40, 30), (400, 200)])
+    def test_pivots_and_multipliers_keep_the_allocating_loops_bits(self, n, steps):
+        cfg = make_problem(n=n, steps=steps)
+        pivots, multipliers = self.allocating_factors(cfg.modes, cfg.control_weight)
+        assert np.array_equal(cfg.modes.pivots, pivots)
+        assert np.array_equal(cfg.modes.multipliers, multipliers)
+
+
 class TestTridiagonalFactors:
     """The LDL^T factor and solve of T against LAPACK dpttrf and dpttrs on all
     of T's blocks stacked into one tridiagonal matrix, mode-major."""
